@@ -44,6 +44,10 @@ class BenchStageError(RuntimeError):
     """A pipeline stage failed; the message names the stage."""
 
 
+#: Accepted value types per field annotation; an int is a valid float.
+_FIELD_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "bool": (bool,)}
+
+
 @dataclass(frozen=True)
 class BenchConfig:
     """One benchmark run, fully specified (mirrors the CLI flags)."""
@@ -69,32 +73,31 @@ class BenchConfig:
     qnn_entangle: str = "ring"
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # bool subclasses int, but True is not a count or a seed.
+            if (isinstance(value, bool) and f.type != "bool") or not isinstance(
+                value, _FIELD_TYPES[f.type]
+            ):
+                raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
         if self.dataset not in DATASET_FILES:
             raise ValueError(
                 f"dataset must be one of {sorted(DATASET_FILES)}, got {self.dataset!r}"
             )
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
-        if self.k < 1:
-            raise ValueError(f"k must be at least 1, got {self.k}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.features < 1:
             raise ValueError(f"feature count must be positive, got {self.features}")
         if self.bins < 2:
             raise ValueError(f"bins must be at least 2, got {self.bins}")
-        if not math.isfinite(self.angle_scale):
-            raise ValueError(f"angle_scale must be finite, got {self.angle_scale}")
-        if self.distance not in ("exact", "sampled"):
-            raise ValueError(
-                f"distance must be 'exact' or 'sampled', got {self.distance!r}"
-            )
-        if self.shots < 1:
-            raise ValueError(f"shots must be positive, got {self.shots}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError(
                 f"test fraction must lie in (0, 1), got {self.test_fraction}"
             )
+        # The model configs own the rules for their settings; building them
+        # rejects a bad value before any data is loaded.
+        _qknn_config(self)
+        _qnn_setup(self, n_qubits=1, n_classes=2)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -207,6 +210,24 @@ def _qknn_config(config: BenchConfig, noise: NoiseSpec | None = None,
     )
 
 
+def _qnn_setup(
+    config: BenchConfig, n_qubits: int, n_classes: int
+) -> tuple[qnn.QnnArchitecture, qnn.TrainConfig]:
+    arch = qnn.init_architecture(
+        n_qubits=n_qubits,
+        n_layers=config.qnn_layers,
+        n_classes=n_classes,
+        seed=config.seed,
+        init_scale=config.qnn_init_scale,
+        rotation_axis=config.qnn_rotation_axis,
+        entangle=config.qnn_entangle,
+    )
+    train_cfg = qnn.TrainConfig(
+        learning_rate=config.qnn_learning_rate, epochs=config.qnn_epochs
+    )
+    return arch, train_cfg
+
+
 def _run_model(
     config: BenchConfig, prepared: PreparedExperiment,
     noise: NoiseSpec | None = None, mitigation: str = "none",
@@ -217,22 +238,8 @@ def _run_model(
         return fit_predict(train, test, _qknn_config(config, noise, mitigation, seed))
     if config.model == "cknn":
         return cknn.fit_predict(train, test, k=config.k)
+    arch, train_cfg = _qnn_setup(config, train.n_features, train.n_classes)
     # The angle embedding wants features in [0, pi]: full RY range, no wrap.
-    arch = qnn.init_architecture(
-        n_qubits=train.n_features,
-        n_layers=config.qnn_layers,
-        n_classes=train.n_classes,
-        seed=config.seed,
-        init_scale=config.qnn_init_scale,
-        rotation_axis=config.qnn_rotation_axis,
-        entangle=config.qnn_entangle,
-    )
-    train_cfg = qnn.TrainConfig(
-        learning_rate=config.qnn_learning_rate,
-        epochs=config.qnn_epochs,
-        seed=config.seed,
-        init_scale=config.qnn_init_scale,
-    )
     trained, _ = qnn.train(arch, train.features * math.pi, train.labels, train_cfg)
     X_test = test.features * math.pi
     return qnn.predict(trained, X_test), qnn.predict_proba(trained, X_test)

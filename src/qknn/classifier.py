@@ -27,7 +27,6 @@ surviving logical error touches the state).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -73,6 +72,9 @@ class QknnConfig:
     noise: NoiseSpec | None = None
     injection: InjectionPoint = InjectionPoint.AFTER_FEATURE_MAP
     mitigation: str = "none"
+    #: Odd length n >= 3 of both error-mitigation modes: "repeat-vote" takes
+    #: the majority of n repeated ancilla measurements per shot, and
+    #: "physical-code" encodes each data qubit in an n-qubit repetition code.
     code_length: int = 3
 
     def __post_init__(self) -> None:
@@ -86,6 +88,10 @@ class QknnConfig:
             raise ValueError(f"shots must be positive, got {self.shots}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if not isinstance(self.injection, InjectionPoint):
+            raise TypeError(
+                f"injection must be an InjectionPoint, got {self.injection!r}"
+            )
         if self.mitigation not in MITIGATION_MODES:
             raise ValueError(
                 f"mitigation must be one of {MITIGATION_MODES}, got {self.mitigation!r}"
@@ -103,18 +109,12 @@ class QknnConfig:
 
 @dataclass
 class QknnModel:
-    """Encoded training set plus the distance/vote configuration."""
+    """Encoded training set plus the config it was fitted with."""
 
     encoded_train: list[EncodedPoint]
     labels: np.ndarray
     n_classes: int
-    k: int = DEFAULT_K
-    cfg: EncodingConfig = field(default_factory=EncodingConfig)
-    distance_mode: str = "exact"
-    shots: int = DEFAULT_SHOTS
-    seed: int = 0
-    mitigation: str = "none"
-    vote_repeats: int = 3
+    config: QknnConfig
 
     def __post_init__(self) -> None:
         self.labels = np.asarray(self.labels, dtype=int)
@@ -124,17 +124,15 @@ class QknnModel:
             raise ValueError(
                 f"{self.labels.shape[0]} labels for {len(self.encoded_train)} points"
             )
-        if not 1 <= self.k <= len(self.encoded_train):
+        if not 1 <= self.config.k <= len(self.encoded_train):
             raise ValueError(
-                f"k must lie in [1, {len(self.encoded_train)}], got {self.k}"
+                f"k must lie in [1, {len(self.encoded_train)}], got {self.config.k}"
             )
         if self.labels.min() < 0 or self.labels.max() >= self.n_classes:
             raise ValueError(
                 f"labels must lie in [0, {self.n_classes}), got range "
                 f"[{self.labels.min()}, {self.labels.max()}]"
             )
-        if self.distance_mode not in DISTANCE_MODES:
-            raise ValueError(f"bad distance mode {self.distance_mode!r}")
         # Exact mode computes all train fidelities against one test state
         # as a single matrix-vector product over this stack.
         self._train_amplitudes = np.stack(
@@ -189,12 +187,7 @@ def _sampled_ancilla_zero(
 ) -> float:
     """Empirical P(ancilla=0) from full-register basis samples."""
     half = swap_state.amplitudes.size // 2
-    zeros = sum(
-        s.shot_count
-        for s in sample_basis(swap_state, shots, seed)
-        if s.basis_index < half
-    )
-    return zeros / shots
+    return sample_basis(swap_state, shots, seed)[:half].sum() / shots
 
 
 def _voted_ancilla_zero(
@@ -239,26 +232,25 @@ def quantum_distance(
 def _pair_seed(model: QknnModel, test: EncodedPoint, train_index: int) -> int:
     # Stable per-pair stream: independent of evaluation order.
     ss = np.random.SeedSequence(
-        [model.seed, test.source_row + 1, train_index]
+        [model.config.seed, test.source_row + 1, train_index]
     )
     return int(ss.generate_state(1, np.uint64)[0])
 
 
 def _pair_fidelities(model: QknnModel, test: EncodedPoint) -> np.ndarray:
     """Fidelity estimates against every training point, clamped to [0, 1]."""
-    if model.distance_mode == "exact":
+    cfg = model.config
+    if cfg.distance_mode == "exact":
         overlaps = model._train_amplitudes.conj() @ test.state.amplitudes
         return np.abs(overlaps) ** 2
     fids = np.empty(len(model.encoded_train))
     for j, point in enumerate(model.encoded_train):
         swap_state = swap_test_state(point.state, test.state)
         seed = _pair_seed(model, test, j)
-        if model.mitigation == "repeat-vote":
-            p_zero = _voted_ancilla_zero(
-                swap_state, model.shots, model.vote_repeats, seed
-            )
+        if cfg.mitigation == "repeat-vote":
+            p_zero = _voted_ancilla_zero(swap_state, cfg.shots, cfg.code_length, seed)
         else:
-            p_zero = _sampled_ancilla_zero(swap_state, model.shots, seed)
+            p_zero = _sampled_ancilla_zero(swap_state, cfg.shots, seed)
         fids[j] = 2.0 * p_zero - 1.0
     return np.clip(fids, 0.0, 1.0)
 
@@ -272,7 +264,7 @@ def find_neighbors(model: QknnModel, test: EncodedPoint) -> NeighborSet:
         )
     fids = _pair_fidelities(model, test)
     order = np.lexsort((np.arange(fids.size), -fids))
-    chosen = order[: model.k]
+    chosen = order[: model.config.k]
     kept = fids[chosen]
     return NeighborSet(
         indices=chosen, fidelities=kept, distances=0.5 * (1.0 + kept)
@@ -388,23 +380,18 @@ def _check_schema(train: Dataset, test: Dataset) -> None:
         )
 
 
-def fit(train: Dataset, cfg: QknnConfig) -> QknnModel:
-    """Encode a training dataset into a ready-to-classify model."""
-    if train.n_instances == 0:
-        raise ValueError("training set is empty")
-    rng = np.random.default_rng(cfg.seed)
+def _fit(train: Dataset, cfg: QknnConfig, rng: np.random.Generator) -> QknnModel:
     return QknnModel(
         encoded_train=_encode_rows(train.features, cfg, rng),
         labels=train.labels,
         n_classes=train.n_classes,
-        k=cfg.k,
-        cfg=cfg.encoding,
-        distance_mode=cfg.distance_mode,
-        shots=cfg.shots,
-        seed=cfg.seed,
-        mitigation=cfg.mitigation,
-        vote_repeats=cfg.code_length,
+        config=cfg,
     )
+
+
+def fit(train: Dataset, cfg: QknnConfig) -> QknnModel:
+    """Encode a training dataset into a ready-to-classify model."""
+    return _fit(train, cfg, np.random.default_rng(cfg.seed))
 
 
 def fit_predict(
@@ -417,22 +404,10 @@ def fit_predict(
     call is one trajectory; rerun with different seeds to average.
     Deterministic for a fixed config.
     """
-    if train.n_instances == 0:
-        raise ValueError("training set is empty")
-    _check_schema(train, test)
+    # The training rows, then the test rows, draw from one noise stream.
     rng = np.random.default_rng(cfg.seed)
-    model = QknnModel(
-        encoded_train=_encode_rows(train.features, cfg, rng),
-        labels=train.labels,
-        n_classes=train.n_classes,
-        k=cfg.k,
-        cfg=cfg.encoding,
-        distance_mode=cfg.distance_mode,
-        shots=cfg.shots,
-        seed=cfg.seed,
-        mitigation=cfg.mitigation,
-        vote_repeats=cfg.code_length,
-    )
+    model = _fit(train, cfg, rng)
+    _check_schema(train, test)
     encoded_test = _encode_rows(test.features, cfg, rng)
     predictions = np.empty(test.n_instances, dtype=int)
     scores = np.empty((test.n_instances, train.n_classes))

@@ -151,6 +151,9 @@ def _require_out(merged: dict) -> str:
     out = merged.get("out")
     if not out:
         raise _ArgumentProblem("--out is required (or give 'out' in the config file)")
+    parent = Path(out).parent
+    if not parent.is_dir():
+        raise _ArgumentProblem(f"output directory {parent} does not exist")
     return str(out)
 
 

@@ -13,7 +13,6 @@ gamma implementation so the package needs no statistics dependency.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -274,12 +273,6 @@ def min_max_normalize(
     return out, params
 
 
-def denormalize(features: np.ndarray, params: NormalizationParams) -> np.ndarray:
-    """Invert min_max_normalize on already-kept columns (no clamping undone)."""
-    features = np.asarray(features, dtype=float)
-    return features * (params.maxs - params.mins) + params.mins
-
-
 # --- chi-square machinery -------------------------------------------------
 
 def _regularized_gamma_p_series(s: float, x: float) -> float:
@@ -459,7 +452,7 @@ def chi_square_select(
     )
 
 
-# --- splitting and serialization -------------------------------------------
+# --- splitting ------------------------------------------------------------
 
 def stratified_indices(
     labels: np.ndarray, test_fraction: float, seed: int
@@ -482,66 +475,3 @@ def stratified_indices(
         test_idx.extend(shuffled[:n_test].tolist())
         train_idx.extend(shuffled[n_test:].tolist())
     return np.array(sorted(train_idx)), np.array(sorted(test_idx))
-
-
-def stratified_split(
-    d: Dataset, test_fraction: float, seed: int
-) -> tuple[Dataset, Dataset]:
-    """Split into disjoint train/test datasets preserving class proportions."""
-    train_idx, test_idx = stratified_indices(d.labels, test_fraction, seed)
-    return d.subset_rows(train_idx), d.subset_rows(test_idx)
-
-
-def save_dataset(
-    d: Dataset, csv_path: str | Path, sidecar: dict | None = None
-) -> None:
-    """Write features+labels as CSV plus a JSON sidecar with the metadata.
-
-    Floats are written with repr so a reload reproduces the matrix exactly.
-    The sidecar (csv_path with a .json suffix) stores names and any extra
-    provenance the caller supplies (normalization params, split seed, ...).
-    """
-    csv_path = Path(csv_path)
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(d.feature_names) + ["label"])
-        for row, label in zip(d.features, d.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
-    meta = {
-        "name": d.name,
-        "feature_names": list(d.feature_names),
-        "class_names": list(d.class_names),
-    }
-    if sidecar:
-        meta.update(sidecar)
-    with open(csv_path.with_suffix(".json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_saved(csv_path: str | Path) -> Dataset:
-    """Reload a dataset written by save_dataset (CSV + JSON sidecar)."""
-    csv_path = Path(csv_path)
-    with open(csv_path.with_suffix(".json")) as fh:
-        meta = json.load(fh)
-    features, labels = [], []
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        n_features = len(header) - 1
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != n_features + 1:
-                raise DataFormatError(
-                    f"{csv_path}: line {line_no}: expected {n_features + 1} fields"
-                )
-            features.append([float(v) for v in row[:n_features]])
-            labels.append(int(row[n_features]))
-    return Dataset(
-        name=meta["name"],
-        features=np.array(features).reshape(len(labels), n_features),
-        labels=np.array(labels, dtype=int),
-        feature_names=tuple(meta["feature_names"]),
-        class_names=tuple(meta["class_names"]),
-    )

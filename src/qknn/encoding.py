@@ -36,7 +36,6 @@ class EncodingConfig:
 
     angle_scale: float = DEFAULT_ANGLE_SCALE
     feature_map_angle: float = DEFAULT_FEATURE_MAP_ANGLE
-    entangle_topology: str = "linear-chain"
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.angle_scale):
@@ -44,11 +43,6 @@ class EncodingConfig:
         if not math.isfinite(self.feature_map_angle):
             raise ValueError(
                 f"feature_map_angle must be finite, got {self.feature_map_angle}"
-            )
-        if self.entangle_topology != "linear-chain":
-            raise ValueError(
-                f"unknown entangle topology {self.entangle_topology!r}; "
-                "only 'linear-chain' is supported"
             )
 
 

@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .sim import Gate, GateOp, StateVector, apply_gate
+from .sim import Gate, GateOp, StateVector, apply_gate, gate_matrix
 
 
 class NoiseKind(Enum):
@@ -49,12 +49,6 @@ _CHANNEL_PAULI: dict[NoiseKind, str] = {
 _MIXED_PAULIS = ("X", "Z", "Y")
 
 _PAULI_GATE = {"X": Gate.X, "Y": Gate.Y, "Z": Gate.Z}
-
-_PAULI_MATRIX = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 
 @dataclass(frozen=True)
@@ -175,8 +169,8 @@ def expected_density_effect(spec: NoiseSpec, state: StateVector) -> np.ndarray:
     if spec.kind is NoiseKind.MIXED_PAULI:
         out = (1.0 - spec.p) * rho
         for pauli in _MIXED_PAULIS:
-            k = _PAULI_MATRIX[pauli]
+            k = gate_matrix(_PAULI_GATE[pauli])
             out = out + (spec.p / 3.0) * (k @ rho @ k.conj().T)
         return out
-    k = _PAULI_MATRIX[_CHANNEL_PAULI[spec.kind]]
+    k = gate_matrix(_PAULI_GATE[_CHANNEL_PAULI[spec.kind]])
     return (1.0 - spec.p) * rho + spec.p * (k @ rho @ k.conj().T)

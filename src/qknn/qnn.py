@@ -130,16 +130,14 @@ class TrainConfig:
 
     learning_rate: float = 0.1
     epochs: int = 50
-    seed: int = 0
-    init_scale: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning rate must be positive, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(
+                f"learning rate must be positive and finite, got {self.learning_rate}"
+            )
         if self.epochs < 0:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
-        if self.init_scale <= 0:
-            raise ValueError(f"init scale must be positive, got {self.init_scale}")
 
 
 def init_architecture(
@@ -152,6 +150,8 @@ def init_architecture(
     entangle: str = "ring",
 ) -> QnnArchitecture:
     """Fresh architecture with parameters ~ uniform(-init_scale, init_scale)."""
+    if not 0.0 < init_scale < math.inf:
+        raise ValueError(f"init scale must be positive and finite, got {init_scale}")
     rng = np.random.default_rng(seed)
     params = rng.uniform(-init_scale, init_scale, size=(n_layers, n_qubits))
     return QnnArchitecture(

@@ -186,14 +186,6 @@ class StateVector:
         return StateVector(self.num_qubits, self.amplitudes.copy())
 
 
-@dataclass(frozen=True)
-class MeasurementSample:
-    """Aggregated measurement record: basis index and how often it occurred."""
-
-    basis_index: int
-    shot_count: int
-
-
 def _check_size(num_qubits: int, max_qubits: int) -> None:
     if num_qubits < 1:
         raise ValueError(f"need at least one qubit, got {num_qubits}")
@@ -289,10 +281,11 @@ def z_expectation(state: StateVector, qubit: int) -> float:
     return float(probs[bits == 0].sum() - probs[bits == 1].sum())
 
 
-def sample_basis(state: StateVector, shots: int, seed: int) -> list[MeasurementSample]:
+def sample_basis(state: StateVector, shots: int, seed: int) -> np.ndarray:
     """Draw ``shots`` computational-basis outcomes; deterministic per seed.
 
-    Returns one record per distinct outcome, sorted by basis index.
+    Returns the shot count of every basis index: an integer array of
+    length 2**n that sums to ``shots``.
     """
     if shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")
@@ -302,5 +295,4 @@ def sample_basis(state: StateVector, shots: int, seed: int) -> list[MeasurementS
         raise ValueError(f"state is not normalised (sum of probabilities = {total})")
     rng = np.random.default_rng(seed)
     outcomes = rng.choice(probs.size, size=shots, p=probs / total)
-    values, counts = np.unique(outcomes, return_counts=True)
-    return [MeasurementSample(int(v), int(c)) for v, c in zip(values, counts)]
+    return np.bincount(outcomes, minlength=probs.size)

@@ -71,6 +71,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="test fraction"):
             BenchConfig(test_fraction=1.5)
 
+    def test_field_types(self):
+        with pytest.raises(TypeError, match="k must be int"):
+            BenchConfig(k=True)
+        with pytest.raises(TypeError, match="use_feature_map must be bool"):
+            BenchConfig(use_feature_map=1)
+        assert BenchConfig(angle_scale=3).angle_scale == 3
+
 
 class TestLoading:
     def test_missing_file_names_the_fetch_script(self, tmp_path):

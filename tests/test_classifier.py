@@ -21,7 +21,7 @@ from qknn.classifier import (
     state_fidelity,
     swap_test_state,
 )
-from qknn.encoding import EncodingConfig, encode_point
+from qknn.encoding import EncodingConfig, apply_feature_map, encode_point
 from qknn.noise import InjectionPoint, NoiseKind, NoiseSpec
 
 
@@ -100,15 +100,13 @@ class TestSwapTestCircuit:
         assert sampled == pytest.approx(exact, abs=0.005)
 
 
-def build_model(features, labels, k=1, config=PI_SCALE, **kwargs):
+def build_model(features, labels, k=1, config=PI_SCALE):
     encoded = [point(row, config, row=i) for i, row in enumerate(features)]
     return QknnModel(
         encoded_train=encoded,
         labels=np.asarray(labels),
         n_classes=int(np.max(labels)) + 1,
-        k=k,
-        cfg=config,
-        **kwargs,
+        config=QknnConfig(k=k, encoding=config),
     )
 
 
@@ -279,6 +277,18 @@ class TestFitPredict:
         label, _ = classify(model, point([0.05]))
         assert label == 0
 
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_fit_then_classify_matches_fit_predict(self, rng, make_dataset, mode):
+        train = toy_dataset(rng.uniform(0, 1, size=(10, 2)), [0, 1] * 5, make_dataset)
+        test = toy_dataset(rng.uniform(0, 1, size=(5, 2)), [0] * 5, make_dataset, n_classes=2)
+        cfg = QknnConfig(k=3, encoding=PI_SCALE, distance_mode=mode, shots=128)
+        labels, scores = fit_predict(train, test, cfg)
+        model = fit(train, cfg)
+        for i, row in enumerate(test.features):
+            label, row_scores = classify(model, apply_feature_map(point(row, row=i)))
+            assert label == labels[i]
+            np.testing.assert_array_equal(row_scores, scores[i])
+
 
 class TestConfigValidation:
     def test_repeat_vote_requires_sampled_mode(self):
@@ -294,6 +304,12 @@ class TestConfigValidation:
             QknnConfig(code_length=4)
         with pytest.raises(ValueError, match="distance mode"):
             QknnConfig(distance_mode="fuzzy")
+
+    def test_injection_must_be_an_injection_point(self):
+        # A string never equals an enum member, so it would silently
+        # disable the noise instead of placing it.
+        with pytest.raises(TypeError, match="injection"):
+            QknnConfig(injection="after-feature-map")
 
 
 NOISE_CFG = dict(k=3, encoding=PI_SCALE, seed=5)

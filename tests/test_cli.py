@@ -165,6 +165,41 @@ class TestConfigFile:
         assert code == 2
         assert "k must be at least 1" in err
 
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"qnn_learning_rate": -1}, "learning rate must be positive"),
+            ({"qnn_rotation_axis": "X"}, "rotation axis must be one of"),
+            ({"qnn_layers": 0}, "need at least one layer"),
+            ({"qnn_init_scale": 0}, "init scale must be positive"),
+            ({"feature_map_angle": float("nan")}, "feature_map_angle must be finite"),
+            ({"use_feature_map": "no"}, "use_feature_map must be bool"),
+            ({"k": "3"}, "k must be int"),
+        ],
+        ids=[
+            "learning-rate", "rotation-axis", "layers", "init-scale", "nan-angle",
+            "bool", "int",
+        ],
+    )
+    def test_bad_value_rejected_before_data_loads(self, tmp_path, capsys, doc, message):
+        # The data directory is empty, so any work past the config
+        # boundary would fail at the load stage with exit code 1.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dataset": "iris", "data_dir": str(tmp_path), **doc}))
+        code = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "r.json"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert message in err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "compare"])
+def test_missing_out_directory_exits_two_before_any_work(tmp_path, capsys, command):
+    out = tmp_path / "missing" / "result"
+    code = run_cli(command, "--dataset", "iris", "--data-dir", str(tmp_path), "--out", str(out))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "output directory" in err
+
 
 class TestSweep:
     def test_tiny_sweep_writes_csv(self, tmp_path, capsys):

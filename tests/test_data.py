@@ -1,5 +1,5 @@
-"""Data layer tests: UCI loaders, normalization, chi-square selection,
-stratified splitting, and round-trip serialization."""
+"""Data layer tests: UCI loaders, normalization, chi-square selection
+and stratified splitting."""
 
 import math
 
@@ -12,15 +12,11 @@ from qknn.data import (
     NormalizationParams,
     chi_square_select,
     chi_square_sf,
-    denormalize,
     load_dataset,
-    load_saved,
     min_max_normalize,
     parse_selection_policy,
     regularized_gamma_q,
-    save_dataset,
     stratified_indices,
-    stratified_split,
 )
 
 from conftest import BANKNOTE_PATH, requires_banknote
@@ -206,13 +202,6 @@ class TestNormalization:
         d = make_dataset(np.array([[1.0], [2.0]]), [0, 1])
         with pytest.raises(ValueError, match="empty row set"):
             min_max_normalize(d, [])
-
-    def test_denormalize_round_trip(self, rng, make_dataset):
-        features = rng.normal(3.0, 2.0, size=(20, 5))
-        d = make_dataset(features, rng.integers(0, 2, size=20))
-        out, params = min_max_normalize(d, range(20))
-        restored = denormalize(out.features, params)
-        np.testing.assert_allclose(restored, features, atol=1e-9)
 
     def test_params_serialize(self, make_dataset):
         d = make_dataset(np.array([[1.0, 2.0], [3.0, 4.0]]), [0, 1])
@@ -432,41 +421,3 @@ class TestStratifiedSplit:
         for bad in (0.0, 1.0, -0.2):
             with pytest.raises(ValueError, match="test fraction"):
                 stratified_indices(labels, bad, seed=0)
-
-    def test_split_returns_datasets(self, make_dataset):
-        d = make_dataset(np.arange(20.0).reshape(10, 2), [0, 1] * 5)
-        train, test = stratified_split(d, 0.2, seed=5)
-        assert train.n_instances + test.n_instances == 10
-        assert train.feature_names == d.feature_names
-
-
-class TestSaveLoad:
-    def test_round_trip_is_exact(self, rng, make_dataset, tmp_path):
-        d = make_dataset(rng.normal(size=(8, 3)), rng.integers(0, 2, size=8), n_classes=2)
-        path = tmp_path / "out.csv"
-        save_dataset(d, path, sidecar={"split_seed": 7})
-        back = load_saved(path)
-        np.testing.assert_array_equal(back.features, d.features)  # bitwise
-        np.testing.assert_array_equal(back.labels, d.labels)
-        assert back.feature_names == d.feature_names
-        assert back.class_names == d.class_names
-
-    def test_sidecar_holds_metadata(self, make_dataset, tmp_path):
-        import json
-
-        d = make_dataset(np.zeros((2, 2)), [0, 1])
-        path = tmp_path / "out.csv"
-        save_dataset(d, path, sidecar={"note": "test"})
-        meta = json.loads((tmp_path / "out.json").read_text())
-        assert meta["name"] == "toy"
-        assert meta["note"] == "test"
-        assert meta["feature_names"] == ["f0", "f1"]
-
-    def test_malformed_saved_file_rejected(self, make_dataset, tmp_path):
-        d = make_dataset(np.zeros((2, 2)), [0, 1])
-        path = tmp_path / "out.csv"
-        save_dataset(d, path)
-        with open(path, "a") as fh:
-            fh.write("1.0,2.0\n")  # missing the label column
-        with pytest.raises(DataFormatError, match="line 4"):
-            load_saved(path)

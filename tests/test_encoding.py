@@ -145,10 +145,6 @@ class TestAngleEmbed:
 
 
 class TestConfig:
-    def test_rejects_unknown_topology(self):
-        with pytest.raises(ValueError, match="topology"):
-            EncodingConfig(entangle_topology="star")
-
     def test_rejects_non_finite_angles(self):
         with pytest.raises(ValueError, match="finite"):
             EncodingConfig(angle_scale=float("inf"))
