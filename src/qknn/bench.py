@@ -28,7 +28,7 @@ from .data import (
 )
 from .encoding import EncodingConfig
 from .metrics import EvalReport, compute_metrics
-from .noise import InjectionPoint, NoiseKind, NoiseSpec
+from .noise import NoiseKind, NoiseSpec
 
 MODELS = ("qknn", "cknn", "qnn")
 
@@ -46,6 +46,15 @@ class BenchStageError(RuntimeError):
 
 #: Accepted value types per field annotation; an int is a valid float.
 _FIELD_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "bool": (bool,)}
+
+
+def _check_type(name: str, type_name: str, value) -> None:
+    """Raise TypeError unless ``value`` is a ``type_name`` ("int", "float", ...)."""
+    # bool subclasses int, but True is not a count or a seed.
+    if (isinstance(value, bool) and type_name != "bool") or not isinstance(
+        value, _FIELD_TYPES[type_name]
+    ):
+        raise TypeError(f"{name} must be {type_name}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -74,12 +83,7 @@ class BenchConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
-            # bool subclasses int, but True is not a count or a seed.
-            if (isinstance(value, bool) and f.type != "bool") or not isinstance(
-                value, _FIELD_TYPES[f.type]
-            ):
-                raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
+            _check_type(f.name, f.type, getattr(self, f.name))
         if self.dataset not in DATASET_FILES:
             raise ValueError(
                 f"dataset must be one of {sorted(DATASET_FILES)}, got {self.dataset!r}"
@@ -205,7 +209,6 @@ def _qknn_config(config: BenchConfig, noise: NoiseSpec | None = None,
         shots=config.shots,
         seed=config.seed if seed is None else seed,
         noise=noise,
-        injection=InjectionPoint.AFTER_FEATURE_MAP,
         mitigation=mitigation,
     )
 

@@ -17,12 +17,11 @@ Two evaluation modes are provided:
   decomposed as CNOT.Toffoli.CNOT so only library gates are used.
 
 Optional Pauli noise is injected per trajectory into every encoded
-state, either between encoding and feature map, after the feature map,
-or both.  Two error-mitigation modes exist for noisy runs: "repeat-vote"
-(each sampled ancilla measurement is repeated n times and majority
-voted) and "physical-code" (each data qubit's channel draw is passed
-through an n-qubit repetition code with syndrome correction before the
-surviving logical error touches the state).
+state after the feature map.  Two error-mitigation modes exist for
+noisy runs: "repeat-vote" (each sampled ancilla measurement is repeated
+n times and majority voted) and "physical-code" (each data qubit's
+channel draw is passed through an n-qubit repetition code with syndrome
+correction before the surviving logical error touches the state).
 """
 
 from __future__ import annotations
@@ -34,13 +33,7 @@ import numpy as np
 
 from .data import Dataset
 from .encoding import EncodedPoint, EncodingConfig, apply_feature_map, encode_point
-from .noise import (
-    InjectionPoint,
-    NoiseSpec,
-    apply_pauli_errors,
-    draw_pauli,
-    sample_errors,
-)
+from .noise import NoiseSpec, apply_pauli_errors, draw_pauli, sample_errors
 from .qec import RepetitionCode, code_corrected_flip
 from .sim import (
     Gate,
@@ -70,7 +63,6 @@ class QknnConfig:
     shots: int = DEFAULT_SHOTS
     seed: int = 0
     noise: NoiseSpec | None = None
-    injection: InjectionPoint = InjectionPoint.AFTER_FEATURE_MAP
     mitigation: str = "none"
     #: Odd length n >= 3 of both error-mitigation modes: "repeat-vote" takes
     #: the majority of n repeated ancilla measurements per shot, and
@@ -88,10 +80,6 @@ class QknnConfig:
             raise ValueError(f"shots must be positive, got {self.shots}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if not isinstance(self.injection, InjectionPoint):
-            raise TypeError(
-                f"injection must be an InjectionPoint, got {self.injection!r}"
-            )
         if self.mitigation not in MITIGATION_MODES:
             raise ValueError(
                 f"mitigation must be one of {MITIGATION_MODES}, got {self.mitigation!r}"
@@ -350,18 +338,14 @@ def _inject(
 def _encode_rows(
     features: np.ndarray, cfg: QknnConfig, rng: np.random.Generator
 ) -> list[EncodedPoint]:
-    """Encode rows, optionally interleaving one noise trajectory per point."""
+    """Encode rows; with noise, each point gets one trajectory after the map."""
     noisy = cfg.noise is not None and cfg.noise.p > 0.0
-    before = noisy and cfg.injection in (InjectionPoint.AFTER_ENCODING, InjectionPoint.BOTH)
-    after = noisy and cfg.injection in (InjectionPoint.AFTER_FEATURE_MAP, InjectionPoint.BOTH)
     points = []
     for row_index, row in enumerate(features):
         point = encode_point(row, cfg.encoding, source_row=row_index)
-        if before:
-            point.state = _inject(point.state, cfg, rng)
         if cfg.use_feature_map:
             point = apply_feature_map(point)
-        if after:
+        if noisy:
             point.state = _inject(point.state, cfg, rng)
         points.append(point)
     return points

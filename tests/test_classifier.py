@@ -22,7 +22,10 @@ from qknn.classifier import (
     swap_test_state,
 )
 from qknn.encoding import EncodingConfig, apply_feature_map, encode_point
-from qknn.noise import InjectionPoint, NoiseKind, NoiseSpec
+from qknn.noise import NoiseKind, NoiseSpec
+from qknn.sim import StateVector
+
+from oracles import apply_dense
 
 
 def feature_for_fidelity(f: float) -> float:
@@ -305,12 +308,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="distance mode"):
             QknnConfig(distance_mode="fuzzy")
 
-    def test_injection_must_be_an_injection_point(self):
-        # A string never equals an enum member, so it would silently
-        # disable the noise instead of placing it.
-        with pytest.raises(TypeError, match="injection"):
-            QknnConfig(injection="after-feature-map")
-
 
 NOISE_CFG = dict(k=3, encoding=PI_SCALE, seed=5)
 
@@ -372,15 +369,28 @@ class TestNoiseAndMitigation:
         )
         assert coded > plain
 
-    def test_injection_point_changes_the_draws(self, separated_problem):
-        train, test = separated_problem
-        base = dict(NOISE_CFG, noise=NoiseSpec(NoiseKind.BIT_FLIP, 0.5))
-        after, _ = fit_predict(train, test, QknnConfig(**base))
-        both, _ = fit_predict(
-            train, test, QknnConfig(**base, injection=InjectionPoint.BOTH)
-        )
-        # different stream consumption; states differ even if labels agree
-        assert after.shape == both.shape
+    def test_noise_lands_after_the_feature_map(self, separated_problem):
+        # A certain bit flip draws X on every qubit, so each fitted state is
+        # fixed; injecting before the map would give an orthogonal state.
+        train, _ = separated_problem
+        cfg = QknnConfig(**NOISE_CFG, noise=NoiseSpec(NoiseKind.BIT_FLIP, 1.0))
+        model = fit(train, cfg)
+        n = train.n_features
+        pauli_x = np.array([[0, 1], [1, 0]], dtype=complex)
+
+        def flip_all(amps):
+            for q in range(n):
+                amps = apply_dense(amps, pauli_x, (q,), n)
+            return amps
+
+        for i, row in enumerate(train.features):
+            clean = encode_point(row, cfg.encoding, source_row=i)
+            after = flip_all(apply_feature_map(clean).state.amplitudes)
+            flipped = StateVector(n, flip_all(clean.state.amplitudes))
+            before = apply_feature_map(replace(clean, state=flipped)).state.amplitudes
+            got = model.encoded_train[i].state.amplitudes
+            np.testing.assert_allclose(got, after, atol=1e-12)
+            assert abs(np.vdot(before, got)) ** 2 < 1e-12
 
     def test_repeat_vote_sharpens_sampled_estimates(self, rng, make_dataset):
         # per-pair ancilla draws at tiny shot counts are noisy; majority

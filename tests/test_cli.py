@@ -235,6 +235,51 @@ class TestSweep:
         assert code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            ({"trials": 1.9}, "trials must be int"),
+            ({"trials": True}, "trials must be int"),
+            ({"p_step": "0.1"}, "p_step must be float"),
+        ],
+    )
+    def test_mistyped_option_exits_two_before_loading(
+        self, tmp_path, capsys, option, message
+    ):
+        # The data dir is empty: reaching the load stage would exit 1.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dataset": "iris", "data_dir": str(tmp_path), **option}))
+        code = run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv"))
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_zero_trials_exits_two_before_loading(self, tmp_path, capsys):
+        code = run_cli(
+            "sweep",
+            "--dataset", "iris",
+            "--trials", "0",
+            "--data-dir", str(tmp_path),
+            "--out", str(tmp_path / "s.csv"),
+        )
+        assert code == 2
+        assert "trials must be positive" in capsys.readouterr().err
+
+    def test_integer_noise_levels_are_valid_floats(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "dataset": "iris",
+            "data_dir": str(DATA_DIR),
+            "p_start": 0,
+            "p_stop": 0,
+            "p_step": 1,
+            "trials": 1,
+        }))
+        assert run_cli("sweep", "--config", str(cfg), "--out", str(out)) == 0
+        with open(out) as fh:
+            assert [row["p"] for row in csv.DictReader(fh)] == ["0.0"]
+        capsys.readouterr()
+
     def test_repeat_vote_forces_sampled_mode(self, tmp_path, capsys):
         # exact-mode configs must still work: the sweep switches to
         # sampled distances internally when voting is requested

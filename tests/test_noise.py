@@ -6,21 +6,15 @@ import numpy as np
 import pytest
 
 from qknn.noise import (
-    InjectionPoint,
     NoiseKind,
     NoiseSpec,
-    TrajectoryBatch,
-    apply_noise,
     apply_pauli_errors,
     draw_pauli,
-    expected_density_effect,
-    run_trajectory_batch,
     sample_errors,
-    trajectory_states,
 )
 from qknn.sim import StateVector, new_zero_state
 
-from oracles import random_state
+from oracles import expected_density_effect, random_state, run_trajectory_batch
 
 ALL_KINDS = tuple(NoiseKind)
 
@@ -43,7 +37,6 @@ class TestSpec:
     def test_enum_values_are_the_wire_names(self):
         assert NoiseKind.BIT_FLIP.value == "bit_flip"
         assert NoiseKind.MIXED_PAULI.value == "mixed_pauli"
-        assert InjectionPoint.AFTER_FEATURE_MAP.value == "after-feature-map"
 
 
 class TestDraws:
@@ -83,12 +76,12 @@ class TestDraws:
 class TestApply:
     def test_certain_bit_flip_flips_the_basis_state(self, rng):
         spec = NoiseSpec(NoiseKind.BIT_FLIP, 1.0)
-        state = apply_noise(new_zero_state(2), spec, [0, 1], rng)
+        state = apply_pauli_errors(new_zero_state(2), sample_errors(spec, [0, 1], rng))
         np.testing.assert_allclose(state.amplitudes, [0, 0, 0, 1], atol=1e-15)
 
     def test_phase_flip_leaves_zero_state_invariant(self, rng):
         spec = NoiseSpec(NoiseKind.PHASE_FLIP, 1.0)
-        state = apply_noise(new_zero_state(1), spec, [0], rng)
+        state = apply_pauli_errors(new_zero_state(1), sample_errors(spec, [0], rng))
         np.testing.assert_allclose(state.amplitudes, [1, 0], atol=1e-15)
 
     def test_errors_apply_as_gates(self):
@@ -100,42 +93,18 @@ class TestApply:
     def test_norm_preserved(self, rng):
         spec = NoiseSpec(NoiseKind.MIXED_PAULI, 0.5)
         state = random_sv(3, rng)
-        out = apply_noise(state, spec, range(3), rng)
+        out = apply_pauli_errors(state, sample_errors(spec, range(3), rng))
         assert abs(out.norm() - 1.0) < 1e-12
 
 
 class TestTrajectories:
     def test_same_seed_same_stream(self):
         spec = NoiseSpec(NoiseKind.MIXED_PAULI, 0.4)
-        state = plus_state()
-        a = [s.amplitudes for s in trajectory_states(state, spec, [0], 20, seed=5)]
-        b = [s.amplitudes for s in trajectory_states(state, spec, [0], 20, seed=5)]
-        for sa, sb in zip(a, b):
-            assert np.array_equal(sa, sb)
-
-    def test_batch_logs_every_trajectory(self):
-        spec = NoiseSpec(NoiseKind.BIT_FLIP, 0.5)
-        batch = TrajectoryBatch(shots=100, seed=9)
-        for _ in trajectory_states(new_zero_state(2), spec, [0, 1], 100, 9, batch):
-            pass
-        assert len(batch.error_log) == 100
-
-    def test_error_counts_track_the_log(self):
-        batch = TrajectoryBatch(shots=3, seed=0)
-        batch.error_log = [[(0, "X")], [], [(0, "Z"), (1, "X")]]
-        assert batch.error_counts(0) == 2
-        assert batch.error_counts(1) == 1
-        assert batch.error_counts(2) == 0
-
-    def test_logged_error_rate_near_p(self):
-        spec = NoiseSpec(NoiseKind.BIT_FLIP, 0.25)
-        batch, _ = run_trajectory_batch(new_zero_state(1), spec, [0], 20000, seed=2)
-        assert batch.error_counts(0) / 20000 == pytest.approx(0.25, abs=0.01)
-
-    def test_rejects_non_positive_shots(self):
-        spec = NoiseSpec(NoiseKind.BIT_FLIP, 0.1)
-        with pytest.raises(ValueError, match="shots"):
-            list(trajectory_states(new_zero_state(1), spec, [0], 0, seed=0))
+        first, second = np.random.default_rng(5), np.random.default_rng(5)
+        a = [sample_errors(spec, range(3), first) for _ in range(20)]
+        b = [sample_errors(spec, range(3), second) for _ in range(20)]
+        assert a == b
+        assert any(a) and not all(a)
 
 
 class TestChannelConvergence:
@@ -144,21 +113,21 @@ class TestChannelConvergence:
     def test_average_density_matches_exact_channel(self, kind, p, rng):
         spec = NoiseSpec(kind, p)
         state = random_sv(1, rng)
-        _, avg_rho = run_trajectory_batch(state, spec, [0], 40000, seed=31)
+        avg_rho = run_trajectory_batch(state, spec, [0], 40000, seed=31)
         exact = expected_density_effect(spec, state)
         assert np.max(np.abs(avg_rho - exact)) < 0.015
 
     def test_p_zero_batch_is_exactly_the_input(self, rng):
         state = random_sv(2, rng)
         spec = NoiseSpec(NoiseKind.MIXED_PAULI, 0.0)
-        _, avg_rho = run_trajectory_batch(state, spec, [0, 1], 50, seed=1)
+        avg_rho = run_trajectory_batch(state, spec, [0, 1], 50, seed=1)
         pure = np.outer(state.amplitudes, state.amplitudes.conj())
         np.testing.assert_allclose(avg_rho, pure, atol=1e-12)
 
     def test_p_one_bit_flip_is_the_conjugated_state(self, rng):
         state = random_sv(1, rng)
         spec = NoiseSpec(NoiseKind.BIT_FLIP, 1.0)
-        _, avg_rho = run_trajectory_batch(state, spec, [0], 50, seed=1)
+        avg_rho = run_trajectory_batch(state, spec, [0], 50, seed=1)
         np.testing.assert_allclose(avg_rho, expected_density_effect(spec, state), atol=1e-12)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -22,7 +22,7 @@ from qknn.qnn import (
     softmax,
     train,
 )
-from qknn.sim import Gate, gate_matrix
+from qknn.sim import DEFAULT_MAX_QUBITS, Gate, ResourceLimitError, gate_matrix
 
 from oracles import finite_difference_gradient
 
@@ -66,12 +66,11 @@ class TestArchitecture:
         assert np.all(np.abs(a.params) <= 0.05)
         assert a.params.shape == (2, 3)
 
-    def test_json_round_trip(self):
-        a = init_architecture(2, 3, 2, seed=1, rotation_axis="Y", entangle="chain")
-        b = QnnArchitecture.from_json(a.to_json())
-        assert np.array_equal(a.params, b.params)
-        assert (b.n_qubits, b.n_layers, b.n_classes) == (2, 3, 2)
-        assert b.rotation_axis == "Y" and b.entangle == "chain"
+    def test_register_beyond_the_simulator_limit_is_rejected(self):
+        # Raised in validation, before any [batch, 2**n] stack exists.
+        n = DEFAULT_MAX_QUBITS + 1
+        with pytest.raises(ResourceLimitError, match=f"{n} qubits"):
+            init_architecture(n, 1, 2)
 
 
 class TestForward:
