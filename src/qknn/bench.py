@@ -39,6 +39,10 @@ DATASET_FILES = {
     "banknote": ("data_banknote_authentication.txt", "banknote"),
 }
 
+#: Dataset name -> (feature columns, classes).  These fix the qnn register
+#: (one qubit per selected feature) before any data is loaded.
+DATASET_SHAPES = {"iris": (4, 3), "wdbc": (30, 2), "banknote": (4, 2)}
+
 
 class BenchStageError(RuntimeError):
     """A pipeline stage failed; the message names the stage."""
@@ -101,7 +105,11 @@ class BenchConfig:
         # The model configs own the rules for their settings; building them
         # rejects a bad value before any data is loaded.
         _qknn_config(self)
-        _qnn_setup(self, n_qubits=1, n_classes=2)
+        n_qubits, n_classes = 1, 2
+        if self.model == "qnn":
+            columns, n_classes = DATASET_SHAPES[self.dataset]
+            n_qubits = min(self.features, columns)
+        _qnn_setup(self, n_qubits=n_qubits, n_classes=n_classes)
 
     def to_dict(self) -> dict:
         return asdict(self)

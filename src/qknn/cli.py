@@ -211,6 +211,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     merged = _merge(args, {})
     out = _require_out(merged)
     config = _build_bench_config(merged)
+    # compare also trains the qnn, so its register must fit too.
+    _build_bench_config({**merged, "model": "qnn"})
     reports = run_compare(config)
     write_compare_csv(reports, out)
     for report in reports:

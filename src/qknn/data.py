@@ -464,7 +464,9 @@ def stratified_indices(
     rng = np.random.default_rng(seed)
     train_idx: list[int] = []
     test_idx: list[int] = []
-    for cls in np.unique(labels):
+    # sorted(set(...)) rather than np.unique, which imports numpy.ma on
+    # first use and so adds about a megabyte to every process.
+    for cls in sorted(set(labels.tolist())):
         rows = np.flatnonzero(labels == cls)
         if rows.size < 2:
             raise ValueError(

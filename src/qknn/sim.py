@@ -2,8 +2,9 @@
 
 The simulator stores the full complex amplitude vector of an n-qubit
 register (length 2**n) and applies gates by reshaping that vector into a
-rank-n tensor and contracting the targeted axes with a small gate matrix.
-No 2**n x 2**n operator is ever materialised.
+rank-n tensor, transposing the targeted axes to the front and contracting
+them with a small gate matrix in one matmul.  No 2**n x 2**n operator is
+ever materialised.
 
 Conventions used throughout the package:
 
@@ -19,6 +20,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -186,19 +188,23 @@ class StateVector:
         return StateVector(self.num_qubits, self.amplitudes.copy())
 
 
-def _check_size(num_qubits: int, max_qubits: int) -> None:
+#: Appended to the size error by the functions that take ``max_qubits``.
+_MAX_QUBITS_HINT = "; raise max_qubits explicitly if intended"
+
+
+def _check_size(num_qubits: int, max_qubits: int, hint: str = "") -> None:
     if num_qubits < 1:
         raise ValueError(f"need at least one qubit, got {num_qubits}")
     if num_qubits > max_qubits:
         raise ResourceLimitError(
             f"{num_qubits} qubits exceeds the limit of {max_qubits} "
-            f"(2**{num_qubits} amplitudes); raise max_qubits explicitly if intended"
+            f"(2**{num_qubits} amplitudes){hint}"
         )
 
 
 def new_zero_state(num_qubits: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
     """Return |0...0> on ``num_qubits`` qubits."""
-    _check_size(num_qubits, max_qubits)
+    _check_size(num_qubits, max_qubits, _MAX_QUBITS_HINT)
     amps = np.zeros(2**num_qubits, dtype=complex)
     amps[0] = 1.0
     return StateVector(num_qubits, amps)
@@ -208,7 +214,7 @@ def basis_state(
     num_qubits: int, index: int, max_qubits: int = DEFAULT_MAX_QUBITS
 ) -> StateVector:
     """Return the computational basis state |index> (qubit 0 = MSB)."""
-    _check_size(num_qubits, max_qubits)
+    _check_size(num_qubits, max_qubits, _MAX_QUBITS_HINT)
     if not 0 <= index < 2**num_qubits:
         raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
     amps = np.zeros(2**num_qubits, dtype=complex)
@@ -221,17 +227,30 @@ def bit_value(index: int, qubit: int, num_qubits: int) -> int:
     return (index >> (num_qubits - 1 - qubit)) & 1
 
 
+@functools.lru_cache(maxsize=4096)
+def _axis_orders(
+    targets: tuple[int, ...], num_qubits: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Axis order that puts ``targets`` first, and the order that undoes it."""
+    order = targets + tuple(q for q in range(num_qubits) if q not in targets)
+    inverse = tuple(sorted(range(num_qubits), key=order.__getitem__))
+    return order, inverse
+
+
 def _apply_matrix(
     amplitudes: np.ndarray, matrix: np.ndarray, targets: tuple[int, ...], num_qubits: int
 ) -> np.ndarray:
-    """Contract ``matrix`` onto the target axes of the amplitude tensor."""
-    k = len(targets)
-    tensor = amplitudes.reshape((2,) * num_qubits)
-    moved = np.moveaxis(tensor, targets, tuple(range(k)))
-    block = moved.reshape(2**k, -1)
-    out = (matrix @ block).reshape((2,) * num_qubits)
-    out = np.moveaxis(out, tuple(range(k)), targets)
-    return np.ascontiguousarray(out).reshape(2**num_qubits)
+    """Contract ``matrix`` onto the target axes of the amplitude tensor.
+
+    Bringing the target axes to the front costs at most one copy, one
+    matmul applies the gate, and at most one more copy restores the qubit
+    order; the result is a new C-contiguous vector.
+    """
+    order, inverse = _axis_orders(targets, num_qubits)
+    shape = (2,) * num_qubits
+    block = amplitudes.reshape(shape).transpose(order).reshape(len(matrix), -1)
+    out = (matrix @ block).reshape(shape).transpose(inverse)
+    return out.reshape(2**num_qubits)
 
 
 def apply_gate(state: StateVector, op: GateOp) -> StateVector:
@@ -259,7 +278,7 @@ def tensor_product(a: StateVector, b: StateVector) -> StateVector:
         raise ResourceLimitError(
             f"joint register of {n} qubits exceeds the limit of {DEFAULT_MAX_QUBITS}"
         )
-    return StateVector(n, np.kron(a.amplitudes, b.amplitudes))
+    return StateVector(n, np.outer(a.amplitudes, b.amplitudes).reshape(-1))
 
 
 def inner_product(a: StateVector, b: StateVector) -> complex:

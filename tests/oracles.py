@@ -2,10 +2,13 @@
 
 Everything here is deliberately written with a different technique than
 the library code: dense operators are assembled by explicit bit
-arithmetic instead of axis reshuffling, AUC is integrated from an ROC
-curve instead of ranked, chi-square tables are accumulated with plain
-Python loops, gradients come from finite differences, and the exact
-one-qubit Pauli channel is a Kraus sum over literal Pauli matrices.
+arithmetic or from a Kronecker product and a basis permutation instead of
+axis reshuffling, AUC is integrated from an ROC curve instead of ranked,
+chi-square tables are accumulated with plain Python loops, gradients come
+from finite differences, and the exact one-qubit Pauli channel is a Kraus
+sum over literal Pauli matrices.  The one exception is
+``moveaxis_apply_matrix``: the simulator's earlier gate contraction, which
+the current one must match bit for bit.
 """
 
 from __future__ import annotations
@@ -63,6 +66,38 @@ def apply_dense(
     amplitudes: np.ndarray, gate: np.ndarray, targets: tuple[int, ...], n: int
 ) -> np.ndarray:
     return dense_operator(gate, targets, n) @ amplitudes
+
+
+def moveaxis_apply_matrix(
+    amplitudes: np.ndarray, matrix: np.ndarray, targets: tuple[int, ...], num_qubits: int
+) -> np.ndarray:
+    """The simulator's earlier gate contraction, kept as a bitwise reference:
+    np.moveaxis brings the targets to the front and takes them back."""
+    k = len(targets)
+    tensor = amplitudes.reshape((2,) * num_qubits)
+    moved = np.moveaxis(tensor, targets, tuple(range(k)))
+    block = moved.reshape(2**k, -1)
+    out = (matrix @ block).reshape((2,) * num_qubits)
+    out = np.moveaxis(out, tuple(range(k)), targets)
+    return np.ascontiguousarray(out).reshape(2**num_qubits)
+
+
+def kron_operator(gate: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
+    """Full 2**n operator as P^T (gate kron I) P.
+
+    ``gate kron I`` acts on the basis ordered with the targets as the high
+    bits; P is the permutation matrix that maps each basis index to that
+    order, built bit by bit.
+    """
+    k = len(targets)
+    order = list(targets) + [q for q in range(n) if q not in targets]
+    perm = np.zeros((2**n, 2**n))
+    for index in range(2**n):
+        moved = 0
+        for q in order:
+            moved = (moved << 1) | ((index >> (n - 1 - q)) & 1)
+        perm[moved, index] = 1.0
+    return perm.T @ np.kron(gate, np.eye(2 ** (n - k))) @ perm
 
 
 def trapezoid_auc(y_positive: np.ndarray, scores: np.ndarray) -> float:

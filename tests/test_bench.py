@@ -4,11 +4,16 @@ replayability, sweeps, and CSV/JSON writers."""
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from qknn.bench import (
+    DATASET_FILES,
+    DATASET_SHAPES,
     BenchConfig,
     BenchStageError,
     load_benchmark_dataset,
@@ -23,6 +28,9 @@ from qknn.bench import (
     write_sweep_csv,
 )
 from qknn.noise import NoiseKind
+from qknn.sim import ResourceLimitError
+
+from conftest import BANKNOTE_PATH, DATA_DIR, REPO_ROOT
 
 
 def iris_config(**kwargs):
@@ -77,6 +85,23 @@ class TestConfig:
         with pytest.raises(TypeError, match="use_feature_map must be bool"):
             BenchConfig(use_feature_map=1)
         assert BenchConfig(angle_scale=3).angle_scale == 3
+
+    def test_qnn_register_checked_against_the_dataset_shape(self):
+        # One qubit per selected feature, at most the dataset's columns.
+        with pytest.raises(ResourceLimitError, match="20 qubits"):
+            BenchConfig(dataset="wdbc", model="qnn", features=20)
+        with pytest.raises(ValueError, match="3 classes need 3 readout qubits"):
+            BenchConfig(dataset="iris", model="qnn", features=2)
+        assert BenchConfig(dataset="iris", model="qnn", features=20).features == 20
+        # Other models never build a qnn register.
+        assert BenchConfig(dataset="wdbc", model="qknn", features=20).features == 20
+
+    @pytest.mark.parametrize("name", sorted(DATASET_FILES))
+    def test_dataset_shapes_match_the_files(self, name):
+        if name == "banknote" and not BANKNOTE_PATH.exists():
+            pytest.skip("banknote dataset file not present")
+        dataset = load_benchmark_dataset(name, DATA_DIR)
+        assert DATASET_SHAPES[name] == (dataset.n_features, dataset.n_classes)
 
 
 class TestLoading:
@@ -272,3 +297,20 @@ class TestCompare:
                 "macro_f1",
                 "auc",
             }
+
+
+def test_benchmark_runs_never_import_numpy_ma():
+    # numpy.ma costs about a megabyte of resident memory per process.
+    code = (
+        "import sys\n"
+        "from qknn.bench import BenchConfig, run_benchmark\n"
+        "for model in ('qknn', 'cknn', 'qnn'):\n"
+        f"    run_benchmark(BenchConfig(dataset='iris', model=model, qnn_epochs=1, "
+        f"data_dir={str(DATA_DIR)!r}))\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr

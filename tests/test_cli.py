@@ -192,6 +192,48 @@ class TestConfigFile:
         assert message in err
 
 
+class TestQnnRegister:
+    """The qnn register is sized from the dataset's fixed shape, so a
+    feature count it cannot hold is an argument error (exit 2)."""
+
+    @pytest.mark.parametrize(
+        "command,dataset,features,message",
+        [
+            ("run", "wdbc", 20, "20 qubits exceeds the limit of 14"),
+            ("run", "iris", 2, "3 classes need 3 readout qubits"),
+            ("compare", "wdbc", 20, "20 qubits exceeds the limit of 14"),
+            ("compare", "iris", 2, "3 classes need 3 readout qubits"),
+        ],
+        ids=["run-wdbc-20", "run-iris-2", "compare-wdbc-20", "compare-iris-2"],
+    )
+    def test_rejected_before_data_loads(self, tmp_path, capsys, command, dataset,
+                                        features, message):
+        # The data directory is empty, so getting past the config
+        # boundary would fail at the load stage with exit code 1.
+        argv = [command, "--dataset", dataset, "--features", str(features),
+                "--data-dir", str(tmp_path), "--out", str(tmp_path / "out")]
+        if command == "run":
+            argv += ["--model", "qnn"]
+        code = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert message in err
+
+    def test_iris_with_more_features_than_columns_runs_on_four_qubits(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "r.json"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"qnn_layers": 1, "qnn_epochs": 1}))
+        code = run_cli(
+            "run", "--config", str(cfg), "--dataset", "iris", "--model", "qnn",
+            "--features", "20", "--data-dir", str(DATA_DIR), "--out", str(out),
+        )
+        assert code == 0
+        capsys.readouterr()
+        assert len(json.loads(out.read_text())["selection"]["selected_columns"]) == 4
+
+
 @pytest.mark.parametrize("command", ["run", "sweep", "compare"])
 def test_missing_out_directory_exits_two_before_any_work(tmp_path, capsys, command):
     out = tmp_path / "missing" / "result"

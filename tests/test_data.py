@@ -399,6 +399,17 @@ class TestStratifiedSplit:
         c = stratified_indices(labels, 0.25, seed=10)
         assert not np.array_equal(a[1], c[1])
 
+    def test_labels_with_gaps_split_as_before(self):
+        # Classes are visited in ascending order, so gaps in the label
+        # values do not change the random draws.
+        labels = np.array([5, 0, 2, 2, 5, 0, 5, 2, 0, 5, 2, 0, 2, 5, 0, 2])
+        train_idx, test_idx = stratified_indices(labels, 0.34, seed=7)
+        assert train_idx.tolist() == [0, 3, 5, 7, 9, 10, 11, 13, 14, 15]
+        assert test_idx.tolist() == [1, 2, 4, 6, 8, 12]
+        dense = np.searchsorted([0, 2, 5], labels)
+        for got, want in zip(stratified_indices(dense, 0.34, seed=7), (train_idx, test_idx)):
+            np.testing.assert_array_equal(got, want)
+
     def test_outputs_sorted(self):
         labels = np.repeat([0, 1], 10)
         train_idx, test_idx = stratified_indices(labels, 0.3, seed=4)

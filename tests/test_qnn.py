@@ -69,8 +69,10 @@ class TestArchitecture:
     def test_register_beyond_the_simulator_limit_is_rejected(self):
         # Raised in validation, before any [batch, 2**n] stack exists.
         n = DEFAULT_MAX_QUBITS + 1
-        with pytest.raises(ResourceLimitError, match=f"{n} qubits"):
+        with pytest.raises(ResourceLimitError, match=f"{n} qubits") as info:
             init_architecture(n, 1, 2)
+        # An architecture has no max_qubits setting, so the error names none.
+        assert "max_qubits" not in str(info.value)
 
 
 class TestForward:

@@ -1,5 +1,6 @@
 """Simulator tests: gate algebra, kernels vs dense oracle, invariants."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from qknn.sim import (
     DEFAULT_MAX_QUBITS,
+    _apply_matrix,
     Gate,
     GateOp,
     ResourceLimitError,
@@ -23,7 +25,7 @@ from qknn.sim import (
     z_expectation,
 )
 
-from oracles import apply_dense, random_state
+from oracles import apply_dense, kron_operator, moveaxis_apply_matrix, random_state
 
 ALL_GATES = list(Gate)
 FIXED_GATES = [g for g in ALL_GATES if g not in (Gate.RZ, Gate.RY, Gate.ISING_XY)]
@@ -177,6 +179,47 @@ class TestApplyGate:
         np.testing.assert_allclose(state.amplitudes, basis_state(2, 0b11).amplitudes)
 
 
+class TestKernel:
+    """``_apply_matrix`` against the moveaxis contraction it replaced (bit
+    for bit) and a dense Kronecker-product operator, on every ordered
+    target tuple of arity 1-3."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_target_tuple_matches_both_oracles(self, n):
+        rng = np.random.default_rng(n)
+        amps = random_state(n, rng)
+        before = amps.copy()
+        for k in range(1, min(n, 3) + 1):
+            gate = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
+            for targets in itertools.permutations(range(n), k):
+                out = _apply_matrix(amps, gate, targets, n)
+                assert out.flags.c_contiguous
+                assert out.tobytes() == moveaxis_apply_matrix(amps, gate, targets, n).tobytes()
+                np.testing.assert_allclose(
+                    out, kron_operator(gate, targets, n) @ amps, rtol=0, atol=1e-12
+                )
+                assert amps.tobytes() == before.tobytes()
+
+    def test_sixteen_qubit_register(self, rng):
+        n = 16
+        state = apply_gate(new_zero_state(n, max_qubits=n), GateOp(Gate.H, (7,)))
+        state = apply_gate(state, GateOp(Gate.CNOT, (7, 15)))
+        expected = np.zeros(2**n, dtype=complex)
+        expected[0] = expected[(1 << (n - 1 - 7)) | 1] = 1 / math.sqrt(2)
+        np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-15)
+        amps = random_state(n, rng)
+        gate = gate_matrix(Gate.ISING_XY, 0.7)
+        out = _apply_matrix(amps, gate, (12, 3), n)
+        assert out.tobytes() == moveaxis_apply_matrix(amps, gate, (12, 3), n).tobytes()
+
+    def test_tensor_product_equals_kron_bitwise(self, rng):
+        for na, nb in itertools.product(range(1, 5), repeat=2):
+            a = StateVector(na, random_state(na, rng))
+            b = StateVector(nb, random_state(nb, rng))
+            joint = tensor_product(a, b).amplitudes
+            assert joint.tobytes() == np.kron(a.amplitudes, b.amplitudes).tobytes()
+
+
 class TestGateOpValidation:
     def test_wrong_arity(self):
         with pytest.raises(ValueError, match="needs 2"):
@@ -214,8 +257,10 @@ class TestStates:
         assert bit_value(2, 1, 2) == 0
 
     def test_register_size_limit(self):
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match="raise max_qubits"):
             new_zero_state(DEFAULT_MAX_QUBITS + 1)
+        with pytest.raises(ResourceLimitError, match="raise max_qubits"):
+            basis_state(DEFAULT_MAX_QUBITS + 1, 0)
         # explicit budget raise is allowed
         state = new_zero_state(DEFAULT_MAX_QUBITS + 1, max_qubits=16)
         assert state.num_qubits == DEFAULT_MAX_QUBITS + 1
