@@ -24,6 +24,7 @@ from .data import (
     chi_square_select,
     load_dataset,
     min_max_normalize,
+    split_test_count,
     stratified_indices,
 )
 from .encoding import EncodingConfig
@@ -39,9 +40,14 @@ DATASET_FILES = {
     "banknote": ("data_banknote_authentication.txt", "banknote"),
 }
 
-#: Dataset name -> (feature columns, classes).  These fix the qnn register
-#: (one qubit per selected feature) before any data is loaded.
-DATASET_SHAPES = {"iris": (4, 3), "wdbc": (30, 2), "banknote": (4, 2)}
+#: Dataset name -> (feature columns, rows per class).  These fix the qnn
+#: register (one qubit per selected feature, one class per output) and the
+#: training-set size that bounds k before any data is loaded.
+DATASET_SHAPES = {
+    "iris": (4, (50, 50, 50)),
+    "wdbc": (30, (357, 212)),
+    "banknote": (4, (762, 610)),
+}
 
 
 class BenchStageError(RuntimeError):
@@ -105,10 +111,16 @@ class BenchConfig:
         # The model configs own the rules for their settings; building them
         # rejects a bad value before any data is loaded.
         _qknn_config(self)
+        columns, class_rows = DATASET_SHAPES[self.dataset]
+        n_train = sum(n - split_test_count(n, self.test_fraction) for n in class_rows)
+        if self.k > n_train:
+            raise ValueError(
+                f"k must lie in [1, {n_train}] (the {self.dataset} training rows at "
+                f"test fraction {self.test_fraction}), got {self.k}"
+            )
         n_qubits, n_classes = 1, 2
         if self.model == "qnn":
-            columns, n_classes = DATASET_SHAPES[self.dataset]
-            n_qubits = min(self.features, columns)
+            n_qubits, n_classes = min(self.features, columns), len(class_rows)
         _qnn_setup(self, n_qubits=n_qubits, n_classes=n_classes)
 
     def to_dict(self) -> dict:

@@ -37,8 +37,8 @@ from .noise import NoiseSpec, apply_pauli_errors, draw_pauli, sample_errors
 from .qec import RepetitionCode, code_corrected_flip
 from .sim import (
     Gate,
-    GateOp,
     StateVector,
+    _shared_op,
     apply_gate,
     inner_product,
     new_zero_state,
@@ -155,13 +155,15 @@ def swap_test_state(a: StateVector, b: StateVector) -> StateVector:
         )
     d = a.num_qubits
     joint = tensor_product(tensor_product(new_zero_state(1), a), b)
-    joint = apply_gate(joint, GateOp(Gate.H, (0,)))
+    hadamard = _shared_op(Gate.H, (0,))
+    joint = apply_gate(joint, hadamard)
     for i in range(d):
         qa, qb = 1 + i, 1 + d + i
-        joint = apply_gate(joint, GateOp(Gate.CNOT, (qb, qa)))
-        joint = apply_gate(joint, GateOp(Gate.TOFFOLI, (0, qa, qb)))
-        joint = apply_gate(joint, GateOp(Gate.CNOT, (qb, qa)))
-    return apply_gate(joint, GateOp(Gate.H, (0,)))
+        cnot = _shared_op(Gate.CNOT, (qb, qa))
+        joint = apply_gate(joint, cnot)
+        joint = apply_gate(joint, _shared_op(Gate.TOFFOLI, (0, qa, qb)))
+        joint = apply_gate(joint, cnot)
+    return apply_gate(joint, hadamard)
 
 
 def ancilla_zero_probability(swap_state: StateVector) -> float:

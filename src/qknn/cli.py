@@ -179,6 +179,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     merged = _merge(args, _SWEEP_DEFAULTS)
     out = _require_out(merged)
     config = _build_bench_config(merged)
+    if config.model != "qknn":
+        raise _ArgumentProblem(
+            f"noise sweeps are defined for the qknn model, got {config.model!r}"
+        )
     try:
         for key, type_name in _SWEEP_TYPES.items():
             _check_type(key, type_name, merged[key])

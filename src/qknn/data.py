@@ -17,7 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -120,16 +120,17 @@ def _parse_float(token: str, line_no: int, path: str) -> float:
     return value
 
 
-def _read_rows(path: str | Path) -> list[tuple[int, list[str]]]:
-    rows = []
+def _read_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, stripped tokens) per data row, one row at a time."""
+    empty = True
     with open(path, newline="") as fh:
         for line_no, row in enumerate(csv.reader(fh), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue  # UCI files end with a blank line
-            rows.append((line_no, [t.strip() for t in row]))
-    if not rows:
+            empty = False
+            yield line_no, [t.strip() for t in row]
+    if empty:
         raise DataFormatError(f"{path}: file contains no data rows")
-    return rows
 
 
 def load_dataset(path: str | Path, fmt: str) -> Dataset:
@@ -454,6 +455,12 @@ def chi_square_select(
 
 # --- splitting ------------------------------------------------------------
 
+def split_test_count(class_rows: int, test_fraction: float) -> int:
+    """Test rows a stratified split takes from a class of ``class_rows``:
+    the rounded proportional share, leaving at least one training row."""
+    return min(int(round(test_fraction * class_rows)), class_rows - 1)
+
+
 def stratified_indices(
     labels: np.ndarray, test_fraction: float, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -472,7 +479,7 @@ def stratified_indices(
             raise ValueError(
                 f"class {cls} has only {rows.size} instance(s); cannot split"
             )
-        n_test = min(int(round(test_fraction * rows.size)), rows.size - 1)
+        n_test = split_test_count(rows.size, test_fraction)
         shuffled = rng.permutation(rows)
         test_idx.extend(shuffled[:n_test].tolist())
         train_idx.extend(shuffled[n_test:].tolist())

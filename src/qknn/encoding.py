@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sim import Gate, GateOp, StateVector, apply_gate, new_zero_state
+from .sim import Gate, GateOp, StateVector, _shared_op, apply_gate, new_zero_state
 
 DEFAULT_ANGLE_SCALE = 2.0 * math.pi
 DEFAULT_FEATURE_MAP_ANGLE = math.pi / 2.0
@@ -63,9 +63,9 @@ def _check_features(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise ValueError(f"expected a non-empty 1-D feature vector, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("feature vector contains non-finite values")
-    if np.any(x < 0.0) or np.any(x > 1.0):
+    if x.min() < 0.0 or x.max() > 1.0:
         bad = x[(x < 0.0) | (x > 1.0)]
         raise ValueError(f"features must lie in [0, 1]; offending values: {bad[:5]}")
     return x
@@ -78,9 +78,10 @@ def encode_point(
     config = config or EncodingConfig()
     x = _check_features(x)
     state = new_zero_state(x.size)
-    for i, value in enumerate(x):
-        state = apply_gate(state, GateOp(Gate.H, (i,)))
-        state = apply_gate(state, GateOp(Gate.RZ, (i,), config.angle_scale * value))
+    scale = config.angle_scale
+    for i, value in enumerate(x.tolist()):
+        state = apply_gate(state, _shared_op(Gate.H, (i,)))
+        state = apply_gate(state, GateOp(Gate.RZ, (i,), scale * value))
     return EncodedPoint(state=state, source_row=source_row, config=config)
 
 
@@ -91,11 +92,10 @@ def apply_feature_map(point: EncodedPoint, config: EncodingConfig | None = None)
     """
     config = config or point.config
     state = point.state
+    angle = config.feature_map_angle
     for i in range(state.num_qubits - 1):
-        state = apply_gate(
-            state, GateOp(Gate.ISING_XY, (i, i + 1), config.feature_map_angle)
-        )
-        state = apply_gate(state, GateOp(Gate.CNOT, (i, i + 1)))
+        state = apply_gate(state, _shared_op(Gate.ISING_XY, (i, i + 1), angle))
+        state = apply_gate(state, _shared_op(Gate.CNOT, (i, i + 1)))
     return EncodedPoint(state=state, source_row=point.source_row, config=config)
 
 

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .sim import Gate, GateOp, StateVector, apply_gate
+from .sim import Gate, StateVector, _shared_op, apply_gate
 
 
 class NoiseKind(Enum):
@@ -81,5 +81,5 @@ def apply_pauli_errors(
 ) -> StateVector:
     """Apply sampled Pauli errors as gates."""
     for qubit, pauli in errors:
-        state = apply_gate(state, GateOp(_PAULI_GATE[pauli], (qubit,)))
+        state = apply_gate(state, _shared_op(_PAULI_GATE[pauli], (qubit,)))
     return state

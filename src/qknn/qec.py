@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .sim import Gate, GateOp, StateVector, apply_gate, basis_state, bit_value
+from .sim import Gate, StateVector, _shared_op, apply_gate, basis_state, bit_value
 
 
 class BasisStateError(ValueError):
@@ -98,7 +98,7 @@ def decode_flips(syndrome: Syndrome, code: RepetitionCode) -> tuple[int, ...]:
 def correct(state: StateVector, syndrome: Syndrome, code: RepetitionCode) -> StateVector:
     """Apply the decoder's X flips to the state."""
     for q in decode_flips(syndrome, code):
-        state = apply_gate(state, GateOp(Gate.X, (q,)))
+        state = apply_gate(state, _shared_op(Gate.X, (q,)))
     return state
 
 
@@ -131,6 +131,6 @@ def code_corrected_flip(flip_bits: Sequence[int], code: RepetitionCode) -> int:
     state = encode_logical(0, code)
     for qubit, flip in enumerate(flip_bits):
         if flip:
-            state = apply_gate(state, GateOp(Gate.X, (qubit,)))
+            state = apply_gate(state, _shared_op(Gate.X, (qubit,)))
     state = correct(state, measure_syndrome(state, code), code)
     return majority_decode(readout_bits(state, code))

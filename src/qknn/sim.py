@@ -20,6 +20,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -53,6 +54,10 @@ class Gate(Enum):
     SWAP = "SWAP"
     TOFFOLI = "TOFFOLI"
     ISING_XY = "ISING_XY"
+
+    # Members are singletons, so identity is a valid hash; it keeps the
+    # Python-level Enum.__hash__ out of every per-gate table lookup.
+    __hash__ = object.__hash__
 
 
 #: Number of target qubits each gate kind acts on.
@@ -95,6 +100,30 @@ _TOFFOLI[6, 6] = _TOFFOLI[7, 7] = 0
 _TOFFOLI[6, 7] = _TOFFOLI[7, 6] = 1
 _FIXED_MATRICES[Gate.TOFFOLI] = _TOFFOLI
 
+# Every op of a fixed kind shares its kind's array, so none may write to it.
+for _matrix in _FIXED_MATRICES.values():
+    _matrix.setflags(write=False)
+
+
+def _parametric_matrix(kind: Gate, theta: float) -> np.ndarray:
+    """Fresh matrix of a parametric kind at angle ``theta``."""
+    if kind is Gate.RZ:
+        # cmath.exp gives the same bits as np.exp on a Python complex.
+        m = np.zeros((2, 2), dtype=complex)
+        m[0, 0] = cmath.exp(-0.5j * theta)
+        m[1, 1] = cmath.exp(0.5j * theta)
+        return m
+    if kind is Gate.RY:
+        c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+        return np.array([[c, -s], [s, c]], dtype=complex)
+    # exp(-i theta/2 (XX + YY)): identity on |00>,|11>, a rotation mixing
+    # |01> and |10>.
+    c, s = math.cos(theta), math.sin(theta)
+    m = np.eye(4, dtype=complex)
+    m[1, 1] = m[2, 2] = c
+    m[1, 2] = m[2, 1] = -1j * s
+    return m
+
 
 def gate_matrix(kind: Gate, angle: float | None = None) -> np.ndarray:
     """Return the unitary matrix of ``kind`` as a fresh complex array.
@@ -105,21 +134,7 @@ def gate_matrix(kind: Gate, angle: float | None = None) -> np.ndarray:
     if kind in PARAMETRIC_GATES:
         if angle is None:
             raise ValueError(f"gate {kind.value} requires an angle")
-        theta = float(angle)
-        if kind is Gate.RZ:
-            return np.array(
-                [[np.exp(-0.5j * theta), 0], [0, np.exp(0.5j * theta)]], dtype=complex
-            )
-        if kind is Gate.RY:
-            c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-            return np.array([[c, -s], [s, c]], dtype=complex)
-        # exp(-i theta/2 (XX + YY)): identity on |00>,|11>, a rotation mixing
-        # |01> and |10>.
-        c, s = math.cos(theta), math.sin(theta)
-        m = np.eye(4, dtype=complex)
-        m[1, 1] = m[2, 2] = c
-        m[1, 2] = m[2, 1] = -1j * s
-        return m
+        return _parametric_matrix(kind, float(angle))
     if angle is not None:
         raise ValueError(f"gate {kind.value} takes no angle")
     return _FIXED_MATRICES[kind].copy()
@@ -130,7 +145,8 @@ class GateOp:
     """A gate application: kind, target qubits, optional angle.
 
     For CNOT the target order is (control, target); for Toffoli it is
-    (control, control, target).
+    (control, control, target).  The op builds its matrix once, read-only,
+    so one op can be applied any number of times and shared.
     """
 
     kind: Gate
@@ -138,27 +154,40 @@ class GateOp:
     angle: float | None = None
 
     def __post_init__(self) -> None:
-        targets = tuple(int(q) for q in self.targets)
+        kind, angle = self.kind, self.angle
+        targets = tuple(map(int, self.targets))
         object.__setattr__(self, "targets", targets)
-        arity = GATE_ARITY[self.kind]
+        arity = GATE_ARITY[kind]
         if len(targets) != arity:
             raise ValueError(
-                f"gate {self.kind.value} needs {arity} target(s), got {len(targets)}"
+                f"gate {kind.value} needs {arity} target(s), got {len(targets)}"
             )
-        if len(set(targets)) != len(targets):
+        if len(set(targets)) != arity:
             raise ValueError(f"gate targets must be distinct, got {targets}")
-        if any(q < 0 for q in targets):
+        if min(targets) < 0:
             raise ValueError(f"gate targets must be non-negative, got {targets}")
-        if self.kind in PARAMETRIC_GATES:
-            if self.angle is None:
-                raise ValueError(f"gate {self.kind.value} requires an angle")
-            if not math.isfinite(self.angle):
-                raise ValueError(f"gate angle must be finite, got {self.angle}")
-        elif self.angle is not None:
-            raise ValueError(f"gate {self.kind.value} takes no angle")
+        if kind in PARAMETRIC_GATES:
+            if angle is None:
+                raise ValueError(f"gate {kind.value} requires an angle")
+            if not math.isfinite(angle):
+                raise ValueError(f"gate angle must be finite, got {angle}")
+            kernel = _parametric_matrix(kind, float(angle))
+            kernel.setflags(write=False)
+        elif angle is not None:
+            raise ValueError(f"gate {kind.value} takes no angle")
+        else:
+            kernel = _FIXED_MATRICES[kind]
+        object.__setattr__(self, "_kernel", kernel)
 
     def matrix(self) -> np.ndarray:
-        return gate_matrix(self.kind, self.angle)
+        """The gate's unitary as a fresh writable array."""
+        return self._kernel.copy()
+
+
+@functools.lru_cache(maxsize=4096)
+def _shared_op(kind: Gate, targets: tuple[int, ...], angle: float | None = None) -> GateOp:
+    """The one frozen op of (kind, targets, angle), for gates that repeat."""
+    return GateOp(kind, targets, angle)
 
 
 @dataclass
@@ -188,6 +217,15 @@ class StateVector:
         return StateVector(self.num_qubits, self.amplitudes.copy())
 
 
+def _trusted_state(num_qubits: int, amplitudes: np.ndarray) -> StateVector:
+    """Wrap amplitudes that are complex and of length 2**num_qubits by
+    construction, without re-running the checks of ``StateVector``."""
+    state = object.__new__(StateVector)
+    state.num_qubits = num_qubits
+    state.amplitudes = amplitudes
+    return state
+
+
 #: Appended to the size error by the functions that take ``max_qubits``.
 _MAX_QUBITS_HINT = "; raise max_qubits explicitly if intended"
 
@@ -207,7 +245,7 @@ def new_zero_state(num_qubits: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> Sta
     _check_size(num_qubits, max_qubits, _MAX_QUBITS_HINT)
     amps = np.zeros(2**num_qubits, dtype=complex)
     amps[0] = 1.0
-    return StateVector(num_qubits, amps)
+    return _trusted_state(num_qubits, amps)
 
 
 def basis_state(
@@ -219,7 +257,7 @@ def basis_state(
         raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
     amps = np.zeros(2**num_qubits, dtype=complex)
     amps[index] = 1.0
-    return StateVector(num_qubits, amps)
+    return _trusted_state(num_qubits, amps)
 
 
 def bit_value(index: int, qubit: int, num_qubits: int) -> int:
@@ -230,11 +268,12 @@ def bit_value(index: int, qubit: int, num_qubits: int) -> int:
 @functools.lru_cache(maxsize=4096)
 def _axis_orders(
     targets: tuple[int, ...], num_qubits: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Axis order that puts ``targets`` first, and the order that undoes it."""
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int]:
+    """Tensor shape of the register, the axis order that puts ``targets``
+    first, the order that undoes it, and the row count of the gate."""
     order = targets + tuple(q for q in range(num_qubits) if q not in targets)
     inverse = tuple(sorted(range(num_qubits), key=order.__getitem__))
-    return order, inverse
+    return (2,) * num_qubits, order, inverse, 2 ** len(targets)
 
 
 def _apply_matrix(
@@ -243,25 +282,21 @@ def _apply_matrix(
     """Contract ``matrix`` onto the target axes of the amplitude tensor.
 
     Bringing the target axes to the front costs at most one copy, one
-    matmul applies the gate, and at most one more copy restores the qubit
-    order; the result is a new C-contiguous vector.
+    matrix product applies the gate, and at most one more copy restores
+    the qubit order; the result is a new C-contiguous vector.
     """
-    order, inverse = _axis_orders(targets, num_qubits)
-    shape = (2,) * num_qubits
-    block = amplitudes.reshape(shape).transpose(order).reshape(len(matrix), -1)
-    out = (matrix @ block).reshape(shape).transpose(inverse)
-    return out.reshape(2**num_qubits)
+    shape, order, inverse, rows = _axis_orders(targets, num_qubits)
+    block = amplitudes.reshape(shape).transpose(order).reshape(rows, -1)
+    return matrix.dot(block).reshape(shape).transpose(inverse).reshape(-1)
 
 
 def apply_gate(state: StateVector, op: GateOp) -> StateVector:
     """Apply one gate and return the new state; the input is not modified."""
-    for q in op.targets:
-        if q >= state.num_qubits:
-            raise ValueError(
-                f"gate targets qubit {q} but the register has {state.num_qubits} qubits"
-            )
-    new_amps = _apply_matrix(state.amplitudes, op.matrix(), op.targets, state.num_qubits)
-    return StateVector(state.num_qubits, new_amps)
+    n = state.num_qubits
+    if max(op.targets) >= n:
+        q = next(q for q in op.targets if q >= n)
+        raise ValueError(f"gate targets qubit {q} but the register has {n} qubits")
+    return _trusted_state(n, _apply_matrix(state.amplitudes, op._kernel, op.targets, n))
 
 
 def apply_circuit(state: StateVector, ops: list[GateOp]) -> StateVector:
@@ -271,14 +306,17 @@ def apply_circuit(state: StateVector, ops: list[GateOp]) -> StateVector:
     return state
 
 
-def tensor_product(a: StateVector, b: StateVector) -> StateVector:
+def tensor_product(
+    a: StateVector, b: StateVector, max_qubits: int = DEFAULT_MAX_QUBITS
+) -> StateVector:
     """Join two registers; the qubits of ``a`` become the high-order qubits."""
     n = a.num_qubits + b.num_qubits
-    if n > DEFAULT_MAX_QUBITS:
+    if n > max_qubits:
         raise ResourceLimitError(
-            f"joint register of {n} qubits exceeds the limit of {DEFAULT_MAX_QUBITS}"
+            f"joint register of {n} qubits exceeds the limit of {max_qubits}"
+            f"{_MAX_QUBITS_HINT}"
         )
-    return StateVector(n, np.outer(a.amplitudes, b.amplitudes).reshape(-1))
+    return _trusted_state(n, np.outer(a.amplitudes, b.amplitudes).reshape(-1))
 
 
 def inner_product(a: StateVector, b: StateVector) -> complex:
@@ -312,6 +350,14 @@ def sample_basis(state: StateVector, shots: int, seed: int) -> np.ndarray:
     total = probs.sum()
     if not math.isclose(total, 1.0, abs_tol=1e-9):
         raise ValueError(f"state is not normalised (sum of probabilities = {total})")
-    rng = np.random.default_rng(seed)
-    outcomes = rng.choice(probs.size, size=shots, p=probs / total)
-    return np.bincount(outcomes, minlength=probs.size)
+    # Generator.choice's own draw, without its per-call checks of p: uniform
+    # u lands on index i when cdf[i-1] <= u < cdf[i].  Counting per index
+    # needs no outcome array: with the uniforms sorted, the count of i is
+    # the number of uniforms below cdf[i] less the number below cdf[i-1].
+    cdf = np.cumsum(probs / total)
+    cdf /= cdf[-1]
+    uniforms = np.random.default_rng(seed).random(shots)
+    uniforms.sort()
+    counts = uniforms.searchsorted(cdf, side="left")
+    counts[1:] -= counts[:-1]
+    return counts

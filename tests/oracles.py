@@ -6,13 +6,15 @@ arithmetic or from a Kronecker product and a basis permutation instead of
 axis reshuffling, AUC is integrated from an ROC curve instead of ranked,
 chi-square tables are accumulated with plain Python loops, gradients come
 from finite differences, and the exact one-qubit Pauli channel is a Kraus
-sum over literal Pauli matrices.  The one exception is
-``moveaxis_apply_matrix``: the simulator's earlier gate contraction, which
-the current one must match bit for bit.
+sum over literal Pauli matrices.  The two exceptions are
+``moveaxis_apply_matrix`` and ``choice_sample_basis``: the simulator's
+earlier gate contraction and shot sampler, which the current ones must
+match bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -80,6 +82,20 @@ def moveaxis_apply_matrix(
     out = (matrix @ block).reshape((2,) * num_qubits)
     out = np.moveaxis(out, tuple(range(k)), targets)
     return np.ascontiguousarray(out).reshape(2**num_qubits)
+
+
+def choice_sample_basis(state: StateVector, shots: int, seed: int) -> np.ndarray:
+    """The simulator's earlier shot sampler, kept as a bitwise reference:
+    one ``Generator.choice`` draw per shot, counted per basis index."""
+    if shots < 1:
+        raise ValueError(f"shots must be positive, got {shots}")
+    probs = state.probabilities()
+    total = probs.sum()
+    if not math.isclose(total, 1.0, abs_tol=1e-9):
+        raise ValueError(f"state is not normalised (sum of probabilities = {total})")
+    rng = np.random.default_rng(seed)
+    outcomes = rng.choice(probs.size, size=shots, p=probs / total)
+    return np.bincount(outcomes, minlength=probs.size)
 
 
 def kron_operator(gate: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:

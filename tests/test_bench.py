@@ -27,6 +27,7 @@ from qknn.bench import (
     write_report,
     write_sweep_csv,
 )
+from qknn.data import stratified_indices
 from qknn.noise import NoiseKind
 from qknn.sim import ResourceLimitError
 
@@ -101,7 +102,20 @@ class TestConfig:
         if name == "banknote" and not BANKNOTE_PATH.exists():
             pytest.skip("banknote dataset file not present")
         dataset = load_benchmark_dataset(name, DATA_DIR)
-        assert DATASET_SHAPES[name] == (dataset.n_features, dataset.n_classes)
+        columns, class_rows = DATASET_SHAPES[name]
+        assert columns == dataset.n_features
+        assert class_rows == tuple(np.bincount(dataset.labels).tolist())
+
+    @pytest.mark.parametrize("name", sorted(DATASET_FILES))
+    @pytest.mark.parametrize("fraction", [0.2, 0.35])
+    def test_k_is_bounded_by_the_training_set_before_loading(self, name, fraction):
+        # The bound equals the training rows the split really yields.
+        labels = np.repeat(np.arange(len(DATASET_SHAPES[name][1])), DATASET_SHAPES[name][1])
+        n_train = stratified_indices(labels, fraction, seed=0)[0].size
+        cfg = BenchConfig(dataset=name, k=n_train, test_fraction=fraction)
+        assert cfg.k == n_train
+        with pytest.raises(ValueError, match=rf"k must lie in \[1, {n_train}\]"):
+            BenchConfig(dataset=name, k=n_train + 1, test_fraction=fraction)
 
 
 class TestLoading:

@@ -234,6 +234,30 @@ class TestQnnRegister:
         assert len(json.loads(out.read_text())["selection"]["selected_columns"]) == 4
 
 
+class TestNeighbourCount:
+    """k is bounded by the training rows the split will give, known from the
+    dataset's fixed class sizes before any data loads."""
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "compare"])
+    def test_k_above_the_training_set_exits_two_before_loading(
+        self, tmp_path, capsys, command
+    ):
+        code = run_cli(command, "--dataset", "wdbc", "--k", "500",
+                       "--data-dir", str(tmp_path), "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert "k must lie in [1, 456]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["qknn", "cknn"])
+    def test_k_equal_to_the_training_set_runs(self, tmp_path, capsys, model):
+        out = tmp_path / "r.json"
+        code = run_cli("run", "--dataset", "iris", "--model", model, "--k", "120",
+                       "--data-dir", str(DATA_DIR), "--out", str(out))
+        assert code == 0
+        capsys.readouterr()
+        report = json.loads(out.read_text())
+        assert len(report["split"]["train_indices"]) == 120
+
+
 @pytest.mark.parametrize("command", ["run", "sweep", "compare"])
 def test_missing_out_directory_exits_two_before_any_work(tmp_path, capsys, command):
     out = tmp_path / "missing" / "result"
@@ -294,6 +318,17 @@ class TestSweep:
         code = run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv"))
         assert code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["qnn", "cknn"])
+    def test_non_qknn_model_exits_two_before_loading(self, tmp_path, capsys, model):
+        # The data dir is empty: reaching the load stage would exit 1.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dataset": "iris", "data_dir": str(tmp_path), "model": model}))
+        code = run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv"))
+        assert code == 2
+        assert f"noise sweeps are defined for the qknn model, got '{model}'" in (
+            capsys.readouterr().err
+        )
 
     def test_zero_trials_exits_two_before_loading(self, tmp_path, capsys):
         code = run_cli(

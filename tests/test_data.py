@@ -2,6 +2,7 @@
 and stratified splitting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from qknn.data import (
     min_max_normalize,
     parse_selection_policy,
     regularized_gamma_q,
+    split_test_count,
     stratified_indices,
 )
 
@@ -127,6 +129,29 @@ class TestLoaders:
         with pytest.raises(DataFormatError, match="non-finite"):
             load_dataset(path, "banknote")
 
+    @pytest.mark.parametrize(
+        "fmt,text,message",
+        [
+            ("iris", "\n", "file contains no data rows"),
+            ("iris", "\n  \n\n", "file contains no data rows"),
+            ("iris", "1,2,3,4,a\n\n1,2,3,a\n", "line 3: expected 5 fields, got 4"),
+            ("iris", "1,2,3,4,\n", "line 1: empty class field"),
+            ("banknote", "1,2,3,4,0\n1,two,3,4,1\n", "line 2: 'two' is not a number"),
+            ("banknote", "1,nan,3,4,0\n", "line 1: non-finite value 'nan'"),
+            ("banknote", "1,2,3,4,0\n1,2,3,4,2\n", "line 2: class must be 0 or 1, got '2'"),
+            ("wdbc", "1,B,2\n",
+             "line 1: expected 32 fields (id, diagnosis, 30 features), got 3"),
+            ("wdbc", "1,X," + ",".join(["1"] * 30) + "\n",
+             "line 1: unknown diagnosis 'X' (expected 'B' or 'M')"),
+        ],
+    )
+    def test_error_messages_are_unchanged(self, tmp_path, fmt, text, message):
+        path = tmp_path / "file.data"
+        path.write_text(text)
+        with pytest.raises(DataFormatError) as exc:
+            load_dataset(path, fmt)
+        assert str(exc.value) == f"{path}: {message}"
+
 
 class TestRealFiles:
     def test_iris_shipped_file(self, data_dir):
@@ -139,6 +164,33 @@ class TestRealFiles:
         d = load_dataset(data_dir / "wdbc.data", "wdbc")
         assert (d.n_instances, d.n_features, d.n_classes) == (569, 30, 2)
         assert int(np.sum(d.labels == 1)) == 212  # malignant count
+
+    @pytest.mark.parametrize("name,fmt", [("iris.data", "iris"), ("wdbc.data", "wdbc")])
+    def test_loads_match_a_plain_parse_bitwise(self, data_dir, name, fmt):
+        text = (data_dir / name).read_text()
+        lines = [line.split(",") for line in text.splitlines() if line.strip()]
+        if fmt == "iris":
+            features = [[float(t) for t in row[:4]] for row in lines]
+            names = sorted({row[4] for row in lines})
+            labels = [names.index(row[4]) for row in lines]
+        else:
+            features = [[float(t) for t in row[2:]] for row in lines]
+            labels = [int(row[1] == "M") for row in lines]
+        d = load_dataset(data_dir / name, fmt)
+        assert d.features.tobytes() == np.array(features).tobytes()
+        assert d.labels.tolist() == labels
+
+    def test_wdbc_load_holds_one_row_of_tokens_at_a_time(self, data_dir):
+        # The file is 125 KB of text; holding every row's tokens peaked at
+        # about 1.75 MB, streaming them keeps the load well under 1 MB.
+        load_dataset(data_dir / "wdbc.data", "wdbc")  # warm imports and caches
+        tracemalloc.start()
+        try:
+            load_dataset(data_dir / "wdbc.data", "wdbc")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     @requires_banknote
     def test_banknote_file_when_present(self):
@@ -422,6 +474,15 @@ class TestStratifiedSplit:
         train_idx, _ = stratified_indices(labels, 0.9, seed=0)
         assert int(np.sum(labels[train_idx] == 0)) >= 1
         assert int(np.sum(labels[train_idx] == 1)) >= 1
+
+    def test_class_test_counts_follow_split_test_count(self):
+        labels = np.repeat([0, 1, 2], [7, 12, 3])
+        for fraction in (0.1, 0.25, 0.5, 0.9):
+            _, test_idx = stratified_indices(labels, fraction, seed=2)
+            counts = np.bincount(labels[test_idx], minlength=3).tolist()
+            assert counts == [split_test_count(n, fraction) for n in (7, 12, 3)]
+        assert split_test_count(50, 0.2) == 10
+        assert split_test_count(4, 0.9) == 3  # a training row always remains
 
     def test_tiny_class_rejected(self):
         with pytest.raises(ValueError, match="cannot split"):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from qknn.sim import (
     DEFAULT_MAX_QUBITS,
     _apply_matrix,
+    _shared_op,
     Gate,
     GateOp,
     ResourceLimitError,
@@ -25,7 +27,13 @@ from qknn.sim import (
     z_expectation,
 )
 
-from oracles import apply_dense, kron_operator, moveaxis_apply_matrix, random_state
+from oracles import (
+    apply_dense,
+    choice_sample_basis,
+    kron_operator,
+    moveaxis_apply_matrix,
+    random_state,
+)
 
 ALL_GATES = list(Gate)
 FIXED_GATES = [g for g in ALL_GATES if g not in (Gate.RZ, Gate.RY, Gate.ISING_XY)]
@@ -241,6 +249,106 @@ class TestGateOpValidation:
         with pytest.raises(ValueError, match="finite"):
             GateOp(Gate.RZ, (0,), float("nan"))
 
+    @pytest.mark.parametrize(
+        "kind,targets,message",
+        [
+            (Gate.CNOT, (0,), "gate CNOT needs 2 target(s), got 1"),
+            (Gate.CNOT, (1, 1), "gate targets must be distinct, got (1, 1)"),
+            (Gate.TOFFOLI, (2, 0, 2), "gate targets must be distinct, got (2, 0, 2)"),
+            (Gate.CNOT, (0, -1), "gate targets must be non-negative, got (0, -1)"),
+        ],
+    )
+    def test_messages_are_unchanged(self, kind, targets, message):
+        with pytest.raises(ValueError) as exc:
+            GateOp(kind, targets)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "targets,qubit", [((3, 5), 3), ((0, 5), 5), ((2, 1), 2), ((1, 4), 4)]
+    )
+    def test_out_of_range_message_names_the_first_offender(self, targets, qubit):
+        with pytest.raises(ValueError) as exc:
+            apply_gate(new_zero_state(2), GateOp(Gate.CNOT, targets))
+        assert str(exc.value) == f"gate targets qubit {qubit} but the register has 2 qubits"
+
+    def test_targets_become_python_ints(self):
+        op = GateOp(Gate.CNOT, [np.int64(2), np.int32(0)])
+        assert op.targets == (2, 0)
+        assert all(type(q) is int for q in op.targets)
+
+
+class TestImmutableOps:
+    """Each op builds its matrix once, read-only; repeated gates share one
+    frozen op; the public matrix accessors hand out writable copies."""
+
+    @pytest.mark.parametrize("kind", ALL_GATES, ids=lambda g: g.value)
+    def test_kernel_is_read_only_and_copies_are_writable(self, kind):
+        from qknn.sim import GATE_ARITY
+
+        angle = 0.37 if kind in PARAMETRIC_GATES else None
+        op = GateOp(kind, tuple(range(GATE_ARITY[kind])), angle)
+        assert not op._kernel.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            op._kernel[0, 0] = 2.0
+        for fresh in (op.matrix(), gate_matrix(kind, angle)):
+            assert fresh.flags.writeable and fresh.dtype == complex
+            assert not np.shares_memory(fresh, op._kernel)
+            assert fresh.tobytes() == op._kernel.tobytes()
+            fresh[0, 0] = 2.0
+        assert op.matrix()[0, 0] != 2.0
+        assert gate_matrix(kind, angle)[0, 0] != 2.0
+
+    def test_fixed_kinds_share_one_array(self):
+        assert GateOp(Gate.X, (0,))._kernel is GateOp(Gate.X, (3,))._kernel
+        assert GateOp(Gate.CNOT, (0, 1))._kernel is GateOp(Gate.CNOT, (2, 0))._kernel
+
+    def test_rz_matches_the_numpy_exp_form_bitwise(self):
+        grid = np.concatenate(
+            [np.linspace(-4 * math.pi, 4 * math.pi, 40_001), [0.0, -0.0, 1e-300, 1e6, -1e6]]
+        )
+        for theta in grid.tolist():
+            old = np.array(
+                [[np.exp(-0.5j * theta), 0], [0, np.exp(0.5j * theta)]], dtype=complex
+            )
+            assert gate_matrix(Gate.RZ, theta).tobytes() == old.tobytes(), theta
+
+    def test_shared_ops_are_one_frozen_object(self):
+        h = _shared_op(Gate.H, (0,))
+        assert h is _shared_op(Gate.H, (0,))
+        assert _shared_op(Gate.ISING_XY, (1, 2), 0.5) is _shared_op(Gate.ISING_XY, (1, 2), 0.5)
+        assert _shared_op(Gate.ISING_XY, (1, 2), 0.5) is not _shared_op(Gate.ISING_XY, (1, 2), 0.6)
+        assert h == GateOp(Gate.H, (0,))
+        with pytest.raises(FrozenInstanceError):
+            h.targets = (1,)
+        with pytest.raises(FrozenInstanceError):
+            h._kernel = np.eye(2)
+
+    def test_encoding_swap_test_noise_and_qec_use_shared_ops(self):
+        from qknn import classifier, encoding, noise, qec
+
+        x = np.array([0.1, 0.7, 0.4])
+        before = _shared_op.cache_info()
+        point = encoding.apply_feature_map(encoding.encode_point(x))
+        classifier.swap_test_state(point.state, point.state)
+        noise.apply_pauli_errors(point.state, [(0, "X"), (1, "Y"), (2, "Z")])
+        qec.code_corrected_flip([1, 0, 1], qec.RepetitionCode(3))
+        after = _shared_op.cache_info()
+        # Lookups: 3 H + 2 IsingXY + 2 CNOT; the swap test's H (applied
+        # twice) and per qubit pair one CNOT (applied twice) and one Toffoli;
+        # 3 Paulis; the qec X gates, 2 to flip and 1 to correct.
+        assert (after.hits + after.misses) - (before.hits + before.misses) == 7 + 7 + 3 + 3
+
+    def test_apply_gate_result_is_a_fresh_contiguous_complex_vector(self, rng):
+        for n in (1, 4, 9):
+            state = StateVector(n, random_state(n, rng))
+            for op in (GateOp(Gate.H, (n - 1,)), GateOp(Gate.RZ, (0,), 0.3)):
+                out = apply_gate(state, op)
+                assert type(out) is StateVector and out.num_qubits == n
+                assert out.amplitudes.dtype == complex
+                assert out.amplitudes.shape == (2**n,)
+                assert out.amplitudes.flags.c_contiguous
+                assert not np.shares_memory(out.amplitudes, state.amplitudes)
+
 
 class TestStates:
     def test_zero_state_is_all_zero_basis(self):
@@ -264,6 +372,19 @@ class TestStates:
         # explicit budget raise is allowed
         state = new_zero_state(DEFAULT_MAX_QUBITS + 1, max_qubits=16)
         assert state.num_qubits == DEFAULT_MAX_QUBITS + 1
+
+    def test_tensor_product_takes_a_qubit_budget(self):
+        a = new_zero_state(8, max_qubits=16)
+        b = basis_state(7, 5, max_qubits=16)
+        joint = tensor_product(a, b, max_qubits=16)
+        assert joint.num_qubits == 15
+        assert joint.amplitudes[5] == 1.0
+        with pytest.raises(ResourceLimitError) as exc:
+            tensor_product(a, b)
+        assert str(exc.value) == (
+            "joint register of 15 qubits exceeds the limit of 14; "
+            "raise max_qubits explicitly if intended"
+        )
 
     def test_tensor_product_highbits_first(self):
         joint = tensor_product(basis_state(1, 1), basis_state(2, 0))
@@ -330,3 +451,27 @@ class TestSampling:
     def test_invalid_shots(self):
         with pytest.raises(ValueError, match="positive"):
             sample_basis(new_zero_state(1), 0, seed=0)
+
+    def test_non_normalised_state_rejected(self):
+        with pytest.raises(ValueError, match="not normalised"):
+            sample_basis(StateVector(1, np.array([1.0, 1.0])), 10, seed=0)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_counts_equal_generator_choice(self, n):
+        # 60 seeds per register size, 540 in all; every third state has
+        # zero-probability entries so empty and trailing bins are covered.
+        rng = np.random.default_rng(100 + n)
+        for seed in range(60):
+            amps = random_state(n, rng)
+            if seed % 3 == 0:
+                amps[rng.random(2**n) < 0.5] = 0.0
+                amps[-1] = 0.0
+                if not amps.any():
+                    amps[0] = 1.0
+                amps /= np.linalg.norm(amps)
+            state = StateVector(n, amps)
+            shots = int(rng.integers(1, 4097))
+            counts = sample_basis(state, shots, seed)
+            expected = choice_sample_basis(state, shots, seed)
+            assert counts.dtype == expected.dtype and counts.shape == (2**n,)
+            np.testing.assert_array_equal(counts, expected)
