@@ -5,7 +5,7 @@ and repetition-code error mitigation.
 Modules:
 
 * sim        - dense state-vector simulator and gate set
-* encoding   - phase/angle feature encodings and the entangling map
+* encoding   - phase feature encoding and the entangling map
 * noise      - Pauli channels as Monte-Carlo trajectories
 * qec        - bit-flip repetition code (encode/syndrome/correct/decode)
 * classifier - swap-test k-nearest-neighbour model

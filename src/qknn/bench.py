@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cknn, qnn
-from .classifier import QknnConfig, fit_predict
+from .classifier import QknnConfig, check_swap_register, fit_predict
 from .data import (
     Dataset,
     chi_square_select,
@@ -88,8 +88,6 @@ class BenchConfig:
     qnn_epochs: int = 100
     qnn_learning_rate: float = 0.3
     qnn_init_scale: float = 0.01
-    qnn_rotation_axis: str = "Y"
-    qnn_entangle: str = "ring"
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -110,8 +108,10 @@ class BenchConfig:
             )
         # The model configs own the rules for their settings; building them
         # rejects a bad value before any data is loaded.
-        _qknn_config(self)
+        qknn_config = _qknn_config(self)
         columns, class_rows = DATASET_SHAPES[self.dataset]
+        if self.model == "qknn":
+            check_swap_register(qknn_config, min(self.features, columns))
         n_train = sum(n - split_test_count(n, self.test_fraction) for n in class_rows)
         if self.k > n_train:
             raise ValueError(
@@ -242,8 +242,6 @@ def _qnn_setup(
         n_classes=n_classes,
         seed=config.seed,
         init_scale=config.qnn_init_scale,
-        rotation_axis=config.qnn_rotation_axis,
-        entangle=config.qnn_entangle,
     )
     train_cfg = qnn.TrainConfig(
         learning_rate=config.qnn_learning_rate, epochs=config.qnn_epochs

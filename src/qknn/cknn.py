@@ -47,15 +47,6 @@ class CknnModel:
             )
 
 
-def euclidean_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """sqrt of the summed squared coordinate differences."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.sqrt(np.sum((a - b) ** 2)))
-
-
 def find_neighbors(model: CknnModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Indices and distances of the k nearest rows (ascending distance)."""
     x = np.asarray(x, dtype=float)

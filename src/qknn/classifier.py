@@ -36,11 +36,12 @@ from .encoding import EncodedPoint, EncodingConfig, apply_feature_map, encode_po
 from .noise import NoiseSpec, apply_pauli_errors, draw_pauli, sample_errors
 from .qec import RepetitionCode, code_corrected_flip
 from .sim import (
+    DEFAULT_MAX_QUBITS,
     Gate,
+    ResourceLimitError,
     StateVector,
     _shared_op,
     apply_gate,
-    inner_product,
     new_zero_state,
     sample_basis,
     tensor_product,
@@ -95,6 +96,18 @@ class QknnConfig:
             )
 
 
+def check_swap_register(cfg: QknnConfig, n_features: int) -> None:
+    """Reject sampled distances on more features than the swap-test
+    register (an ancilla plus two ``n_features``-qubit states) can hold."""
+    n = 2 * n_features + 1
+    if cfg.distance_mode == "sampled" and n > DEFAULT_MAX_QUBITS:
+        raise ResourceLimitError(
+            f"sampled distances on {n_features} features need a swap-test register "
+            f"of {n} qubits, over the limit of {DEFAULT_MAX_QUBITS}; use at most "
+            f"{(DEFAULT_MAX_QUBITS - 1) // 2} features or exact distances"
+        )
+
+
 @dataclass
 class QknnModel:
     """Encoded training set plus the config it was fitted with."""
@@ -108,6 +121,7 @@ class QknnModel:
         self.labels = np.asarray(self.labels, dtype=int)
         if not self.encoded_train:
             raise ValueError("training set is empty")
+        check_swap_register(self.config, self.encoded_train[0].state.num_qubits)
         if self.labels.shape != (len(self.encoded_train),):
             raise ValueError(
                 f"{self.labels.shape[0]} labels for {len(self.encoded_train)} points"
@@ -135,11 +149,6 @@ class NeighborSet:
     indices: np.ndarray
     fidelities: np.ndarray
     distances: np.ndarray
-
-
-def state_fidelity(a: StateVector, b: StateVector) -> float:
-    """|<a|b>|^2."""
-    return abs(inner_product(a, b)) ** 2
 
 
 def swap_test_state(a: StateVector, b: StateVector) -> StateVector:
@@ -195,28 +204,6 @@ def _voted_ancilla_zero(
     bits = (rng.random((shots, repeats)) < p_one).astype(int)
     voted_ones = (bits.sum(axis=1) * 2 > repeats).sum()
     return 1.0 - voted_ones / shots
-
-
-def quantum_distance(
-    a: EncodedPoint,
-    b: EncodedPoint,
-    mode: str = "exact",
-    shots: int = DEFAULT_SHOTS,
-    seed: int = 0,
-) -> float:
-    """Swap-test distance D = 0.5 * (1 + |<a|b>|^2); higher = more similar.
-
-    Exact mode computes D from amplitudes.  Sampled mode measures the
-    assembled swap-test circuit and returns the raw empirical
-    P(ancilla=0), which converges to the same value as shots grow.
-    """
-    if mode not in DISTANCE_MODES:
-        raise ValueError(f"distance mode must be one of {DISTANCE_MODES}, got {mode!r}")
-    if mode == "exact":
-        return 0.5 * (1.0 + state_fidelity(a.state, b.state))
-    if shots < 1:
-        raise ValueError(f"shots must be positive, got {shots}")
-    return _sampled_ancilla_zero(swap_test_state(a.state, b.state), shots, seed)
 
 
 def _pair_seed(model: QknnModel, test: EncodedPoint, train_index: int) -> int:

