@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cknn, qnn
-from .classifier import QknnConfig, check_swap_register, fit_predict
+from .classifier import QknnConfig, check_register, fit_predict
 from .data import (
     Dataset,
     chi_square_select,
@@ -111,7 +111,7 @@ class BenchConfig:
         qknn_config = _qknn_config(self)
         columns, class_rows = DATASET_SHAPES[self.dataset]
         if self.model == "qknn":
-            check_swap_register(qknn_config, min(self.features, columns))
+            check_register(qknn_config, min(self.features, columns))
         n_train = sum(n - split_test_count(n, self.test_fraction) for n in class_rows)
         if self.k > n_train:
             raise ValueError(
@@ -403,10 +403,9 @@ def write_sweep_csv(result: SweepResult, path: str | Path) -> None:
 
 def run_compare(config: BenchConfig) -> list[dict]:
     """Run all three models on the identical split/seed; one report each."""
-    reports = []
-    for model in MODELS:
-        reports.append(run_benchmark(replace(config, model=model)))
-    return reports
+    # Each replace() validates its leg, so a bad leg fails before any runs.
+    configs = [replace(config, model=model) for model in MODELS]
+    return [run_benchmark(c) for c in configs]
 
 
 def write_compare_csv(reports: list[dict], path: str | Path) -> None:

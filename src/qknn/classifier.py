@@ -19,13 +19,15 @@ Two evaluation modes are provided:
 Optional Pauli noise is injected per trajectory into every encoded
 state after the feature map.  Two error-mitigation modes exist for
 noisy runs: "repeat-vote" (each sampled ancilla measurement is repeated
-n times and majority voted) and "physical-code" (each data qubit's
-channel draw is passed through an n-qubit repetition code with syndrome
-correction before the surviving logical error touches the state).
+n times and majority voted, drawn from the exact ancilla marginal) and
+"physical-code" (each data qubit's channel draw is passed through an
+n-qubit repetition code with syndrome correction before the surviving
+logical error touches the state).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -36,10 +38,11 @@ from .encoding import EncodedPoint, EncodingConfig, apply_feature_map, encode_po
 from .noise import NoiseSpec, apply_pauli_errors, draw_pauli, sample_errors
 from .qec import RepetitionCode, code_corrected_flip
 from .sim import (
-    DEFAULT_MAX_QUBITS,
+    MAX_QUBITS,
     Gate,
     ResourceLimitError,
     StateVector,
+    _check_size,
     _shared_op,
     apply_gate,
     new_zero_state,
@@ -96,15 +99,17 @@ class QknnConfig:
             )
 
 
-def check_swap_register(cfg: QknnConfig, n_features: int) -> None:
-    """Reject sampled distances on more features than the swap-test
-    register (an ancilla plus two ``n_features``-qubit states) can hold."""
-    n = 2 * n_features + 1
-    if cfg.distance_mode == "sampled" and n > DEFAULT_MAX_QUBITS:
+def check_register(cfg: QknnConfig, n_features: int) -> None:
+    """Reject more features than the largest register ``cfg`` builds can
+    hold: one qubit per feature, or, for sampled swap tests, an ancilla
+    plus two ``n_features``-qubit states."""
+    if cfg.distance_mode == "exact" or cfg.mitigation == "repeat-vote":
+        _check_size(n_features)
+    elif 2 * n_features + 1 > MAX_QUBITS:
         raise ResourceLimitError(
             f"sampled distances on {n_features} features need a swap-test register "
-            f"of {n} qubits, over the limit of {DEFAULT_MAX_QUBITS}; use at most "
-            f"{(DEFAULT_MAX_QUBITS - 1) // 2} features or exact distances"
+            f"of {2 * n_features + 1} qubits, over the limit of {MAX_QUBITS}; use at "
+            f"most {(MAX_QUBITS - 1) // 2} features or exact distances"
         )
 
 
@@ -121,7 +126,7 @@ class QknnModel:
         self.labels = np.asarray(self.labels, dtype=int)
         if not self.encoded_train:
             raise ValueError("training set is empty")
-        check_swap_register(self.config, self.encoded_train[0].state.num_qubits)
+        check_register(self.config, self.encoded_train[0].state.num_qubits)
         if self.labels.shape != (len(self.encoded_train),):
             raise ValueError(
                 f"{self.labels.shape[0]} labels for {len(self.encoded_train)} points"
@@ -175,12 +180,6 @@ def swap_test_state(a: StateVector, b: StateVector) -> StateVector:
     return apply_gate(joint, hadamard)
 
 
-def ancilla_zero_probability(swap_state: StateVector) -> float:
-    """P(ancilla = 0) of a swap-test output state (ancilla is qubit 0)."""
-    half = swap_state.amplitudes.size // 2
-    return float(swap_state.probabilities()[:half].sum())
-
-
 def _sampled_ancilla_zero(
     swap_state: StateVector, shots: int, seed: int
 ) -> float:
@@ -189,21 +188,24 @@ def _sampled_ancilla_zero(
     return sample_basis(swap_state, shots, seed)[:half].sum() / shots
 
 
-def _voted_ancilla_zero(
-    swap_state: StateVector, shots: int, repeats: int, seed: int
-) -> float:
-    """P(ancilla=0) estimate with per-shot repetition and majority vote.
+def _voted_fidelities(
+    fids: np.ndarray, shots: int, repeats: int, seed: list[int]
+) -> np.ndarray:
+    """Swap-test fidelity estimates with per-shot repetition and majority
+    vote, given the exact fidelities ``fids``.
 
-    Each logical shot re-prepares the circuit ``repeats`` times; the
-    repeated ancilla bits are i.i.d. over the ancilla marginal, so they
-    are drawn directly from it here, and the majority becomes the shot's
-    bit.  This amplifies the majority outcome of each pairwise test.
+    Each shot repeats the test ``repeats`` times and keeps the majority
+    bit.  A repeated ancilla bit is 1 with the exact marginal p = (1 - F)/2
+    (Buhrman et al. 2001), so a voted bit is 1 with the chance q that more
+    than half of them are, and a pair's voted ones are Binomial(shots, q).
     """
-    p_one = 1.0 - ancilla_zero_probability(swap_state)
-    rng = np.random.default_rng(seed)
-    bits = (rng.random((shots, repeats)) < p_one).astype(int)
-    voted_ones = (bits.sum(axis=1) * 2 > repeats).sum()
-    return 1.0 - voted_ones / shots
+    p = np.clip((1.0 - fids) / 2.0, 0.0, 1.0)
+    q = sum(
+        math.comb(repeats, k) * p**k * (1.0 - p) ** (repeats - k)
+        for k in range(repeats // 2 + 1, repeats + 1)
+    )
+    voted_ones = np.random.default_rng(seed).binomial(shots, q)
+    return 1.0 - 2.0 * voted_ones / shots
 
 
 def _pair_seed(model: QknnModel, test: EncodedPoint, train_index: int) -> int:
@@ -217,18 +219,20 @@ def _pair_seed(model: QknnModel, test: EncodedPoint, train_index: int) -> int:
 def _pair_fidelities(model: QknnModel, test: EncodedPoint) -> np.ndarray:
     """Fidelity estimates against every training point, clamped to [0, 1]."""
     cfg = model.config
-    if cfg.distance_mode == "exact":
+    if cfg.distance_mode == "exact" or cfg.mitigation == "repeat-vote":
         overlaps = model._train_amplitudes.conj() @ test.state.amplitudes
-        return np.abs(overlaps) ** 2
-    fids = np.empty(len(model.encoded_train))
-    for j, point in enumerate(model.encoded_train):
-        swap_state = swap_test_state(point.state, test.state)
-        seed = _pair_seed(model, test, j)
-        if cfg.mitigation == "repeat-vote":
-            p_zero = _voted_ancilla_zero(swap_state, cfg.shots, cfg.code_length, seed)
-        else:
-            p_zero = _sampled_ancilla_zero(swap_state, cfg.shots, seed)
-        fids[j] = 2.0 * p_zero - 1.0
+        fids = np.abs(overlaps) ** 2
+        if cfg.distance_mode == "exact":
+            return fids
+        # One stream per test row draws the votes of every pair.
+        seed = [cfg.seed, test.source_row + 1]
+        fids = _voted_fidelities(fids, cfg.shots, cfg.code_length, seed)
+    else:
+        fids = np.empty(len(model.encoded_train))
+        for j, point in enumerate(model.encoded_train):
+            swap_state = swap_test_state(point.state, test.state)
+            p_zero = _sampled_ancilla_zero(swap_state, cfg.shots, _pair_seed(model, test, j))
+            fids[j] = 2.0 * p_zero - 1.0
     return np.clip(fids, 0.0, 1.0)
 
 

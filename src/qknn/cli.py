@@ -200,9 +200,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         kind = NoiseKind(str(merged["noise_kind"]))
     except (TypeError, ValueError) as exc:
         raise _ArgumentProblem(str(exc))
-    if mitigation == "repeat-vote":
-        # Voting runs sampled swap tests, so their register must fit too.
-        _build_bench_config({**merged, "distance": "sampled"})
     result = run_noise_sweep(config, levels, trials, mitigation, kind)
     write_sweep_csv(result, out)
     for row in result.rows():
@@ -218,8 +215,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     merged = _merge(args, {})
     out = _require_out(merged)
     config = _build_bench_config(merged)
-    # compare runs every model, so the qknn swap test and the qnn register
-    # must fit too, whichever model the config names.
+    # compare runs every model, so the qknn and qnn registers must fit
+    # too, whichever model the config names.
     for model in ("qknn", "qnn"):
         _build_bench_config({**merged, "model": model})
     reports = run_compare(config)

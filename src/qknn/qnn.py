@@ -15,8 +15,9 @@ C-class problems read C qubits and apply softmax (categorical cross
 entropy).
 
 Training evaluates the whole batch as a single [batch, 2**n] amplitude
-matrix; a unit test pins it to a per-instance, gate-by-gate reference
-run on the plain simulator.
+matrix, applying each gate to every row at once through the simulator's
+one contraction routine; a unit test pins it to a per-instance,
+gate-by-gate reference run on the plain simulator.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sim import DEFAULT_MAX_QUBITS, Gate, _check_size, gate_matrix
+from .sim import Gate, _apply_matrix, _check_size, gate_matrix
 
 #: Probability clamp for the cross-entropy losses.
 EPS = 1e-12
@@ -45,7 +46,7 @@ class QnnArchitecture:
         self.params = np.asarray(self.params, dtype=float)
         # The batch path holds a [batch, 2**n] stack, so the simulator's
         # register limit applies here too.
-        _check_size(self.n_qubits, DEFAULT_MAX_QUBITS)
+        _check_size(self.n_qubits)
         if self.n_layers < 1:
             raise ValueError(f"need at least one layer, got {self.n_layers}")
         if self.n_classes < 2:
@@ -121,21 +122,6 @@ def _entangle_pairs(n_qubits: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def _batch_apply(
-    amps: np.ndarray, matrix: np.ndarray, targets: tuple[int, ...], n: int
-) -> np.ndarray:
-    """Apply one gate matrix to a [batch, 2**n] amplitude stack."""
-    batch = amps.shape[0]
-    k = len(targets)
-    tensor = amps.reshape((batch,) + (2,) * n)
-    moved = np.moveaxis(tensor, [t + 1 for t in targets], tuple(range(1, k + 1)))
-    shape = moved.shape
-    block = moved.reshape(batch, 2**k, -1)
-    out = np.einsum("ij,njr->nir", matrix, block).reshape(shape)
-    out = np.moveaxis(out, tuple(range(1, k + 1)), [t + 1 for t in targets])
-    return np.ascontiguousarray(out).reshape(batch, -1)
-
-
 def _embed_batch(X: np.ndarray, n_qubits: int) -> np.ndarray:
     """RY(x_i)|0> per qubit, as a [batch, 2**n] product-state stack."""
     X = np.asarray(X, dtype=float)
@@ -160,9 +146,9 @@ def _forward_batch(arch: QnnArchitecture, X: np.ndarray) -> np.ndarray:
     for layer in range(arch.n_layers):
         for qubit in range(n):
             matrix = gate_matrix(Gate.RY, float(arch.params[layer, qubit]))
-            amps = _batch_apply(amps, matrix, (qubit,), n)
+            amps = _apply_matrix(amps, matrix, (qubit,))
         for pair in _entangle_pairs(n):
-            amps = _batch_apply(amps, cnot, pair, n)
+            amps = _apply_matrix(amps, cnot, pair)
     probs = np.abs(amps) ** 2
     indices = np.arange(2**n)
     z = np.empty((X.shape[0], arch.n_readout))

@@ -3,8 +3,9 @@
 The simulator stores the full complex amplitude vector of an n-qubit
 register (length 2**n) and applies gates by reshaping that vector into a
 rank-n tensor, transposing the targeted axes to the front and contracting
-them with a small gate matrix in one matmul.  No 2**n x 2**n operator is
-ever materialised.
+them with a small gate matrix in one matmul, to one state or to each row
+of a [batch, 2**n] stack.  No 2**n x 2**n operator is ever materialised,
+and no register holds more than ``MAX_QUBITS`` qubits.
 
 Conventions used throughout the package:
 
@@ -28,15 +29,15 @@ from enum import Enum
 
 import numpy as np
 
-#: Registers above this size are refused by default; 2**14 complex amplitudes
-#: is the largest register the benchmarks need (ancilla + two 6-qubit states).
-DEFAULT_MAX_QUBITS = 14
+#: Registers above this size are refused; 2**14 complex amplitudes is the
+#: largest register the benchmarks need (ancilla + two 6-qubit states).
+MAX_QUBITS = 14
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 
 
 class ResourceLimitError(ValueError):
-    """Raised when a requested register exceeds the configured qubit budget."""
+    """Raised when a requested register exceeds ``MAX_QUBITS``."""
 
 
 class Gate(Enum):
@@ -226,33 +227,27 @@ def _trusted_state(num_qubits: int, amplitudes: np.ndarray) -> StateVector:
     return state
 
 
-#: Appended to the size error by the functions that take ``max_qubits``.
-_MAX_QUBITS_HINT = "; raise max_qubits explicitly if intended"
-
-
-def _check_size(num_qubits: int, max_qubits: int, hint: str = "") -> None:
+def _check_size(num_qubits: int) -> None:
     if num_qubits < 1:
         raise ValueError(f"need at least one qubit, got {num_qubits}")
-    if num_qubits > max_qubits:
+    if num_qubits > MAX_QUBITS:
         raise ResourceLimitError(
-            f"{num_qubits} qubits exceeds the limit of {max_qubits} "
-            f"(2**{num_qubits} amplitudes){hint}"
+            f"{num_qubits} qubits exceeds the limit of {MAX_QUBITS} "
+            f"(2**{num_qubits} amplitudes)"
         )
 
 
-def new_zero_state(num_qubits: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
+def new_zero_state(num_qubits: int) -> StateVector:
     """Return |0...0> on ``num_qubits`` qubits."""
-    _check_size(num_qubits, max_qubits, _MAX_QUBITS_HINT)
+    _check_size(num_qubits)
     amps = np.zeros(2**num_qubits, dtype=complex)
     amps[0] = 1.0
     return _trusted_state(num_qubits, amps)
 
 
-def basis_state(
-    num_qubits: int, index: int, max_qubits: int = DEFAULT_MAX_QUBITS
-) -> StateVector:
+def basis_state(num_qubits: int, index: int) -> StateVector:
     """Return the computational basis state |index> (qubit 0 = MSB)."""
-    _check_size(num_qubits, max_qubits, _MAX_QUBITS_HINT)
+    _check_size(num_qubits)
     if not 0 <= index < 2**num_qubits:
         raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
     amps = np.zeros(2**num_qubits, dtype=complex)
@@ -267,27 +262,43 @@ def bit_value(index: int, qubit: int, num_qubits: int) -> int:
 
 @functools.lru_cache(maxsize=4096)
 def _axis_orders(
-    targets: tuple[int, ...], num_qubits: int
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int]:
-    """Tensor shape of the register, the axis order that puts ``targets``
-    first, the order that undoes it, and the row count of the gate."""
-    order = targets + tuple(q for q in range(num_qubits) if q not in targets)
-    inverse = tuple(sorted(range(num_qubits), key=order.__getitem__))
-    return (2,) * num_qubits, order, inverse, 2 ** len(targets)
+    targets: tuple[int, ...], shape: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Shapes and axis orders of a gate on ``targets`` of amplitudes shaped
+    ``shape`` = (*batch, 2**n).
+
+    Returns the tensor shape (*batch, 2, ..., 2); the order that puts the
+    batch axes first, then the targets, then the other qubits; the block
+    shape (*batch, 2**k, -1); the shape of ``matrix.dot(block)``, whose axes
+    are (targets, batch, others); and the order that undoes it.
+    """
+    *batch, size = shape
+    b, n, k = len(batch), size.bit_length() - 1, len(targets)
+    tensor = (*batch, *(2,) * n)
+    qubits = targets + tuple(q for q in range(n) if q not in targets)
+    order = tuple(range(b)) + tuple(b + q for q in qubits)
+    product = order[b : b + k] + order[:b] + order[b + k :]
+    inverse = tuple(sorted(range(b + n), key=product.__getitem__))
+    return tensor, order, (*batch, 2**k, -1), tuple(tensor[a] for a in product), inverse
 
 
 def _apply_matrix(
-    amplitudes: np.ndarray, matrix: np.ndarray, targets: tuple[int, ...], num_qubits: int
+    amplitudes: np.ndarray, matrix: np.ndarray, targets: tuple[int, ...]
 ) -> np.ndarray:
-    """Contract ``matrix`` onto the target axes of the amplitude tensor.
+    """Contract ``matrix`` onto the target qubits of a state, or of each row
+    of a stack, with amplitudes shaped [..., 2**n].
 
-    Bringing the target axes to the front costs at most one copy, one
-    matrix product applies the gate, and at most one more copy restores
-    the qubit order; the result is a new C-contiguous vector.
+    Bringing the target axes forward costs at most one copy, one matrix
+    product applies the gate, and at most one more copy restores the axis
+    order; the result is a new C-contiguous array of the input's shape.
     """
-    shape, order, inverse, rows = _axis_orders(targets, num_qubits)
-    block = amplitudes.reshape(shape).transpose(order).reshape(rows, -1)
-    return matrix.dot(block).reshape(shape).transpose(inverse).reshape(-1)
+    shape = amplitudes.shape
+    tensor, order, block, product, inverse = _axis_orders(targets, shape)
+    block = amplitudes.reshape(tensor).transpose(order).reshape(block)
+    out = matrix.dot(block).reshape(product).transpose(inverse)
+    # When a gate spans every qubit of a stack, the reshape alone would
+    # return a strided view (batch strides inside the product's layout).
+    return np.ascontiguousarray(out.reshape(shape))
 
 
 def apply_gate(state: StateVector, op: GateOp) -> StateVector:
@@ -296,19 +307,13 @@ def apply_gate(state: StateVector, op: GateOp) -> StateVector:
     if max(op.targets) >= n:
         q = next(q for q in op.targets if q >= n)
         raise ValueError(f"gate targets qubit {q} but the register has {n} qubits")
-    return _trusted_state(n, _apply_matrix(state.amplitudes, op._kernel, op.targets, n))
+    return _trusted_state(n, _apply_matrix(state.amplitudes, op._kernel, op.targets))
 
 
-def tensor_product(
-    a: StateVector, b: StateVector, max_qubits: int = DEFAULT_MAX_QUBITS
-) -> StateVector:
+def tensor_product(a: StateVector, b: StateVector) -> StateVector:
     """Join two registers; the qubits of ``a`` become the high-order qubits."""
     n = a.num_qubits + b.num_qubits
-    if n > max_qubits:
-        raise ResourceLimitError(
-            f"joint register of {n} qubits exceeds the limit of {max_qubits}"
-            f"{_MAX_QUBITS_HINT}"
-        )
+    _check_size(n)
     return _trusted_state(n, np.outer(a.amplitudes, b.amplitudes).reshape(-1))
 
 

@@ -17,7 +17,7 @@ the library once had and now only tests use:
   which the batched ``qnn._forward_batch`` must match;
 * ``quantum_distance``, the swap-test distance of one pair, exact from
   ``state_fidelity`` (an ``inner_product``) or sampled from the assembled
-  swap-test circuit.
+  swap-test circuit, and ``ancilla_zero_probability``, its exact marginal.
 """
 
 from __future__ import annotations
@@ -316,3 +316,9 @@ def quantum_distance(
     if shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")
     return _sampled_ancilla_zero(swap_test_state(a.state, b.state), shots, seed)
+
+
+def ancilla_zero_probability(swap_state: StateVector) -> float:
+    """P(ancilla = 0) of a swap-test output state (ancilla is qubit 0)."""
+    half = swap_state.amplitudes.size // 2
+    return float(swap_state.probabilities()[:half].sum())

@@ -94,8 +94,8 @@ class TestConfig:
         with pytest.raises(ValueError, match="3 classes need 3 readout qubits"):
             BenchConfig(dataset="iris", model="qnn", features=2)
         assert BenchConfig(dataset="iris", model="qnn", features=20).features == 20
-        # Other models never build a qnn register.
-        assert BenchConfig(dataset="wdbc", model="qknn", features=20).features == 20
+        # cknn never builds a register.
+        assert BenchConfig(dataset="wdbc", model="cknn", features=20).features == 20
 
     def test_swap_register_checked_against_the_dataset_shape(self):
         # A sampled swap test holds an ancilla and two d-qubit states, with
@@ -104,8 +104,11 @@ class TestConfig:
             BenchConfig(dataset="wdbc", distance="sampled", features=7)
         assert BenchConfig(dataset="wdbc", distance="sampled", features=6).features == 6
         assert BenchConfig(dataset="iris", distance="sampled", features=20).features == 20
-        # Exact distances and other models never build that register.
-        assert BenchConfig(dataset="wdbc", features=7).features == 7
+        # Exact distances and other models never build that register, but
+        # exact distances encode d features on d qubits.
+        assert BenchConfig(dataset="wdbc", features=14).features == 14
+        with pytest.raises(ResourceLimitError, match="15 qubits exceeds the limit of 14"):
+            BenchConfig(dataset="wdbc", features=15)
         assert BenchConfig(dataset="wdbc", model="cknn", distance="sampled",
                            features=7).features == 7
 
@@ -323,6 +326,13 @@ class TestCompare:
                 "macro_f1",
                 "auc",
             }
+
+    def test_every_leg_is_validated_before_any_runs(self, tmp_path):
+        # The qknn leg is valid on 2 features, the qnn leg is not.  The data
+        # directory is empty, so running a leg first would fail to load.
+        cfg = BenchConfig(dataset="iris", features=2, data_dir=str(tmp_path))
+        with pytest.raises(ValueError, match="3 classes need 3 readout qubits"):
+            run_compare(cfg)
 
 
 def test_benchmark_runs_never_import_numpy_ma():

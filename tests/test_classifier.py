@@ -1,6 +1,7 @@
 """Classifier tests: swap-test distances, neighbour ranking, voting,
 noise mitigation, and the classical baseline."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -13,7 +14,7 @@ from qknn.classifier import (
     QknnConfig,
     QknnModel,
     _physical_code_errors,
-    ancilla_zero_probability,
+    _voted_fidelities,
     classify,
     find_neighbors,
     fit,
@@ -25,7 +26,7 @@ from qknn.noise import NoiseKind, NoiseSpec
 from qknn.qec import RepetitionCode
 from qknn.sim import ResourceLimitError, StateVector
 
-from oracles import apply_dense, quantum_distance, state_fidelity
+from oracles import ancilla_zero_probability, apply_dense, quantum_distance, state_fidelity
 
 
 def feature_for_fidelity(f: float) -> float:
@@ -424,6 +425,24 @@ class TestNoiseAndMitigation:
         assert expected > z_share * p
         z = (rate - expected) / math.sqrt(expected * (1.0 - expected) / draws)
         assert abs(z) < 4.0
+
+    @pytest.mark.parametrize("repeats", [3, 5, 9])
+    def test_repeat_vote_draws_the_majority_of_the_exact_marginal(self, repeats):
+        # A voted shot reads 1 when most of its repeated ancilla bits, each 1
+        # with p = (1 - F)/2, are 1; q is enumerated over every bit pattern.
+        fids = np.linspace(0.0, 1.0, 11)
+        p = (1.0 - fids) / 2.0
+        q = np.zeros_like(p)
+        for bits in itertools.product((0, 1), repeat=repeats):
+            ones = sum(bits)
+            if 2 * ones > repeats:
+                q += p**ones * (1.0 - p) ** (repeats - ones)
+        shots = 100_000
+        estimates = _voted_fidelities(fids, shots, repeats, [0, 1])
+        # Each estimate is 1 - 2 * Binomial(shots, q) / shots.
+        sd = 2.0 * np.sqrt(q * (1.0 - q) / shots)
+        assert np.all(np.abs(estimates - (1.0 - 2.0 * q)) <= 5.0 * sd)
+        assert estimates[-1] == 1.0
 
     def test_repeat_vote_sharpens_sampled_estimates(self, rng, make_dataset):
         # per-pair ancilla draws at tiny shot counts are noisy; majority

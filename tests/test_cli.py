@@ -244,11 +244,10 @@ class TestSwapRegister:
         "command,doc",
         [
             ("run", {"distance": "sampled"}),
-            ("sweep", {"mitigate": "repeat-vote"}),
             # compare runs the qknn leg whichever model the config names
             ("compare", {"distance": "sampled", "model": "cknn"}),
         ],
-        ids=["run-sampled", "sweep-repeat-vote", "compare-sampled"],
+        ids=["run-sampled", "compare-sampled"],
     )
     def test_wdbc_with_seven_features_exits_two_before_loading(
         self, tmp_path, capsys, command, doc
@@ -281,6 +280,43 @@ class TestSwapRegister:
         assert code == 0
         capsys.readouterr()
         assert len(json.loads(out.read_text())["selection"]["selected_columns"]) == 4
+
+
+class TestEncodingRegister:
+    """Exact distances and repeat-vote (which draws its votes from the exact
+    ancilla marginal) encode d features on d qubits, so only d above the
+    limit is an argument error."""
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_wdbc_with_fifteen_features_exits_two_before_loading(
+        self, tmp_path, capsys, command
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"features": 15}))
+        code = run_cli(command, "--config", str(cfg), "--dataset", "wdbc",
+                       "--data-dir", str(tmp_path), "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "15 qubits exceeds the limit of 14 (2**15 amplitudes)" in err
+        assert "max_qubits" not in err
+
+    @pytest.mark.parametrize(
+        "command,doc",
+        [
+            ("run", {"features": 14}),
+            ("sweep", {"features": 14}),
+            ("sweep", {"features": 7, "mitigate": "repeat-vote"}),
+        ],
+        ids=["run-14", "sweep-14", "sweep-repeat-vote-7"],
+    )
+    def test_wdbc_config_passes_to_the_load_stage(self, tmp_path, capsys, command, doc):
+        # The data directory is empty, so a config that passes fails to load.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code = run_cli(command, "--config", str(cfg), "--dataset", "wdbc",
+                       "--data-dir", str(tmp_path), "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert "stage 'load' failed" in capsys.readouterr().err
 
 
 class TestNeighbourCount:

@@ -21,7 +21,7 @@ from qknn.qnn import (
     softmax,
     train,
 )
-from qknn.sim import DEFAULT_MAX_QUBITS, Gate, ResourceLimitError, gate_matrix
+from qknn.sim import MAX_QUBITS, Gate, ResourceLimitError, gate_matrix
 
 from oracles import finite_difference_gradient, qnn_forward
 
@@ -62,10 +62,10 @@ class TestArchitecture:
 
     def test_register_beyond_the_simulator_limit_is_rejected(self):
         # Raised in validation, before any [batch, 2**n] stack exists.
-        n = DEFAULT_MAX_QUBITS + 1
+        n = MAX_QUBITS + 1
         with pytest.raises(ResourceLimitError, match=f"{n} qubits") as info:
             init_architecture(n, 1, 2)
-        # An architecture has no max_qubits setting, so the error names none.
+        # The limit is fixed, so the error names no setting to raise it.
         assert "max_qubits" not in str(info.value)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qknn.sim import (
-    DEFAULT_MAX_QUBITS,
+    MAX_QUBITS,
     _apply_matrix,
     _shared_op,
     Gate,
@@ -183,7 +183,7 @@ class TestApplyGate:
 class TestKernel:
     """``_apply_matrix`` against the moveaxis contraction it replaced (bit
     for bit) and a dense Kronecker-product operator, on every ordered
-    target tuple of arity 1-3."""
+    target tuple of arity 1-3, for single states and for stacks."""
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_every_target_tuple_matches_both_oracles(self, n):
@@ -193,7 +193,7 @@ class TestKernel:
         for k in range(1, min(n, 3) + 1):
             gate = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
             for targets in itertools.permutations(range(n), k):
-                out = _apply_matrix(amps, gate, targets, n)
+                out = _apply_matrix(amps, gate, targets)
                 assert out.flags.c_contiguous
                 assert out.tobytes() == moveaxis_apply_matrix(amps, gate, targets, n).tobytes()
                 np.testing.assert_allclose(
@@ -201,16 +201,38 @@ class TestKernel:
                 )
                 assert amps.tobytes() == before.tobytes()
 
+    @pytest.mark.parametrize("batch", [(1,), (5,), (2, 3)], ids=str)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_each_row_of_a_stack_matches_the_single_state_kernel(self, n, batch):
+        rng = np.random.default_rng(10 * n + len(batch))
+        amps = np.stack([random_state(n, rng) for _ in range(math.prod(batch))])
+        amps = amps.reshape(*batch, 2**n)
+        before = amps.copy()
+        for k in range(1, min(n, 3) + 1):
+            gate = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
+            for targets in itertools.permutations(range(n), k):
+                out = _apply_matrix(amps, gate, targets)
+                assert out.shape == amps.shape and out.flags.c_contiguous
+                dense = kron_operator(gate, targets, n)
+                for row in np.ndindex(*batch):
+                    np.testing.assert_allclose(
+                        out[row], _apply_matrix(amps[row], gate, targets), rtol=0, atol=1e-14
+                    )
+                    np.testing.assert_allclose(out[row], dense @ amps[row], rtol=0, atol=1e-12)
+                assert amps.tobytes() == before.tobytes()
+
     def test_sixteen_qubit_register(self, rng):
         n = 16
-        state = apply_gate(new_zero_state(n, max_qubits=n), GateOp(Gate.H, (7,)))
+        zero = np.zeros(2**n, dtype=complex)
+        zero[0] = 1.0
+        state = apply_gate(StateVector(n, zero), GateOp(Gate.H, (7,)))
         state = apply_gate(state, GateOp(Gate.CNOT, (7, 15)))
         expected = np.zeros(2**n, dtype=complex)
         expected[0] = expected[(1 << (n - 1 - 7)) | 1] = 1 / math.sqrt(2)
         np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-15)
         amps = random_state(n, rng)
         gate = gate_matrix(Gate.ISING_XY, 0.7)
-        out = _apply_matrix(amps, gate, (12, 3), n)
+        out = _apply_matrix(amps, gate, (12, 3))
         assert out.tobytes() == moveaxis_apply_matrix(amps, gate, (12, 3), n).tobytes()
 
     def test_tensor_product_equals_kron_bitwise(self, rng):
@@ -358,26 +380,18 @@ class TestStates:
         assert bit_value(2, 1, 2) == 0
 
     def test_register_size_limit(self):
-        with pytest.raises(ResourceLimitError, match="raise max_qubits"):
-            new_zero_state(DEFAULT_MAX_QUBITS + 1)
-        with pytest.raises(ResourceLimitError, match="raise max_qubits"):
-            basis_state(DEFAULT_MAX_QUBITS + 1, 0)
-        # explicit budget raise is allowed
-        state = new_zero_state(DEFAULT_MAX_QUBITS + 1, max_qubits=16)
-        assert state.num_qubits == DEFAULT_MAX_QUBITS + 1
-
-    def test_tensor_product_takes_a_qubit_budget(self):
-        a = new_zero_state(8, max_qubits=16)
-        b = basis_state(7, 5, max_qubits=16)
-        joint = tensor_product(a, b, max_qubits=16)
-        assert joint.num_qubits == 15
-        assert joint.amplitudes[5] == 1.0
-        with pytest.raises(ResourceLimitError) as exc:
-            tensor_product(a, b)
-        assert str(exc.value) == (
-            "joint register of 15 qubits exceeds the limit of 14; "
-            "raise max_qubits explicitly if intended"
-        )
+        message = "15 qubits exceeds the limit of 14 (2**15 amplitudes)"
+        for build in (
+            lambda: new_zero_state(MAX_QUBITS + 1),
+            lambda: basis_state(MAX_QUBITS + 1, 0),
+            lambda: tensor_product(new_zero_state(8), basis_state(7, 5)),
+        ):
+            with pytest.raises(ResourceLimitError) as exc:
+                build()
+            assert str(exc.value) == message
+        assert new_zero_state(MAX_QUBITS).num_qubits == MAX_QUBITS
+        joint = tensor_product(new_zero_state(7), basis_state(7, 5))
+        assert joint.num_qubits == MAX_QUBITS and joint.amplitudes[5] == 1.0
 
     def test_tensor_product_highbits_first(self):
         joint = tensor_product(basis_state(1, 1), basis_state(2, 0))
