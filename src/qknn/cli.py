@@ -178,11 +178,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     merged = _merge(args, _SWEEP_DEFAULTS)
     out = _require_out(merged)
-    config = _build_bench_config(merged)
-    if config.model != "qknn":
-        raise _ArgumentProblem(
-            f"noise sweeps are defined for the qknn model, got {config.model!r}"
-        )
     try:
         for key, type_name in _SWEEP_TYPES.items():
             _check_type(key, type_name, merged[key])
@@ -200,6 +195,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         kind = NoiseKind(str(merged["noise_kind"]))
     except (TypeError, ValueError) as exc:
         raise _ArgumentProblem(str(exc))
+    # Repeat-vote draws its votes from the exact ancilla marginal whichever
+    # distance is set, so its register is the exact-mode one, not a swap test.
+    if mitigation == "repeat-vote" and merged.get("distance") == "sampled":
+        merged = {**merged, "distance": "exact"}
+    config = _build_bench_config(merged)
+    if config.model != "qknn":
+        raise _ArgumentProblem(
+            f"noise sweeps are defined for the qknn model, got {config.model!r}"
+        )
     result = run_noise_sweep(config, levels, trials, mitigation, kind)
     write_sweep_csv(result, out)
     for row in result.rows():

@@ -1,13 +1,14 @@
 """Dataset loading, normalization, chi-square feature selection, splitting.
 
-Loaders understand the three UCI benchmark file formats (wdbc.data,
-iris.data, data_banknote_authentication.txt) and reject malformed rows
-with their line number.  Normalization is min-max fitted on a caller-
-chosen row subset (the training rows) and applied everywhere else with
-clamping to [0, 1].  Feature selection ranks features by the chi-square
-independence statistic of an equal-width discretization against the
-class label; p-values come from a self-contained regularized incomplete
-gamma implementation so the package needs no statistics dependency.
+One table-driven loader reads the three UCI benchmark file formats
+(wdbc.data, iris.data, data_banknote_authentication.txt) and rejects
+malformed rows with their line number.  Normalization is min-max fitted
+on a caller-chosen row subset (the training rows) and applied everywhere
+else with clamping to [0, 1].  Feature selection ranks features by the
+chi-square independence statistic of an equal-width discretization
+against the class label; p-values come from the closed-form chi-square
+tail for integer degrees of freedom, so the package needs no statistics
+dependency.
 """
 
 from __future__ import annotations
@@ -34,6 +35,31 @@ _WDBC_BASE = (
 _WDBC_FEATURES = tuple(
     f"{stat}_{base}" for stat in ("mean", "se", "worst") for base in _WDBC_BASE
 )
+
+
+@dataclass(frozen=True)
+class _Format:
+    """Layout of one UCI file format."""
+
+    fields: int
+    columns: slice  # feature columns
+    label: int  # label column
+    feature_names: tuple[str, ...]
+    classes: tuple[str, ...] | None  # in class order; None: sorted file tokens
+    bad_label: str  # message for a bad label token, formatted with the token
+    field_hint: str  # appended to the field count in the field-count error
+
+
+_FORMATS = {
+    "iris": _Format(5, slice(0, 4), 4, _IRIS_FEATURES, None, "empty class field", ""),
+    "wdbc": _Format(
+        32, slice(2, 32), 1, _WDBC_FEATURES, ("B", "M"),
+        "unknown diagnosis {!r} (expected 'B' or 'M')", " (id, diagnosis, 30 features)",
+    ),
+    "banknote": _Format(
+        5, slice(0, 4), 4, _BANKNOTE_FEATURES, ("0", "1"), "class must be 0 or 1, got {!r}", "",
+    ),
+}
 
 
 class DataFormatError(ValueError):
@@ -135,78 +161,32 @@ def _read_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
 
 def load_dataset(path: str | Path, fmt: str) -> Dataset:
     """Load a UCI-format file; ``fmt`` is one of wdbc, iris, banknote."""
-    loaders = {"wdbc": _load_wdbc, "iris": _load_iris, "banknote": _load_banknote}
-    if fmt not in loaders:
-        raise ValueError(f"unknown dataset format {fmt!r}; expected one of {sorted(loaders)}")
-    return loaders[fmt](Path(path))
-
-
-def _load_iris(path: Path) -> Dataset:
+    if fmt not in _FORMATS:
+        raise ValueError(f"unknown dataset format {fmt!r}; expected one of {sorted(_FORMATS)}")
+    spec = _FORMATS[fmt]
+    path = Path(path)
     features, raw_labels = [], []
     for line_no, row in _read_rows(path):
-        if len(row) != 5:
+        if len(row) != spec.fields:
             raise DataFormatError(
-                f"{path}: line {line_no}: expected 5 fields, got {len(row)}"
+                f"{path}: line {line_no}: expected {spec.fields} fields"
+                f"{spec.field_hint}, got {len(row)}"
             )
-        features.append([_parse_float(t, line_no, str(path)) for t in row[:4]])
-        if not row[4]:
-            raise DataFormatError(f"{path}: line {line_no}: empty class field")
-        raw_labels.append(row[4])
-    class_names = tuple(sorted(set(raw_labels)))
+        token = row[spec.label]
+        if not token or (spec.classes and token not in spec.classes):
+            raise DataFormatError(
+                f"{path}: line {line_no}: " + spec.bad_label.format(token)
+            )
+        raw_labels.append(token)
+        features.append([_parse_float(t, line_no, str(path)) for t in row[spec.columns]])
+    class_names = spec.classes or tuple(sorted(set(raw_labels)))
     index = {c: i for i, c in enumerate(class_names)}
     return Dataset(
-        name="iris",
+        name=fmt,
         features=np.array(features),
         labels=np.array([index[c] for c in raw_labels]),
-        feature_names=_IRIS_FEATURES,
+        feature_names=spec.feature_names,
         class_names=class_names,
-    )
-
-
-def _load_wdbc(path: Path) -> Dataset:
-    features, labels = [], []
-    for line_no, row in _read_rows(path):
-        if len(row) != 32:
-            raise DataFormatError(
-                f"{path}: line {line_no}: expected 32 fields (id, diagnosis, "
-                f"30 features), got {len(row)}"
-            )
-        diagnosis = row[1]
-        if diagnosis not in ("B", "M"):
-            raise DataFormatError(
-                f"{path}: line {line_no}: unknown diagnosis {diagnosis!r} "
-                "(expected 'B' or 'M')"
-            )
-        labels.append(0 if diagnosis == "B" else 1)
-        features.append([_parse_float(t, line_no, str(path)) for t in row[2:]])
-    return Dataset(
-        name="wdbc",
-        features=np.array(features),
-        labels=np.array(labels),
-        feature_names=_WDBC_FEATURES,
-        class_names=("B", "M"),
-    )
-
-
-def _load_banknote(path: Path) -> Dataset:
-    features, labels = [], []
-    for line_no, row in _read_rows(path):
-        if len(row) != 5:
-            raise DataFormatError(
-                f"{path}: line {line_no}: expected 5 fields, got {len(row)}"
-            )
-        features.append([_parse_float(t, line_no, str(path)) for t in row[:4]])
-        if row[4] not in ("0", "1"):
-            raise DataFormatError(
-                f"{path}: line {line_no}: class must be 0 or 1, got {row[4]!r}"
-            )
-        labels.append(int(row[4]))
-    return Dataset(
-        name="banknote",
-        features=np.array(features),
-        labels=np.array(labels),
-        feature_names=_BANKNOTE_FEATURES,
-        class_names=("0", "1"),
     )
 
 
@@ -276,68 +256,29 @@ def min_max_normalize(
 
 # --- chi-square machinery -------------------------------------------------
 
-def _regularized_gamma_p_series(s: float, x: float) -> float:
-    # Lower regularized gamma by power series; converges fast for x < s + 1.
-    term = 1.0 / s
-    total = term
-    k = s
-    for _ in range(10_000):
-        k += 1.0
-        term *= x / k
-        total += term
-        if abs(term) < abs(total) * 1e-16:
-            break
-    return total * math.exp(-x + s * math.log(x) - math.lgamma(s))
-
-
-def _regularized_gamma_q_contfrac(s: float, x: float) -> float:
-    # Upper regularized gamma by Lentz's continued fraction; for x >= s + 1.
-    tiny = 1e-300
-    b = x + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 10_000):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
-            break
-    return math.exp(-x + s * math.log(x) - math.lgamma(s)) * h
-
-
-def regularized_gamma_q(s: float, x: float) -> float:
-    """Upper regularized incomplete gamma Q(s, x) for s > 0, x >= 0."""
-    if s <= 0.0:
-        raise ValueError(f"shape parameter must be positive, got {s}")
-    if x < 0.0:
-        raise ValueError(f"argument must be non-negative, got {x}")
-    if x == 0.0:
-        return 1.0
-    if x < s + 1.0:
-        return 1.0 - _regularized_gamma_p_series(s, x)
-    return _regularized_gamma_q_contfrac(s, x)
-
-
 def chi_square_sf(statistic: float, dof: int) -> float:
-    """P(X >= statistic) for a chi-square variable with ``dof`` degrees."""
+    """P(X >= statistic) for a chi-square variable with ``dof`` degrees.
+
+    For integer dof the tail is a finite sum (Abramowitz & Stegun
+    26.4.4-5): with h = statistic/2, the sum of exp(-h) h^a / Gamma(a+1)
+    over a = dof%2/2, dof%2/2 + 1, ..., dof/2 - 1, plus erfc(sqrt(h)) when
+    dof is odd.  Each term is taken in logs so none overflows at large dof.
+    """
     if dof < 0:
         raise ValueError(f"degrees of freedom must be non-negative, got {dof}")
     if statistic < 0.0:
         raise ValueError(f"chi-square statistic must be non-negative, got {statistic}")
-    if dof == 0:
-        # Degenerate distribution at 0: any positive statistic is impossible
-        # under independence with no free cells; report no significance.
+    if dof == 0 or statistic == 0.0:
+        # dof 0 is a point mass at 0: with no free cells, any statistic
+        # shows no significance.
         return 1.0
-    return regularized_gamma_q(dof / 2.0, statistic / 2.0)
+    h = statistic / 2.0
+    log_h = math.log(h)
+    total = math.erfc(math.sqrt(h)) if dof % 2 else 0.0
+    for i in range(dof // 2):
+        a = dof % 2 / 2.0 + i
+        total += math.exp(a * log_h - h - math.lgamma(a + 1.0))
+    return min(total, 1.0)  # rounding in a tail near 1 can pass it by an ulp
 
 
 @dataclass(frozen=True)

@@ -47,12 +47,9 @@ class Gate(Enum):
     X = "X"
     Y = "Y"
     Z = "Z"
-    S = "S"
-    T = "T"
     RZ = "RZ"
     RY = "RY"
     CNOT = "CNOT"
-    SWAP = "SWAP"
     TOFFOLI = "TOFFOLI"
     ISING_XY = "ISING_XY"
 
@@ -67,12 +64,9 @@ GATE_ARITY: dict[Gate, int] = {
     Gate.X: 1,
     Gate.Y: 1,
     Gate.Z: 1,
-    Gate.S: 1,
-    Gate.T: 1,
     Gate.RZ: 1,
     Gate.RY: 1,
     Gate.CNOT: 2,
-    Gate.SWAP: 2,
     Gate.TOFFOLI: 3,
     Gate.ISING_XY: 2,
 }
@@ -85,13 +79,8 @@ _FIXED_MATRICES: dict[Gate, np.ndarray] = {
     Gate.X: np.array([[0, 1], [1, 0]], dtype=complex),
     Gate.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
     Gate.Z: np.array([[1, 0], [0, -1]], dtype=complex),
-    Gate.S: np.array([[1, 0], [0, 1j]], dtype=complex),
-    Gate.T: np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex),
     Gate.CNOT: np.array(
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-    ),
-    Gate.SWAP: np.array(
-        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
     ),
 }
 

@@ -17,7 +17,10 @@ the library once had and now only tests use:
   which the batched ``qnn._forward_batch`` must match;
 * ``quantum_distance``, the swap-test distance of one pair, exact from
   ``state_fidelity`` (an ``inner_product``) or sampled from the assembled
-  swap-test circuit, and ``ancilla_zero_probability``, its exact marginal.
+  swap-test circuit, and ``ancilla_zero_probability``, its exact marginal;
+* ``regularized_gamma_q``, the upper incomplete gamma function by power
+  series or Lentz's continued fraction, which the closed-form
+  ``data.chi_square_sf`` must match at Q(dof/2, statistic/2).
 """
 
 from __future__ import annotations
@@ -184,6 +187,57 @@ def chi2_bruteforce(
             statistic += (observed - expected) ** 2 / expected
     dof = (len(occupied_bins) - 1) * (len(occupied_classes) - 1)
     return statistic, dof
+
+
+def _regularized_gamma_p_series(s: float, x: float) -> float:
+    # Lower regularized gamma by power series; converges fast for x < s + 1.
+    term = 1.0 / s
+    total = term
+    k = s
+    for _ in range(10_000):
+        k += 1.0
+        term *= x / k
+        total += term
+        if abs(term) < abs(total) * 1e-16:
+            break
+    return total * math.exp(-x + s * math.log(x) - math.lgamma(s))
+
+
+def _regularized_gamma_q_contfrac(s: float, x: float) -> float:
+    # Upper regularized gamma by Lentz's continued fraction; for x >= s + 1.
+    tiny = 1e-300
+    b = x + 1.0 - s
+    c = 1.0 / tiny
+    d = 1.0 / b
+    h = d
+    for i in range(1, 10_000):
+        an = -i * (i - s)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < tiny:
+            d = tiny
+        c = b + an / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-15:
+            break
+    return math.exp(-x + s * math.log(x) - math.lgamma(s)) * h
+
+
+def regularized_gamma_q(s: float, x: float) -> float:
+    """Upper regularized incomplete gamma Q(s, x) for s > 0, x >= 0."""
+    if s <= 0.0:
+        raise ValueError(f"shape parameter must be positive, got {s}")
+    if x < 0.0:
+        raise ValueError(f"argument must be non-negative, got {x}")
+    if x == 0.0:
+        return 1.0
+    if x < s + 1.0:
+        return 1.0 - _regularized_gamma_p_series(s, x)
+    return _regularized_gamma_q_contfrac(s, x)
 
 
 def finite_difference_gradient(loss_fn, params: np.ndarray, h: float = 1e-4) -> np.ndarray:

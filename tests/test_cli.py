@@ -246,8 +246,9 @@ class TestSwapRegister:
             ("run", {"distance": "sampled"}),
             # compare runs the qknn leg whichever model the config names
             ("compare", {"distance": "sampled", "model": "cknn"}),
+            ("sweep", {"distance": "sampled", "mitigate": "physical-code"}),
         ],
-        ids=["run-sampled", "compare-sampled"],
+        ids=["run-sampled", "compare-sampled", "sweep-physical-code-sampled"],
     )
     def test_wdbc_with_seven_features_exits_two_before_loading(
         self, tmp_path, capsys, command, doc
@@ -306,8 +307,10 @@ class TestEncodingRegister:
             ("run", {"features": 14}),
             ("sweep", {"features": 14}),
             ("sweep", {"features": 7, "mitigate": "repeat-vote"}),
+            # repeat-vote builds no swap-test register whatever distance is set
+            ("sweep", {"features": 7, "mitigate": "repeat-vote", "distance": "sampled"}),
         ],
-        ids=["run-14", "sweep-14", "sweep-repeat-vote-7"],
+        ids=["run-14", "sweep-14", "sweep-repeat-vote-7", "sweep-repeat-vote-sampled-7"],
     )
     def test_wdbc_config_passes_to_the_load_stage(self, tmp_path, capsys, command, doc):
         # The data directory is empty, so a config that passes fails to load.

