@@ -4,8 +4,12 @@ The simulator stores the full complex amplitude vector of an n-qubit
 register (length 2**n) and applies gates by reshaping that vector into a
 rank-n tensor, transposing the targeted axes to the front and contracting
 them with a small gate matrix in one matmul, to one state or to each row
-of a [batch, 2**n] stack.  No 2**n x 2**n operator is ever materialised,
-and no register holds more than ``MAX_QUBITS`` qubits.
+of a [batch, 2**n] stack.  A fixed gate whose matrix has one nonzero
+entry per row (X, Y, Z, CNOT, Toffoli, selected from the matrices at
+import) maps each amplitude to one other times a phase, so ``apply_gate``
+runs it as one cached index gather and, where a phase is not 1, one
+multiply.  No 2**n x 2**n operator is ever materialised, and no register
+holds more than ``MAX_QUBITS`` qubits.
 
 Conventions used throughout the package:
 
@@ -290,12 +294,54 @@ def _apply_matrix(
     return np.ascontiguousarray(out.reshape(shape))
 
 
+#: Fixed kinds whose matrix has one nonzero entry per row: each output
+#: amplitude is one input amplitude times a phase, so the gate is a gather.
+_PERMUTATION_KINDS = frozenset(
+    kind
+    for kind, matrix in _FIXED_MATRICES.items()
+    if all(np.count_nonzero(row) == 1 for row in matrix)
+)
+
+
+# Worst case 128 entries x 384 KiB (an 8-byte source index and a 16-byte
+# phase per amplitude at MAX_QUBITS) = 48 MiB.  A register above
+# MAX_QUBITS, which only a directly built StateVector can be, takes the
+# matrix kernel instead, so that bound holds.
+@functools.lru_cache(maxsize=128)
+def _gather(
+    kind: Gate, targets: tuple[int, ...], num_qubits: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Read-only source indices and phases of a permutation gate: the gate
+    maps amplitudes ``a`` to ``a[source] * phases``; ``phases`` is None
+    when every phase is 1."""
+    matrix = _FIXED_MATRICES[kind]
+    size = 2**num_qubits
+    # The kernel itself, run on the basis indices with the matrix's 0/1
+    # pattern and on all-ones with the matrix, reads off both arrays.
+    source = _apply_matrix(np.arange(size, dtype=complex), np.abs(matrix), targets)
+    source = source.real.astype(np.intp)
+    phases = _apply_matrix(np.ones(size, dtype=complex), matrix, targets)
+    source.setflags(write=False)
+    phases.setflags(write=False)
+    return source, None if (phases == 1).all() else phases
+
+
 def apply_gate(state: StateVector, op: GateOp) -> StateVector:
-    """Apply one gate and return the new state; the input is not modified."""
+    """Apply one gate and return the new state; the input is not modified.
+
+    Permutation kinds up to ``MAX_QUBITS`` are one gather and at most one
+    phase multiply; every other gate goes through the matrix kernel.
+    """
     n = state.num_qubits
     if max(op.targets) >= n:
         q = next(q for q in op.targets if q >= n)
         raise ValueError(f"gate targets qubit {q} but the register has {n} qubits")
+    if op.kind in _PERMUTATION_KINDS and n <= MAX_QUBITS:
+        source, phases = _gather(op.kind, op.targets, n)
+        out = state.amplitudes[source]
+        if phases is not None:
+            out *= phases
+        return _trusted_state(n, out)
     return _trusted_state(n, _apply_matrix(state.amplitudes, op._kernel, op.targets))
 
 

@@ -23,7 +23,7 @@ from qknn.classifier import (
 )
 from qknn.encoding import EncodingConfig, apply_feature_map, encode_point
 from qknn.noise import NoiseKind, NoiseSpec
-from qknn.qec import RepetitionCode
+from qknn.qec import RepetitionCode, code_corrected_flip
 from qknn.sim import ResourceLimitError, StateVector
 
 from oracles import ancilla_zero_probability, apply_dense, quantum_distance, state_fidelity
@@ -425,6 +425,44 @@ class TestNoiseAndMitigation:
         assert expected > z_share * p
         z = (rate - expected) / math.sqrt(expected * (1.0 - expected) / draws)
         assert abs(z) < 4.0
+
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("p", [0.1, 0.3])
+    @pytest.mark.parametrize("kind", list(NoiseKind), ids=lambda k: k.value)
+    def test_physical_code_draws_match_the_enumerated_code_channel(self, kind, p, n):
+        # Every one of the 4^n physical Pauli patterns, with its probability:
+        # the X parts decode through the qec state path, the Z parts combine
+        # by parity, and the pair names the logical Pauli.
+        single = {
+            NoiseKind.BIT_FLIP: {"X": p},
+            NoiseKind.PHASE_FLIP: {"Z": p},
+            NoiseKind.BIT_PHASE_FLIP: {"Y": p},
+            NoiseKind.MIXED_PAULI: {"X": p / 3, "Y": p / 3, "Z": p / 3},
+        }[kind]
+        single["I"] = 1.0 - p
+        code = RepetitionCode(n)
+        logical = {"I": 0.0, "X": 0.0, "Y": 0.0, "Z": 0.0}
+        names = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+        for pattern in itertools.product(single, repeat=n):
+            weight = math.prod(single[pauli] for pauli in pattern)
+            flip = code_corrected_flip([int(pauli in "XY") for pauli in pattern], code)
+            parity = sum(pauli in "ZY" for pauli in pattern) % 2
+            logical[names[flip, parity]] += weight
+        assert math.isclose(sum(logical.values()), 1.0, rel_tol=1e-12)
+        draws = 20_000
+        errors = _physical_code_errors(
+            NoiseSpec(kind, p), range(draws), np.random.default_rng(11), code
+        )
+        counts = {pauli: 0 for pauli in logical}
+        for _, pauli in errors:
+            counts[pauli] += 1
+        counts["I"] = draws - len(errors)
+        for pauli, prob in logical.items():
+            if prob == 0.0:
+                assert counts[pauli] == 0, pauli
+                continue
+            z = (counts[pauli] - draws * prob) / math.sqrt(draws * prob * (1.0 - prob))
+            assert abs(z) < 4.0, (pauli, counts[pauli], draws * prob)
 
     @pytest.mark.parametrize("repeats", [3, 5, 9])
     def test_repeat_vote_draws_the_majority_of_the_exact_marginal(self, repeats):

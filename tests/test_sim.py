@@ -8,8 +8,12 @@ import numpy as np
 import pytest
 
 from qknn.sim import (
+    GATE_ARITY,
     MAX_QUBITS,
+    _FIXED_MATRICES,
+    _PERMUTATION_KINDS,
     _apply_matrix,
+    _gather,
     _shared_op,
     Gate,
     GateOp,
@@ -224,6 +228,70 @@ class TestKernel:
         out = _apply_matrix(amps, gate, (12, 3))
         assert out.tobytes() == moveaxis_apply_matrix(amps, gate, (12, 3), n).tobytes()
 
+    def test_permutation_kinds_are_the_fixed_kinds_with_one_entry_per_row(self):
+        assert _PERMUTATION_KINDS == {Gate.X, Gate.Y, Gate.Z, Gate.CNOT, Gate.TOFFOLI}
+        assert set(_FIXED_MATRICES) - _PERMUTATION_KINDS == {Gate.H}
+
+    @staticmethod
+    def _check_gather(amps, kind, targets, n, dense=True):
+        # Only the sign of a zero amplitude may differ from the matrix
+        # kernel, so values compare equal and probabilities bit for bit.
+        out = apply_gate(StateVector(n, amps), GateOp(kind, targets)).amplitudes
+        kernel = _apply_matrix(amps, _FIXED_MATRICES[kind], targets)
+        assert np.array_equal(out, kernel)
+        assert (np.abs(out) ** 2).tobytes() == (np.abs(kernel) ** 2).tobytes()
+        if dense:
+            oracle = kron_operator(_FIXED_MATRICES[kind], targets, n) @ amps
+            np.testing.assert_allclose(out, oracle, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_gather_matches_the_kernel_on_every_target_tuple(self, n):
+        rng = np.random.default_rng(100 + n)
+        amps = random_state(n, rng)
+        # Zero amplitudes on half the basis, where a gather and a matrix
+        # product may disagree on the sign of zero.
+        sparse = np.where(rng.random(2**n) < 0.5, 0.0, amps)
+        before = amps.copy()
+        for kind in sorted(_PERMUTATION_KINDS, key=lambda g: g.value):
+            for targets in itertools.permutations(range(n), GATE_ARITY[kind]):
+                self._check_gather(amps, kind, targets, n)
+                self._check_gather(sparse, kind, targets, n)
+        assert amps.tobytes() == before.tobytes()
+
+    def test_gather_on_swap_test_and_largest_registers(self, rng):
+        n, d = 9, 4
+        amps = random_state(n, rng)
+        for i in range(d):
+            qa, qb = 1 + i, 1 + d + i
+            self._check_gather(amps, Gate.CNOT, (qb, qa), n)
+            self._check_gather(amps, Gate.TOFFOLI, (0, qa, qb), n)
+        n = MAX_QUBITS
+        amps = random_state(n, rng)
+        # No dense operator at this size: the matrix kernel is the oracle.
+        for kind, targets in [
+            (Gate.X, (0,)), (Gate.Y, (7,)), (Gate.Z, (13,)),
+            (Gate.CNOT, (13, 0)), (Gate.CNOT, (2, 9)), (Gate.TOFFOLI, (11, 0, 5)),
+        ]:
+            self._check_gather(amps, kind, targets, n, dense=False)
+
+    def test_gather_cache_is_bounded(self):
+        # The cache's comment: maxsize x the largest entry at MAX_QUBITS.
+        largest = 0
+        for kind in _PERMUTATION_KINDS:
+            source, phases = _gather(kind, tuple(range(GATE_ARITY[kind])), MAX_QUBITS)
+            largest = max(largest, source.nbytes + (0 if phases is None else phases.nbytes))
+        worst = _gather.cache_info().maxsize * largest
+        assert worst == 128 * (8 + 16) * 2**MAX_QUBITS == 48 * 2**20
+        assert worst <= 64 * 2**20
+        # A register above the limit takes the matrix kernel and adds no entry.
+        before = _gather.cache_info()
+        n = MAX_QUBITS + 1
+        state = StateVector(n, np.eye(1, 2**n, dtype=complex)[0])
+        out = apply_gate(state, GateOp(Gate.X, (0,)))
+        assert out.amplitudes[2 ** (n - 1)] == 1.0
+        after = _gather.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
     def test_tensor_product_equals_kron_bitwise(self, rng):
         for na, nb in itertools.product(range(1, 5), repeat=2):
             a = StateVector(na, random_state(na, rng))
@@ -345,13 +413,29 @@ class TestImmutableOps:
     def test_apply_gate_result_is_a_fresh_contiguous_complex_vector(self, rng):
         for n in (1, 4, 9):
             state = StateVector(n, random_state(n, rng))
-            for op in (GateOp(Gate.H, (n - 1,)), GateOp(Gate.RZ, (0,), 0.3)):
+            ops = [
+                GateOp(Gate.H, (n - 1,)),
+                GateOp(Gate.RZ, (0,), 0.3),
+                GateOp(Gate.X, (n - 1,)),
+                GateOp(Gate.Y, (0,)),
+            ]
+            if n > 2:
+                ops += [GateOp(Gate.CNOT, (n - 1, 0)), GateOp(Gate.TOFFOLI, (1, n - 1, 0))]
+            for op in ops:
                 out = apply_gate(state, op)
                 assert type(out) is StateVector and out.num_qubits == n
                 assert out.amplitudes.dtype == complex
                 assert out.amplitudes.shape == (2**n,)
                 assert out.amplitudes.flags.c_contiguous
                 assert not np.shares_memory(out.amplitudes, state.amplitudes)
+                if op.kind in _PERMUTATION_KINDS:
+                    source, phases = _gather(op.kind, op.targets, n)
+                    for cached in (source, phases):
+                        if cached is not None:
+                            assert not cached.flags.writeable
+                            assert not np.shares_memory(out.amplitudes, cached)
+                            with pytest.raises(ValueError, match="read-only"):
+                                cached[0] = 0
 
 
 class TestStates:
