@@ -15,11 +15,15 @@ Two evaluation modes are provided:
   SWAPs + H) is built and measured for a configured number of shots;
   the empirical ancilla-zero frequency estimates D.  Controlled-SWAP is
   decomposed as CNOT.Toffoli.CNOT so only library gates are used.
+  Each test row draws the shots of all its pairs, in training order,
+  from one stream seeded (config seed, row + 1), so its estimates do not
+  depend on the order in which rows are classified.
 
 Optional Pauli noise is injected per trajectory into every encoded
 state after the feature map.  Two error-mitigation modes exist for
 noisy runs: "repeat-vote" (each sampled ancilla measurement is repeated
-n times and majority voted, drawn from the exact ancilla marginal) and
+n times and majority voted, drawn from the exact ancilla marginal on
+the same per-row stream) and
 "physical-code" (each data qubit's channel draw is passed through an
 n-qubit repetition code with syndrome correction before the surviving
 logical error touches the state).
@@ -27,6 +31,7 @@ logical error touches the state).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -40,14 +45,14 @@ from .qec import RepetitionCode, code_corrected_flip
 from .sim import (
     MAX_QUBITS,
     Gate,
+    GateOp,
     ResourceLimitError,
     StateVector,
     _check_size,
     _shared_op,
+    _trusted_state,
     apply_gate,
-    new_zero_state,
     sample_basis,
-    tensor_product,
 )
 
 DEFAULT_K = 3
@@ -156,6 +161,20 @@ class NeighborSet:
     distances: np.ndarray
 
 
+@functools.cache
+def _swap_test_ops(d: int) -> tuple[GateOp, ...]:
+    """The 3*d + 2 gates of the swap test on two d-qubit states, in order.
+    Callers check the 2*d + 1 qubit register first, so few widths exist."""
+    hadamard = _shared_op(Gate.H, (0,))
+    ops = [hadamard]
+    for i in range(d):
+        qa, qb = 1 + i, 1 + d + i
+        cnot = _shared_op(Gate.CNOT, (qb, qa))
+        ops += [cnot, _shared_op(Gate.TOFFOLI, (0, qa, qb)), cnot]
+    ops.append(hadamard)
+    return tuple(ops)
+
+
 def swap_test_state(a: StateVector, b: StateVector) -> StateVector:
     """Assemble and run the swap-test circuit, returning the final state.
 
@@ -168,20 +187,20 @@ def swap_test_state(a: StateVector, b: StateVector) -> StateVector:
             f"register sizes differ: {a.num_qubits} vs {b.num_qubits} qubits"
         )
     d = a.num_qubits
-    joint = tensor_product(tensor_product(new_zero_state(1), a), b)
-    hadamard = _shared_op(Gate.H, (0,))
-    joint = apply_gate(joint, hadamard)
-    for i in range(d):
-        qa, qb = 1 + i, 1 + d + i
-        cnot = _shared_op(Gate.CNOT, (qb, qa))
-        joint = apply_gate(joint, cnot)
-        joint = apply_gate(joint, _shared_op(Gate.TOFFOLI, (0, qa, qb)))
-        joint = apply_gate(joint, cnot)
-    return apply_gate(joint, hadamard)
+    n = 2 * d + 1
+    _check_size(n)
+    # |0> (x) a (x) b: the ancilla-zero half holds a (x) b, the rest is zero.
+    amplitudes = np.zeros(2**n, dtype=complex)
+    ancilla_zero = amplitudes[: 2 ** (2 * d)].reshape(2**d, 2**d)
+    np.outer(a.amplitudes, b.amplitudes, out=ancilla_zero)
+    joint = _trusted_state(n, amplitudes)
+    for op in _swap_test_ops(d):
+        joint = apply_gate(joint, op)
+    return joint
 
 
 def _sampled_ancilla_zero(
-    swap_state: StateVector, shots: int, seed: int
+    swap_state: StateVector, shots: int, seed: int | np.random.Generator
 ) -> float:
     """Empirical P(ancilla=0) from full-register basis samples."""
     half = swap_state.amplitudes.size // 2
@@ -189,7 +208,7 @@ def _sampled_ancilla_zero(
 
 
 def _voted_fidelities(
-    fids: np.ndarray, shots: int, repeats: int, seed: list[int]
+    fids: np.ndarray, shots: int, repeats: int, seed: list[int] | np.random.Generator
 ) -> np.ndarray:
     """Swap-test fidelity estimates with per-shot repetition and majority
     vote, given the exact fidelities ``fids``.
@@ -208,14 +227,6 @@ def _voted_fidelities(
     return 1.0 - 2.0 * voted_ones / shots
 
 
-def _pair_seed(model: QknnModel, test: EncodedPoint, train_index: int) -> int:
-    # Stable per-pair stream: independent of evaluation order.
-    ss = np.random.SeedSequence(
-        [model.config.seed, test.source_row + 1, train_index]
-    )
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
 def _pair_fidelities(model: QknnModel, test: EncodedPoint) -> np.ndarray:
     """Fidelity estimates against every training point, clamped to [0, 1]."""
     cfg = model.config
@@ -224,15 +235,15 @@ def _pair_fidelities(model: QknnModel, test: EncodedPoint) -> np.ndarray:
         fids = np.abs(overlaps) ** 2
         if cfg.distance_mode == "exact":
             return fids
-        # One stream per test row draws the votes of every pair.
-        seed = [cfg.seed, test.source_row + 1]
-        fids = _voted_fidelities(fids, cfg.shots, cfg.code_length, seed)
+    # One stream per test row draws every pair's shots in training order.
+    rng = np.random.default_rng([cfg.seed, test.source_row + 1])
+    if cfg.mitigation == "repeat-vote":
+        fids = _voted_fidelities(fids, cfg.shots, cfg.code_length, rng)
     else:
         fids = np.empty(len(model.encoded_train))
         for j, point in enumerate(model.encoded_train):
             swap_state = swap_test_state(point.state, test.state)
-            p_zero = _sampled_ancilla_zero(swap_state, cfg.shots, _pair_seed(model, test, j))
-            fids[j] = 2.0 * p_zero - 1.0
+            fids[j] = 2.0 * _sampled_ancilla_zero(swap_state, cfg.shots, rng) - 1.0
     return np.clip(fids, 0.0, 1.0)
 
 

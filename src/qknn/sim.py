@@ -186,15 +186,15 @@ def _shared_op(kind: Gate, targets: tuple[int, ...], angle: float | None = None)
 
 @dataclass
 class StateVector:
-    """An n-qubit pure state: 2**n complex amplitudes, qubit 0 = MSB."""
+    """An n-qubit pure state: 2**n complex amplitudes, qubit 0 = MSB, with
+    at most ``MAX_QUBITS`` qubits."""
 
     num_qubits: int
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        if self.num_qubits < 1:
-            raise ValueError(f"need at least one qubit, got {self.num_qubits}")
+        _check_size(self.num_qubits)
         if self.amplitudes.shape != (2**self.num_qubits,):
             raise ValueError(
                 f"amplitude vector has shape {self.amplitudes.shape}, "
@@ -304,9 +304,7 @@ _PERMUTATION_KINDS = frozenset(
 
 
 # Worst case 128 entries x 384 KiB (an 8-byte source index and a 16-byte
-# phase per amplitude at MAX_QUBITS) = 48 MiB.  A register above
-# MAX_QUBITS, which only a directly built StateVector can be, takes the
-# matrix kernel instead, so that bound holds.
+# phase per amplitude at MAX_QUBITS) = 48 MiB.
 @functools.lru_cache(maxsize=128)
 def _gather(
     kind: Gate, targets: tuple[int, ...], num_qubits: int
@@ -329,14 +327,14 @@ def _gather(
 def apply_gate(state: StateVector, op: GateOp) -> StateVector:
     """Apply one gate and return the new state; the input is not modified.
 
-    Permutation kinds up to ``MAX_QUBITS`` are one gather and at most one
-    phase multiply; every other gate goes through the matrix kernel.
+    Permutation kinds are one gather and at most one phase multiply; every
+    other gate goes through the matrix kernel.
     """
     n = state.num_qubits
     if max(op.targets) >= n:
         q = next(q for q in op.targets if q >= n)
         raise ValueError(f"gate targets qubit {q} but the register has {n} qubits")
-    if op.kind in _PERMUTATION_KINDS and n <= MAX_QUBITS:
+    if op.kind in _PERMUTATION_KINDS:
         source, phases = _gather(op.kind, op.targets, n)
         out = state.amplitudes[source]
         if phases is not None:
@@ -345,18 +343,15 @@ def apply_gate(state: StateVector, op: GateOp) -> StateVector:
     return _trusted_state(n, _apply_matrix(state.amplitudes, op._kernel, op.targets))
 
 
-def tensor_product(a: StateVector, b: StateVector) -> StateVector:
-    """Join two registers; the qubits of ``a`` become the high-order qubits."""
-    n = a.num_qubits + b.num_qubits
-    _check_size(n)
-    return _trusted_state(n, np.outer(a.amplitudes, b.amplitudes).reshape(-1))
-
-
-def sample_basis(state: StateVector, shots: int, seed: int) -> np.ndarray:
+def sample_basis(
+    state: StateVector, shots: int, seed: int | np.random.Generator
+) -> np.ndarray:
     """Draw ``shots`` computational-basis outcomes; deterministic per seed.
 
-    Returns the shot count of every basis index: an integer array of
-    length 2**n that sums to ``shots``.
+    ``seed`` is anything ``np.random.default_rng`` takes.  A Generator is
+    used as it is, so calls that share one continue its stream, each
+    taking ``shots`` uniforms from it.  Returns the shot count of every
+    basis index: an integer array of length 2**n that sums to ``shots``.
     """
     if shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")

@@ -12,6 +12,9 @@ the library once had and now only tests use:
 * ``moveaxis_apply_matrix`` and ``choice_sample_basis``, the simulator's
   earlier gate contraction and shot sampler, which the current ones must
   match bit for bit;
+* ``tensor_product``, the simulator's earlier register join, which built
+  the swap-test register as (|0> (x) a) (x) b before ``swap_test_state``
+  wrote a (x) b into one zeroed vector;
 * ``qnn_forward``, the variational circuit run one instance at a time,
   gate by gate on the simulator from ``angle_embed`` to ``z_expectation``,
   which the batched ``qnn._forward_batch`` must match;
@@ -103,9 +106,12 @@ def moveaxis_apply_matrix(
     return np.ascontiguousarray(out).reshape(2**num_qubits)
 
 
-def choice_sample_basis(state: StateVector, shots: int, seed: int) -> np.ndarray:
+def choice_sample_basis(
+    state: StateVector, shots: int, seed: int | np.random.Generator
+) -> np.ndarray:
     """The simulator's earlier shot sampler, kept as a bitwise reference:
-    one ``Generator.choice`` draw per shot, counted per basis index."""
+    one ``Generator.choice`` draw per shot, counted per basis index.  A
+    Generator ``seed`` is drawn from as it is, as ``sample_basis`` does."""
     if shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")
     probs = state.probabilities()
@@ -115,6 +121,12 @@ def choice_sample_basis(state: StateVector, shots: int, seed: int) -> np.ndarray
     rng = np.random.default_rng(seed)
     outcomes = rng.choice(probs.size, size=shots, p=probs / total)
     return np.bincount(outcomes, minlength=probs.size)
+
+
+def tensor_product(a: StateVector, b: StateVector) -> StateVector:
+    """Join two registers; the qubits of ``a`` become the high-order qubits."""
+    joint = np.outer(a.amplitudes, b.amplitudes).reshape(-1)
+    return StateVector(a.num_qubits + b.num_qubits, joint)
 
 
 def kron_operator(gate: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:

@@ -16,6 +16,7 @@ from qknn.bench import (
     DATASET_SHAPES,
     BenchConfig,
     BenchStageError,
+    _qknn_config,
     load_benchmark_dataset,
     noise_grid,
     prepare_experiment,
@@ -27,7 +28,9 @@ from qknn.bench import (
     write_report,
     write_sweep_csv,
 )
+from qknn.classifier import classify, fit
 from qknn.data import stratified_indices
+from qknn.encoding import apply_feature_map, encode_point
 from qknn.noise import NoiseKind
 from qknn.sim import ResourceLimitError
 
@@ -205,6 +208,27 @@ class TestRunBenchmark:
         first = report_to_json(run_benchmark(cfg))
         replayed = report_to_json(run_benchmark(BenchConfig.from_dict(json.loads(first)["config"])))
         assert first == replayed
+
+    def test_sampled_replay_is_bitwise_identical(self):
+        cfg = iris_config(distance="sampled", shots=256)
+        first = report_to_json(run_benchmark(cfg))
+        replayed = report_to_json(run_benchmark(BenchConfig.from_dict(json.loads(first)["config"])))
+        assert first == replayed
+
+    def test_sampled_rows_classify_the_same_in_reverse_order(self):
+        # Each test row draws its shots from its own stream, seeded by the
+        # config seed and the row, so no row depends on the rows before it.
+        cfg = iris_config(distance="sampled", shots=256)
+        report = run_benchmark(cfg)
+        prepared = prepare_experiment(cfg)
+        qcfg = _qknn_config(cfg)
+        assert qcfg.use_feature_map
+        model = fit(prepared.train, qcfg)
+        for i in reversed(range(prepared.test.n_instances)):
+            row = encode_point(prepared.test.features[i], qcfg.encoding, source_row=i)
+            label, scores = classify(model, apply_feature_map(row))
+            assert label == report["predictions"][i]
+            assert [float(s) for s in scores] == report["scores"][i]
 
     def test_qknn_and_cknn_share_the_split(self):
         q = run_benchmark(iris_config(model="qknn"))

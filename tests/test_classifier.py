@@ -13,6 +13,7 @@ from qknn.classifier import (
     NeighborSet,
     QknnConfig,
     QknnModel,
+    _pair_fidelities,
     _physical_code_errors,
     _voted_fidelities,
     classify,
@@ -24,9 +25,17 @@ from qknn.classifier import (
 from qknn.encoding import EncodingConfig, apply_feature_map, encode_point
 from qknn.noise import NoiseKind, NoiseSpec
 from qknn.qec import RepetitionCode, code_corrected_flip
-from qknn.sim import ResourceLimitError, StateVector
+from qknn.sim import Gate, GateOp, ResourceLimitError, StateVector, apply_gate, new_zero_state
 
-from oracles import ancilla_zero_probability, apply_dense, quantum_distance, state_fidelity
+from oracles import (
+    ancilla_zero_probability,
+    apply_dense,
+    choice_sample_basis,
+    quantum_distance,
+    random_state,
+    state_fidelity,
+    tensor_product,
+)
 
 
 def feature_for_fidelity(f: float) -> float:
@@ -94,6 +103,27 @@ class TestSwapTestCircuit:
     def test_register_width(self):
         swap = swap_test_state(point([0.2]).state, point([0.7]).state)
         assert swap.num_qubits == 3
+        wide = point([0.5] * 7).state
+        with pytest.raises(ResourceLimitError, match="15 qubits exceeds the limit of 14"):
+            swap_test_state(wide, wide)
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_circuit_matches_the_gate_by_gate_reference(self, d):
+        # The register joined by tensor products and every gate built
+        # afresh; only the sign of a zero amplitude may differ.
+        rng = np.random.default_rng(50 + d)
+        a, b = (StateVector(d, random_state(d, rng)) for _ in range(2))
+        joint = tensor_product(tensor_product(new_zero_state(1), a), b)
+        ops = [GateOp(Gate.H, (0,))]
+        for i in range(d):
+            qa, qb = 1 + i, 1 + d + i
+            ops += [GateOp(Gate.CNOT, (qb, qa)), GateOp(Gate.TOFFOLI, (0, qa, qb)),
+                    GateOp(Gate.CNOT, (qb, qa))]
+        for op in ops + [GateOp(Gate.H, (0,))]:
+            joint = apply_gate(joint, op)
+        swap = swap_test_state(a, b)
+        assert np.array_equal(swap.amplitudes, joint.amplitudes)
+        assert swap.probabilities().tobytes() == joint.probabilities().tobytes()
 
     def test_mismatched_registers_rejected(self):
         with pytest.raises(ValueError, match="register sizes"):
@@ -245,17 +275,50 @@ class TestFitPredict:
         np.testing.assert_array_equal(q_preds, c_preds)
 
     def test_sampled_mode_matches_exact_at_high_shots(self, rng, make_dataset):
+        # A pair's estimate is 2 * Binomial(shots, p0) / shots - 1 with
+        # p0 = (1 + F) / 2, so its sd is 2 * sqrt(p0 (1 - p0) / shots).
         features = rng.uniform(0, 1, size=(6, 2))
         labels = np.array([0, 1, 0, 1, 0, 1])
         train = toy_dataset(features, labels, make_dataset)
         test = toy_dataset(rng.uniform(0, 1, size=(4, 2)), [0] * 4, make_dataset, n_classes=2)
-        exact, _ = fit_predict(train, test, QknnConfig(k=3, encoding=PI_SCALE))
-        sampled, _ = fit_predict(
-            train,
-            test,
-            QknnConfig(k=3, encoding=PI_SCALE, distance_mode="sampled", shots=20000),
-        )
-        np.testing.assert_array_equal(exact, sampled)
+        k, shots = 3, 20000
+        exact_cfg = QknnConfig(k=k, encoding=PI_SCALE)
+        sampled_cfg = replace(exact_cfg, distance_mode="sampled", shots=shots)
+        exact, _ = fit_predict(train, test, exact_cfg)
+        sampled, _ = fit_predict(train, test, sampled_cfg)
+        exact_model, sampled_model = fit(train, exact_cfg), fit(train, sampled_cfg)
+        separated = 0
+        for i, row in enumerate(test.features):
+            test_point = apply_feature_map(point(row, row=i))
+            fids = _pair_fidelities(exact_model, test_point)
+            estimates = _pair_fidelities(sampled_model, test_point)
+            p0 = (1.0 + fids) / 2.0
+            sd = 2.0 * np.sqrt(p0 * (1.0 - p0) / shots)
+            assert np.all(np.abs(estimates - fids) <= 5.0 * sd)
+            # With every estimate within 5 sd, a gap of 10 sd between the
+            # k-th and (k+1)-th exact fidelities keeps the same k neighbours.
+            ranked = np.sort(fids)[::-1]
+            if ranked[k - 1] - ranked[k] > 10.0 * sd.max():
+                separated += 1
+                assert sampled[i] == exact[i]
+        assert separated >= 2
+
+    def test_sampled_row_draws_every_pair_from_one_stream(self, rng, make_dataset):
+        # The swap-test circuit measured by Generator.choice, one generator
+        # seeded (seed, row + 1) drawing the pairs in training order.
+        train = toy_dataset(rng.uniform(0, 1, size=(7, 2)), [0, 1] * 3 + [0], make_dataset)
+        cfg = QknnConfig(k=3, encoding=PI_SCALE, distance_mode="sampled", shots=300, seed=8)
+        model = fit(train, cfg)
+        row = 5
+        test_point = apply_feature_map(point(rng.uniform(0, 1, size=2), row=row))
+        stream = np.random.default_rng([cfg.seed, row + 1])
+        expected = []
+        for train_point in model.encoded_train:
+            swap = swap_test_state(train_point.state, test_point.state)
+            counts = choice_sample_basis(swap, cfg.shots, stream)
+            p_zero = counts[: counts.size // 2].sum() / cfg.shots
+            expected.append(min(max(2.0 * p_zero - 1.0, 0.0), 1.0))
+        assert _pair_fidelities(model, test_point).tolist() == expected
 
     def test_schema_mismatches_rejected(self, make_dataset):
         train = toy_dataset([[0.1, 0.2]], [0], make_dataset)

@@ -1,5 +1,6 @@
 """Simulator tests: gate algebra, kernels vs dense oracle, invariants."""
 
+import copy
 import itertools
 import math
 from dataclasses import FrozenInstanceError
@@ -25,7 +26,6 @@ from qknn.sim import (
     gate_matrix,
     new_zero_state,
     sample_basis,
-    tensor_product,
 )
 
 from oracles import (
@@ -35,6 +35,7 @@ from oracles import (
     kron_operator,
     moveaxis_apply_matrix,
     random_state,
+    tensor_product,
     z_expectation,
 )
 
@@ -215,14 +216,12 @@ class TestKernel:
                 assert amps.tobytes() == before.tobytes()
 
     def test_sixteen_qubit_register(self, rng):
+        # No state holds 16 qubits; the kernel itself still contracts them.
         n = 16
         zero = np.zeros(2**n, dtype=complex)
         zero[0] = 1.0
-        state = apply_gate(StateVector(n, zero), GateOp(Gate.H, (7,)))
-        state = apply_gate(state, GateOp(Gate.CNOT, (7, 15)))
-        expected = np.zeros(2**n, dtype=complex)
-        expected[0] = expected[(1 << (n - 1 - 7)) | 1] = 1 / math.sqrt(2)
-        np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-15)
+        with pytest.raises(ResourceLimitError, match="16 qubits exceeds the limit of 14"):
+            StateVector(n, zero)
         amps = random_state(n, rng)
         gate = gate_matrix(Gate.ISING_XY, 0.7)
         out = _apply_matrix(amps, gate, (12, 3))
@@ -283,14 +282,10 @@ class TestKernel:
         worst = _gather.cache_info().maxsize * largest
         assert worst == 128 * (8 + 16) * 2**MAX_QUBITS == 48 * 2**20
         assert worst <= 64 * 2**20
-        # A register above the limit takes the matrix kernel and adds no entry.
-        before = _gather.cache_info()
+        # No register above the limit exists to be gathered.
         n = MAX_QUBITS + 1
-        state = StateVector(n, np.eye(1, 2**n, dtype=complex)[0])
-        out = apply_gate(state, GateOp(Gate.X, (0,)))
-        assert out.amplitudes[2 ** (n - 1)] == 1.0
-        after = _gather.cache_info()
-        assert (after.hits, after.misses) == (before.hits, before.misses)
+        with pytest.raises(ResourceLimitError, match="15 qubits exceeds the limit of 14"):
+            StateVector(n, np.eye(1, 2**n, dtype=complex)[0])
 
     def test_tensor_product_equals_kron_bitwise(self, rng):
         for na, nb in itertools.product(range(1, 5), repeat=2):
@@ -398,17 +393,25 @@ class TestImmutableOps:
     def test_encoding_swap_test_noise_and_qec_use_shared_ops(self):
         from qknn import classifier, encoding, noise, qec
 
+        def lookups():
+            info = _shared_op.cache_info()
+            return info.hits + info.misses
+
         x = np.array([0.1, 0.7, 0.4])
-        before = _shared_op.cache_info()
+        classifier._swap_test_ops.cache_clear()
+        before = lookups()
         point = encoding.apply_feature_map(encoding.encode_point(x))
         classifier.swap_test_state(point.state, point.state)
         noise.apply_pauli_errors(point.state, [(0, "X"), (1, "Y"), (2, "Z")])
         qec.code_corrected_flip([1, 0, 1], qec.RepetitionCode(3))
-        after = _shared_op.cache_info()
         # Lookups: 3 H + 2 IsingXY + 2 CNOT; the swap test's H (applied
         # twice) and per qubit pair one CNOT (applied twice) and one Toffoli;
         # 3 Paulis; the qec X gates, 2 to flip and 1 to correct.
-        assert (after.hits + after.misses) - (before.hits + before.misses) == 7 + 7 + 3 + 3
+        assert lookups() - before == 7 + 7 + 3 + 3
+        # The swap test builds its gates once per width.
+        before = lookups()
+        classifier.swap_test_state(point.state, point.state)
+        assert lookups() == before
 
     def test_apply_gate_result_is_a_fresh_contiguous_complex_vector(self, rng):
         for n in (1, 4, 9):
@@ -537,6 +540,19 @@ class TestSampling:
     def test_non_normalised_state_rejected(self):
         with pytest.raises(ValueError, match="not normalised"):
             sample_basis(StateVector(1, np.array([1.0, 1.0])), 10, seed=0)
+
+    def test_a_generator_seed_continues_its_stream(self):
+        rng = np.random.default_rng(17)
+        rng.random(5)
+        clone = copy.deepcopy(rng)
+        states = [
+            StateVector(3, random_state(3, np.random.default_rng(seed))) for seed in (1, 2)
+        ]
+        for state, shots in zip(states, (700, 333)):
+            np.testing.assert_array_equal(
+                sample_basis(state, shots, rng), choice_sample_basis(state, shots, clone)
+            )
+        assert rng.random() == clone.random()
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_counts_equal_generator_choice(self, n):
