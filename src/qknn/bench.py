@@ -262,8 +262,8 @@ def _run_model(
     arch, train_cfg = _qnn_setup(config, train.n_features, train.n_classes)
     # The angle embedding wants features in [0, pi]: full RY range, no wrap.
     trained, _ = qnn.train(arch, train.features * math.pi, train.labels, train_cfg)
-    X_test = test.features * math.pi
-    return qnn.predict(trained, X_test), qnn.predict_proba(trained, X_test)
+    proba = qnn.predict_proba(trained, test.features * math.pi)
+    return np.argmax(proba, axis=1), proba
 
 
 def run_benchmark(config: BenchConfig) -> dict:
@@ -362,6 +362,8 @@ def run_noise_sweep(
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
+    if not p_values:
+        raise ValueError("need at least one noise level")
     for p in p_values:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"noise level must lie in [0, 1], got {p}")

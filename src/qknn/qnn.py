@@ -14,10 +14,10 @@ positive-class probability (trained with binary cross entropy);
 C-class problems read C qubits and apply softmax (categorical cross
 entropy).
 
-Training evaluates the whole batch as a single [batch, 2**n] amplitude
-matrix, applying each gate to every row at once through the simulator's
-one contraction routine; a unit test pins it to a per-instance,
-gate-by-gate reference run on the plain simulator.
+Every gate here is real, so training evaluates the batch as one float64
+[batch, 2**n] amplitude matrix, each gate applied to every row at once by
+the simulator's one contraction routine; a unit test pins it to a
+per-instance, gate-by-gate reference run on the plain complex simulator.
 """
 
 from __future__ import annotations
@@ -116,19 +116,16 @@ def init_architecture(
 
 def _entangle_pairs(n_qubits: int) -> list[tuple[int, int]]:
     """CNOT ring 0->1->...->n-1->0; a single qubit has no pair."""
-    pairs = [(i, i + 1) for i in range(n_qubits - 1)]
-    if n_qubits >= 2:
-        pairs.append((n_qubits - 1, 0))
-    return pairs
+    return [(i, (i + 1) % n_qubits) for i in range(n_qubits)] if n_qubits > 1 else []
 
 
 def _embed_batch(X: np.ndarray, n_qubits: int) -> np.ndarray:
-    """RY(x_i)|0> per qubit, as a [batch, 2**n] product-state stack."""
+    """RY(x_i)|0> per qubit, as a real [batch, 2**n] product-state stack."""
     X = np.asarray(X, dtype=float)
-    amps = np.ones((X.shape[0], 1), dtype=complex)
+    amps = np.ones((X.shape[0], 1))
     for i in range(n_qubits):
         half = X[:, i] / 2.0
-        qubit = np.stack([np.cos(half), np.sin(half)], axis=1).astype(complex)
+        qubit = np.stack([np.cos(half), np.sin(half)], axis=1)
         amps = (amps[:, :, None] * qubit[:, None, :]).reshape(X.shape[0], -1)
     return amps
 
@@ -142,14 +139,14 @@ def _forward_batch(arch: QnnArchitecture, X: np.ndarray) -> np.ndarray:
         )
     n = arch.n_qubits
     amps = _embed_batch(X, n)
-    cnot = gate_matrix(Gate.CNOT)
+    cnot = gate_matrix(Gate.CNOT).real
     for layer in range(arch.n_layers):
         for qubit in range(n):
-            matrix = gate_matrix(Gate.RY, float(arch.params[layer, qubit]))
+            matrix = gate_matrix(Gate.RY, float(arch.params[layer, qubit])).real
             amps = _apply_matrix(amps, matrix, (qubit,))
         for pair in _entangle_pairs(n):
             amps = _apply_matrix(amps, cnot, pair)
-    probs = np.abs(amps) ** 2
+    probs = amps**2
     indices = np.arange(2**n)
     z = np.empty((X.shape[0], arch.n_readout))
     for q in range(arch.n_readout):

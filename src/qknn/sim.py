@@ -283,7 +283,8 @@ def _apply_matrix(
 
     Bringing the target axes forward costs at most one copy, one matrix
     product applies the gate, and at most one more copy restores the axis
-    order; the result is a new C-contiguous array of the input's shape.
+    order; the result is a new C-contiguous array of the input's shape,
+    whose dtype follows the inputs' (float64 for a real stack and matrix).
     """
     shape = amplitudes.shape
     tensor, order, block, product, inverse = _axis_orders(targets, shape)

@@ -17,7 +17,9 @@ the library once had and now only tests use:
   wrote a (x) b into one zeroed vector;
 * ``qnn_forward``, the variational circuit run one instance at a time,
   gate by gate on the simulator from ``angle_embed`` to ``z_expectation``,
-  which the batched ``qnn._forward_batch`` must match;
+  which the batched ``qnn._forward_batch`` must match, and
+  ``qnn_train_history``, full-batch parameter-shift training whose every
+  forward is ``qnn_forward``, which ``qnn.train``'s loss history must match;
 * ``quantum_distance``, the swap-test distance of one pair, exact from
   ``state_fidelity`` (an ``inner_product``) or sampled from the assembled
   swap-test circuit, and ``ancilla_zero_probability``, its exact marginal;
@@ -360,6 +362,47 @@ def qnn_forward(arch: QnnArchitecture, x: np.ndarray) -> np.ndarray:
         for control, target in ring:
             state = apply_gate(state, GateOp(Gate.CNOT, (control, target)))
     return np.array([z_expectation(state, q) for q in range(arch.n_readout)])
+
+
+def qnn_train_history(
+    arch: QnnArchitecture, X: np.ndarray, y: np.ndarray, learning_rate: float, epochs: int
+) -> list[float]:
+    """Loss after each full-batch gradient step, every forward through
+    ``qnn_forward``: dz/dtheta by the parameter shift (z(theta + pi/2) -
+    z(theta - pi/2)) / 2, and the chain rule through the readout loss
+    written out here.  Binary problems map z -> (1+z)/2 into binary cross
+    entropy; C-class problems take the softmax into categorical cross
+    entropy.  Assumes every probability stays inside the 1e-12 clamp."""
+    y = np.asarray(y, dtype=int)
+    onehot = np.eye(arch.n_classes)[y]
+
+    def readout(params: np.ndarray) -> np.ndarray:
+        shifted = arch.with_params(params)
+        return np.array([qnn_forward(shifted, x) for x in X])
+
+    def loss_and_dldz(z: np.ndarray) -> tuple[float, np.ndarray]:
+        if arch.n_classes == 2:
+            p = (1.0 + z[:, 0]) / 2.0
+            loss = -np.mean(y * np.log(p) + (1 - y) * np.log(1.0 - p))
+            return float(loss), ((p - y) / (p * (1.0 - p)) / 2.0 / len(y))[:, None]
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        p = e / e.sum(axis=1, keepdims=True)
+        loss = -np.mean(np.log(p[np.arange(len(y)), y]))
+        return float(loss), (p - onehot) / len(y)
+
+    params = arch.params.copy()
+    history = []
+    for _ in range(epochs):
+        _, dldz = loss_and_dldz(readout(params))
+        grad = np.zeros_like(params)
+        for idx in np.ndindex(*params.shape):
+            plus, minus = params.copy(), params.copy()
+            plus[idx] += math.pi / 2.0
+            minus[idx] -= math.pi / 2.0
+            grad[idx] = float((dldz * (readout(plus) - readout(minus)) / 2.0).sum())
+        params = params - learning_rate * grad
+        history.append(loss_and_dldz(readout(params))[0])
+    return history
 
 
 def quantum_distance(

@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+from qknn import qnn
 from qknn.bench import (
     DATASET_FILES,
     DATASET_SHAPES,
@@ -243,6 +244,21 @@ class TestRunBenchmark:
         assert len(report["predictions"]) == 30
         np.testing.assert_allclose(np.sum(report["scores"], axis=1), 1.0, atol=1e-9)
 
+    def test_qnn_test_set_runs_one_forward(self, monkeypatch):
+        # With no epochs, training runs no forward: the one left is the
+        # test set's, shared by the labels and the scores.
+        calls = []
+        forward = qnn._forward_batch
+
+        def counting(arch, X):
+            calls.append(np.shape(X))
+            return forward(arch, X)
+
+        monkeypatch.setattr(qnn, "_forward_batch", counting)
+        report = run_benchmark(iris_config(model="qnn", qnn_layers=1, qnn_epochs=0))
+        assert calls == [(30, 4)]
+        assert report["predictions"] == np.argmax(report["scores"], axis=1).tolist()
+
     def test_write_report_round_trips(self, tmp_path):
         report = run_benchmark(iris_config(model="cknn"))
         out = tmp_path / "report.json"
@@ -310,6 +326,13 @@ class TestNoiseSweep:
             run_noise_sweep(cfg, [1.2], trials=1)
         with pytest.raises(ValueError, match="qknn"):
             run_noise_sweep(iris_config(model="cknn", **SMALL_SWEEP), [0.1], trials=1)
+
+    def test_empty_level_list_is_rejected_before_loading(self, tmp_path):
+        # The data directory does not exist, so reaching the loader would
+        # fail with a load error instead.
+        cfg = iris_config(data_dir=str(tmp_path / "missing"), **SMALL_SWEEP)
+        with pytest.raises(ValueError, match="at least one noise level"):
+            run_noise_sweep(cfg, [], trials=3)
 
     def test_sweep_csv(self, tmp_path):
         cfg = iris_config(**SMALL_SWEEP)

@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from qknn import qnn
 from qknn.qnn import (
     EPS,
     QnnArchitecture,
     TrainConfig,
+    _embed_batch,
     _forward_batch,
     batch_loss,
     bce_loss,
@@ -21,9 +23,9 @@ from qknn.qnn import (
     softmax,
     train,
 )
-from qknn.sim import MAX_QUBITS, Gate, ResourceLimitError, gate_matrix
+from qknn.sim import MAX_QUBITS, Gate, ResourceLimitError, _apply_matrix, gate_matrix
 
-from oracles import finite_difference_gradient, qnn_forward
+from oracles import finite_difference_gradient, qnn_forward, qnn_train_history
 
 
 def arch_with(params, n_classes=2):
@@ -121,6 +123,41 @@ class TestForward:
         arch = arch_with(np.zeros((1, 2)))
         with pytest.raises(ValueError, match="feature matrix"):
             _forward_batch(arch, np.zeros((3, 5)))
+
+
+class TestRealStack:
+    """Every matrix of the circuit is real, so the stack runs in float64."""
+
+    def test_embedding_forward_and_gradient_stay_float64(self, rng, monkeypatch):
+        arch = init_architecture(3, 2, 3, seed=4, init_scale=1.0)
+        X = rng.uniform(0, math.pi, size=(6, 3))
+        y = np.array([0, 1, 2, 0, 1, 2])
+        assert _embed_batch(X, 3).dtype == np.float64
+        dtypes = []
+
+        def recording(amps, matrix, targets):
+            out = _apply_matrix(amps, matrix, targets)
+            dtypes.extend((amps.dtype, matrix.dtype, out.dtype))
+            return out
+
+        monkeypatch.setattr(qnn, "_apply_matrix", recording)
+        assert _forward_batch(arch, X).dtype == np.float64
+        gradient(arch, X, y)
+        batch_loss(arch, X, y)
+        # 2 layers x (3 RY + 3 CNOT) per forward; the gradient runs
+        # 1 + 2 * 2 * 3 forwards and the loss one more.
+        assert len(dtypes) == 3 * 12 * (1 + 13 + 1)
+        assert all(dtype == np.float64 for dtype in dtypes)
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_loss_history_matches_the_per_instance_oracle(self, rng, n_classes):
+        X = rng.uniform(0, math.pi, size=(12, 3))
+        y = np.arange(12) % n_classes
+        arch = init_architecture(3, 2, n_classes, seed=5, init_scale=0.5)
+        _, history = train(arch, X, y, TrainConfig(learning_rate=0.3, epochs=3))
+        expected = qnn_train_history(arch, X, y, learning_rate=0.3, epochs=3)
+        assert len(history) == 3
+        np.testing.assert_allclose(history, expected, rtol=0, atol=1e-12)
 
 
 class TestLosses:

@@ -215,6 +215,23 @@ class TestKernel:
                     np.testing.assert_allclose(out[row], dense @ amps[row], rtol=0, atol=1e-12)
                 assert amps.tobytes() == before.tobytes()
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_real_stack_stays_real_and_equals_the_complex_contraction(self, n):
+        # The qnn contracts a float64 stack with the real parts of RY and
+        # CNOT: every RY target and every ring pair, (n-1, 0) included.
+        rng = np.random.default_rng(60 + n)
+        amps = rng.normal(size=(7, 2**n))
+        before = amps.copy()
+        cases = [(gate_matrix(Gate.RY, rng.uniform(-math.pi, math.pi)), (q,)) for q in range(n)]
+        cases += [(gate_matrix(Gate.CNOT), (q, (q + 1) % n)) for q in range(n)]
+        for matrix, targets in cases:
+            out = _apply_matrix(amps, matrix.real, targets)
+            assert out.dtype == np.float64
+            assert out.shape == amps.shape and out.flags.c_contiguous
+            full = _apply_matrix(amps.astype(complex), matrix, targets)
+            assert out.tobytes() == full.real.tobytes()
+            assert amps.tobytes() == before.tobytes()
+
     def test_sixteen_qubit_register(self, rng):
         # No state holds 16 qubits; the kernel itself still contracts them.
         n = 16
