@@ -5,6 +5,13 @@ Every run records its full configuration, split indices, normalization
 and selection artifacts alongside the metrics, and contains nothing
 non-deterministic (no timestamps, no machine info), so rerunning
 ``run_benchmark`` on a recorded config reproduces the report bitwise.
+
+Raise contract: ``BenchConfig`` checks what its own fields and the
+dataset's fixed shape determine.  ``run_benchmark``, ``run_noise_sweep``
+and ``run_compare`` check the registers their runs build and a sweep's
+settings, and raise TypeError or ValueError (ResourceLimitError for a
+register over the qubit limit) only then, before loading any data; any
+later failure is a BenchStageError naming its stage.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -106,22 +114,23 @@ class BenchConfig:
             raise ValueError(
                 f"test fraction must lie in (0, 1), got {self.test_fraction}"
             )
-        # The model configs own the rules for their settings; building them
-        # rejects a bad value before any data is loaded.
-        qknn_config = _qknn_config(self)
-        columns, class_rows = DATASET_SHAPES[self.dataset]
-        if self.model == "qknn":
-            check_register(qknn_config, min(self.features, columns))
+        if self.qnn_layers < 1:
+            raise ValueError(f"need at least one layer, got {self.qnn_layers}")
+        if not 0.0 < self.qnn_init_scale < math.inf:
+            raise ValueError(
+                f"init scale must be positive and finite, got {self.qnn_init_scale}"
+            )
+        # The model configs own the rules for their other settings; building
+        # them rejects a bad value before any data is loaded.
+        _qknn_config(self)
+        qnn.TrainConfig(learning_rate=self.qnn_learning_rate, epochs=self.qnn_epochs)
+        class_rows = DATASET_SHAPES[self.dataset][1]
         n_train = sum(n - split_test_count(n, self.test_fraction) for n in class_rows)
         if self.k > n_train:
             raise ValueError(
                 f"k must lie in [1, {n_train}] (the {self.dataset} training rows at "
                 f"test fraction {self.test_fraction}), got {self.k}"
             )
-        n_qubits, n_classes = 1, 2
-        if self.model == "qnn":
-            n_qubits, n_classes = min(self.features, columns), len(class_rows)
-        _qnn_setup(self, n_qubits=n_qubits, n_classes=n_classes)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -249,6 +258,31 @@ def _qnn_setup(
     return arch, train_cfg
 
 
+def _check_run(
+    config: BenchConfig, mitigation: str = "none",
+    noise_kind: NoiseKind = NoiseKind.BIT_FLIP, p_values: Sequence[float] = (0.0,),
+    trials: int = 1,
+) -> None:
+    """Reject bad sweep settings, and registers over the qubit limit (for
+    qknn the mitigation decides which register is built), before loading."""
+    _check_type("trials", "int", trials)
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
+    if not p_values:
+        raise ValueError("need at least one noise level")
+    for p in p_values:
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"noise level must lie in [0, 1], got {p}")
+    if not isinstance(noise_kind, NoiseKind):
+        raise TypeError(f"noise_kind must be a NoiseKind, got {noise_kind!r}")
+    columns, class_rows = DATASET_SHAPES[config.dataset]
+    width = min(config.features, columns)
+    if config.model == "qknn":
+        check_register(_qknn_config(config, mitigation=mitigation), width)
+    elif config.model == "qnn":
+        _qnn_setup(config, n_qubits=width, n_classes=len(class_rows))
+
+
 def _run_model(
     config: BenchConfig, prepared: PreparedExperiment,
     noise: NoiseSpec | None = None, mitigation: str = "none",
@@ -272,6 +306,7 @@ def run_benchmark(config: BenchConfig) -> dict:
     The report carries config, split indices, normalization/selection
     artifacts, per-row predictions and scores, and the metric bundle.
     """
+    _check_run(config)
     prepared = prepare_experiment(config)
     predictions, scores = _stage("model", _run_model, config, prepared)
     report: EvalReport = _stage(
@@ -324,9 +359,12 @@ class SweepResult:
 
 def noise_grid(p_start: float, p_stop: float, p_step: float) -> list[float]:
     """Inclusive arithmetic grid of noise levels, rounded to avoid drift."""
-    if p_step <= 0:
-        raise ValueError(f"step must be positive, got {p_step}")
-    if p_start < 0 or p_stop > 1 or p_start > p_stop:
+    for name, value in (("p_start", p_start), ("p_stop", p_stop), ("p_step", p_step)):
+        _check_type(name, "float", value)
+    # Negated comparisons, so that NaN (which would never end the grid) fails.
+    if not 0.0 < p_step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {p_step}")
+    if not 0.0 <= p_start <= p_stop <= 1.0:
         raise ValueError(
             f"noise range must satisfy 0 <= start <= stop <= 1, "
             f"got [{p_start}, {p_stop}]"
@@ -337,7 +375,7 @@ def noise_grid(p_start: float, p_stop: float, p_step: float) -> list[float]:
         p = round(p_start + i * p_step, 10)
         if p > p_stop + 1e-9:
             break
-        levels.append(min(p, 1.0))
+        levels.append(min(float(p), 1.0))
         i += 1
     return levels
 
@@ -360,27 +398,20 @@ def run_noise_sweep(
     trajectory per encoded state.  p = 0 applies no errors, so its
     accuracy equals the noiseless run exactly (in the same distance mode).
     """
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
-    if not p_values:
-        raise ValueError("need at least one noise level")
-    for p in p_values:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"noise level must lie in [0, 1], got {p}")
     if config.model != "qknn":
-        raise ValueError("noise sweeps are defined for the qknn model")
+        raise ValueError(
+            f"noise sweeps are defined for the qknn model, got {config.model!r}"
+        )
+    _check_run(config, mitigation, noise_kind, p_values, trials)
     prepared = prepare_experiment(config)
     y_test = prepared.test.labels
     accuracies = np.zeros((len(p_values), trials))
     for i, p in enumerate(p_values):
         for t in range(trials):
             noise = NoiseSpec(noise_kind, p) if p > 0 else None
-            predictions, _ = _run_model(
-                config,
-                prepared,
-                noise=noise,
-                mitigation=mitigation,
-                seed=_trial_seed(config.seed, i, t),
+            predictions, _ = _stage(
+                "model", _run_model, config, prepared, noise=noise,
+                mitigation=mitigation, seed=_trial_seed(config.seed, i, t),
             )
             accuracies[i, t] = float(np.mean(predictions == y_test))
     return SweepResult(
@@ -405,29 +436,18 @@ def write_sweep_csv(result: SweepResult, path: str | Path) -> None:
 
 def run_compare(config: BenchConfig) -> list[dict]:
     """Run all three models on the identical split/seed; one report each."""
-    # Each replace() validates its leg, so a bad leg fails before any runs.
     configs = [replace(config, model=model) for model in MODELS]
+    # Every leg is checked before any runs, so a bad leg loads nothing.
+    for leg in configs:
+        _check_run(leg)
     return [run_benchmark(c) for c in configs]
 
 
 def write_compare_csv(reports: list[dict], path: str | Path) -> None:
-    columns = [
-        "dataset", "model", "accuracy", "macro_precision",
-        "macro_recall", "macro_f1", "auc",
-    ]
+    metrics = ["accuracy", "macro_precision", "macro_recall", "macro_f1", "auc"]
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns)
-        writer.writeheader()
+        writer = csv.writer(fh)
+        writer.writerow(["dataset", "model", *metrics])
         for report in reports:
-            metrics = report["metrics"]
-            writer.writerow(
-                {
-                    "dataset": report["config"]["dataset"],
-                    "model": report["config"]["model"],
-                    "accuracy": repr(metrics["accuracy"]),
-                    "macro_precision": repr(metrics["macro_precision"]),
-                    "macro_recall": repr(metrics["macro_recall"]),
-                    "macro_f1": repr(metrics["macro_f1"]),
-                    "auc": repr(metrics["auc"]),
-                }
-            )
+            writer.writerow([report["config"]["dataset"], report["config"]["model"],
+                             *(repr(report["metrics"][m]) for m in metrics)])

@@ -22,7 +22,6 @@ from .bench import (
     BenchConfig,
     BenchStageError,
     DATASET_FILES,
-    _check_type,
     load_benchmark_dataset,
     noise_grid,
     run_benchmark,
@@ -46,9 +45,6 @@ _SWEEP_DEFAULTS = {
     "mitigate": "none",
     "noise_kind": "bit_flip",
 }
-
-#: Types of the sweep options that are not BenchConfig fields.
-_SWEEP_TYPES = {"p_start": "float", "p_stop": "float", "p_step": "float", "trials": "int"}
 
 _SELECT_DEFAULTS = {"policy": "topk=4"}
 
@@ -143,12 +139,18 @@ def _merge(args: argparse.Namespace, extra_defaults: dict) -> dict:
     return merged
 
 
+def _checked(fn, *args):
+    """Call ``fn``; a TypeError or ValueError it raises is an argument error.
+    The bench entry points raise those only before they load any data."""
+    try:
+        return fn(*args)
+    except (TypeError, ValueError) as exc:
+        raise _ArgumentProblem(str(exc)) from exc
+
+
 def _build_bench_config(merged: dict) -> BenchConfig:
     doc = {k: v for k, v in merged.items() if k in _CONFIG_KEYS}
-    try:
-        return BenchConfig.from_dict(doc)
-    except (TypeError, ValueError) as exc:
-        raise _ArgumentProblem(str(exc))
+    return _checked(BenchConfig.from_dict, doc)
 
 
 def _require_out(merged: dict) -> str:
@@ -165,7 +167,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     merged = _merge(args, {})
     out = _require_out(merged)
     config = _build_bench_config(merged)
-    report = run_benchmark(config)
+    report = _checked(run_benchmark, config)
     write_report(report, out)
     metrics = report["metrics"]
     print(
@@ -178,33 +180,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     merged = _merge(args, _SWEEP_DEFAULTS)
     out = _require_out(merged)
-    try:
-        for key, type_name in _SWEEP_TYPES.items():
-            _check_type(key, type_name, merged[key])
-        levels = noise_grid(
-            float(merged["p_start"]), float(merged["p_stop"]), float(merged["p_step"])
-        )
-        trials = merged["trials"]
-        if trials < 1:
-            raise ValueError(f"trials must be positive, got {trials}")
-        mitigation = str(merged["mitigate"])
-        if mitigation not in MITIGATION_MODES:
-            raise ValueError(
-                f"mitigation must be one of {MITIGATION_MODES}, got {mitigation!r}"
-            )
-        kind = NoiseKind(str(merged["noise_kind"]))
-    except (TypeError, ValueError) as exc:
-        raise _ArgumentProblem(str(exc))
-    # Repeat-vote draws its votes from the exact ancilla marginal whichever
-    # distance is set, so its register is the exact-mode one, not a swap test.
-    if mitigation == "repeat-vote" and merged.get("distance") == "sampled":
-        merged = {**merged, "distance": "exact"}
     config = _build_bench_config(merged)
-    if config.model != "qknn":
-        raise _ArgumentProblem(
-            f"noise sweeps are defined for the qknn model, got {config.model!r}"
-        )
-    result = run_noise_sweep(config, levels, trials, mitigation, kind)
+    levels = _checked(noise_grid, merged["p_start"], merged["p_stop"], merged["p_step"])
+    kind = _checked(NoiseKind, merged["noise_kind"])
+    result = _checked(
+        run_noise_sweep, config, levels, merged["trials"], merged["mitigate"], kind
+    )
     write_sweep_csv(result, out)
     for row in result.rows():
         print(
@@ -218,12 +199,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     merged = _merge(args, {})
     out = _require_out(merged)
-    config = _build_bench_config(merged)
-    # compare runs every model, so the qknn and qnn registers must fit
-    # too, whichever model the config names.
-    for model in ("qknn", "qnn"):
-        _build_bench_config({**merged, "model": model})
-    reports = run_compare(config)
+    reports = _checked(run_compare, _build_bench_config(merged))
     write_compare_csv(reports, out)
     for report in reports:
         print(
@@ -238,11 +214,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_select(args: argparse.Namespace) -> int:
     merged = _merge(args, _SELECT_DEFAULTS)
     config = _build_bench_config(merged)
-    try:
-        policy = str(merged["policy"])
-        parse_selection_policy(policy)
-    except ValueError as exc:
-        raise _ArgumentProblem(str(exc))
+    policy = str(merged["policy"])
+    _checked(parse_selection_policy, policy)
     dataset = load_benchmark_dataset(config.dataset, config.data_dir)
     result = chi_square_select(dataset, bins=config.bins, policy=policy)
     print(f"dataset={config.dataset} ({dataset.n_instances} rows)")

@@ -81,16 +81,15 @@ def encode_point(
     return EncodedPoint(state=state, source_row=source_row, config=config)
 
 
-def apply_feature_map(point: EncodedPoint, config: EncodingConfig | None = None) -> EncodedPoint:
+def apply_feature_map(point: EncodedPoint) -> EncodedPoint:
     """Entangle adjacent qubits: IsingXY(angle) then CNOT on each chain pair.
 
     Single-qubit registers have no pairs and pass through unchanged.
     """
-    config = config or point.config
     state = point.state
-    angle = config.feature_map_angle
+    angle = point.config.feature_map_angle
     for i in range(state.num_qubits - 1):
         state = apply_gate(state, _shared_op(Gate.ISING_XY, (i, i + 1), angle))
         state = apply_gate(state, _shared_op(Gate.CNOT, (i, i + 1)))
-    return EncodedPoint(state=state, source_row=point.source_row, config=config)
+    return EncodedPoint(state=state, source_row=point.source_row, config=point.config)
 

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from qknn import qnn
+from qknn import bench, qnn
 from qknn.bench import (
     DATASET_FILES,
     DATASET_SHAPES,
@@ -42,6 +42,12 @@ def iris_config(**kwargs):
     defaults = dict(dataset="iris", data_dir="data")
     defaults.update(kwargs)
     return BenchConfig(**defaults)
+
+
+def run_without_data(tmp_path, **kwargs):
+    """run_benchmark with a missing data directory: a config that passes the
+    pre-load checks fails at the load stage."""
+    return run_benchmark(BenchConfig(data_dir=str(tmp_path / "missing"), **kwargs))
 
 
 class TestConfig:
@@ -91,30 +97,43 @@ class TestConfig:
             BenchConfig(use_feature_map=1)
         assert BenchConfig(angle_scale=3).angle_scale == 3
 
-    def test_qnn_register_checked_against_the_dataset_shape(self):
-        # One qubit per selected feature, at most the dataset's columns.
+    def test_qnn_register_checked_against_the_dataset_shape(self, tmp_path):
+        # One qubit per selected feature, at most the dataset's columns,
+        # checked by the entry point before loading.
         with pytest.raises(ResourceLimitError, match="20 qubits"):
-            BenchConfig(dataset="wdbc", model="qnn", features=20)
+            run_without_data(tmp_path, dataset="wdbc", model="qnn", features=20)
         with pytest.raises(ValueError, match="3 classes need 3 readout qubits"):
-            BenchConfig(dataset="iris", model="qnn", features=2)
-        assert BenchConfig(dataset="iris", model="qnn", features=20).features == 20
+            run_without_data(tmp_path, dataset="iris", model="qnn", features=2)
+        with pytest.raises(BenchStageError, match="stage 'load'"):
+            run_without_data(tmp_path, dataset="iris", model="qnn", features=20)
         # cknn never builds a register.
-        assert BenchConfig(dataset="wdbc", model="cknn", features=20).features == 20
+        with pytest.raises(BenchStageError, match="stage 'load'"):
+            run_without_data(tmp_path, dataset="wdbc", model="cknn", features=20)
 
-    def test_swap_register_checked_against_the_dataset_shape(self):
+    def test_swap_register_checked_against_the_dataset_shape(self, tmp_path):
         # A sampled swap test holds an ancilla and two d-qubit states, with
-        # d = min(features, columns).
+        # d = min(features, columns), checked by the entry point before loading.
         with pytest.raises(ResourceLimitError, match="register of 15 qubits"):
-            BenchConfig(dataset="wdbc", distance="sampled", features=7)
-        assert BenchConfig(dataset="wdbc", distance="sampled", features=6).features == 6
-        assert BenchConfig(dataset="iris", distance="sampled", features=20).features == 20
+            run_without_data(tmp_path, dataset="wdbc", distance="sampled", features=7)
+        with pytest.raises(BenchStageError, match="stage 'load'"):
+            run_without_data(tmp_path, dataset="wdbc", distance="sampled", features=6)
+        with pytest.raises(BenchStageError, match="stage 'load'"):
+            run_without_data(tmp_path, dataset="iris", distance="sampled", features=20)
         # Exact distances and other models never build that register, but
         # exact distances encode d features on d qubits.
-        assert BenchConfig(dataset="wdbc", features=14).features == 14
+        with pytest.raises(BenchStageError, match="stage 'load'"):
+            run_without_data(tmp_path, dataset="wdbc", features=14)
         with pytest.raises(ResourceLimitError, match="15 qubits exceeds the limit of 14"):
-            BenchConfig(dataset="wdbc", features=15)
-        assert BenchConfig(dataset="wdbc", model="cknn", distance="sampled",
-                           features=7).features == 7
+            run_without_data(tmp_path, dataset="wdbc", features=15)
+        with pytest.raises(BenchStageError, match="stage 'load'"):
+            run_without_data(tmp_path, dataset="wdbc", model="cknn", distance="sampled", features=7)
+
+    def test_config_alone_checks_no_register(self):
+        # Which register a run builds depends on the entry point (a sweep's
+        # mitigation, compare's legs), so the config does not check one.
+        assert BenchConfig(dataset="wdbc", distance="sampled", features=7).features == 7
+        assert BenchConfig(dataset="wdbc", features=30).features == 30
+        assert BenchConfig(dataset="iris", model="qnn", features=2).features == 2
 
     @pytest.mark.parametrize("name", sorted(DATASET_FILES))
     def test_dataset_shapes_match_the_files(self, name):
@@ -279,6 +298,25 @@ class TestNoiseGrid:
         grid = noise_grid(0.0, 0.3, 0.1)
         assert grid == [0.0, 0.1, 0.2, 0.3]
 
+    @pytest.mark.parametrize(
+        "args",
+        [(0.0, 0.5, math.nan), (math.nan, 0.5, 0.1), (0.0, math.nan, 0.1),
+         (0.0, 0.5, math.inf)],
+        ids=["nan-step", "nan-start", "nan-stop", "inf-step"],
+    )
+    def test_non_finite_values_are_rejected(self, args):
+        # NaN compares false with everything, so an unguarded grid never ends.
+        with pytest.raises(ValueError):
+            noise_grid(*args)
+
+    def test_value_types(self):
+        with pytest.raises(TypeError, match="p_step must be float"):
+            noise_grid(0.0, 0.5, "0.1")
+        with pytest.raises(TypeError, match="p_start must be float"):
+            noise_grid(True, 0.5, 0.1)
+        assert noise_grid(0, 1, 1) == [0.0, 1.0]
+        assert all(type(p) is float for p in noise_grid(0, 1, 1))
+
     def test_validation(self):
         with pytest.raises(ValueError, match="step"):
             noise_grid(0.0, 0.5, 0.0)
@@ -333,6 +371,47 @@ class TestNoiseSweep:
         cfg = iris_config(data_dir=str(tmp_path / "missing"), **SMALL_SWEEP)
         with pytest.raises(ValueError, match="at least one noise level"):
             run_noise_sweep(cfg, [], trials=3)
+
+    @pytest.mark.parametrize(
+        "setting, error, message",
+        [
+            # On a string kind the sweep used to load the data, then fail
+            # with a bare KeyError in the first noisy trial.
+            (dict(noise_kind="bit_flip"), TypeError, "noise_kind must be a NoiseKind"),
+            (dict(mitigation="bogus"), ValueError, "mitigation must be one of"),
+            (dict(trials=1.5), TypeError, "trials must be int"),
+            (dict(p_values=[math.nan]), ValueError, "noise level must lie in"),
+        ],
+        ids=["string-kind", "mitigation", "trials-type", "nan-level"],
+    )
+    def test_bad_setting_is_rejected_before_loading(self, tmp_path, setting, error,
+                                                    message):
+        # The data directory does not exist: reaching it would be a load error.
+        cfg = iris_config(data_dir=str(tmp_path / "missing"), **SMALL_SWEEP)
+        with pytest.raises(error, match=message):
+            run_noise_sweep(cfg, **{"p_values": [0.1], "trials": 1, **setting})
+
+    def test_repeat_vote_checks_the_register_it_builds(self, tmp_path):
+        # Repeat-vote draws its votes from the exact ancilla marginal, so it
+        # encodes d features on d qubits and builds no swap-test register,
+        # whatever distance the config names.
+        cfg = BenchConfig(dataset="wdbc", distance="sampled", features=7,
+                          data_dir=str(tmp_path / "missing"))
+        with pytest.raises(BenchStageError, match="stage 'load'"):
+            run_noise_sweep(cfg, [0.1], 1, "repeat-vote")
+        for mitigation in ("none", "physical-code"):
+            with pytest.raises(ResourceLimitError, match="register of 15 qubits"):
+                run_noise_sweep(cfg, [0.1], 1, mitigation)
+        with pytest.raises(ResourceLimitError, match="register of 15 qubits"):
+            run_benchmark(cfg)
+
+    def test_failing_trial_is_a_model_stage_error(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("trial broke")
+
+        monkeypatch.setattr(bench, "fit_predict", broken)
+        with pytest.raises(BenchStageError, match="stage 'model' failed: trial broke"):
+            run_noise_sweep(iris_config(**SMALL_SWEEP), [0.1], trials=1)
 
     def test_sweep_csv(self, tmp_path):
         cfg = iris_config(**SMALL_SWEEP)

@@ -429,6 +429,30 @@ class TestSweep:
         assert code == 2
         assert "trials must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            ({"mitigate": "bogus"}, "mitigation must be one of"),
+            ({"noise_kind": "bogus"}, "'bogus' is not a valid NoiseKind"),
+        ],
+        ids=["mitigation", "noise-kind"],
+    )
+    def test_unknown_mode_in_the_config_file_exits_two_before_loading(
+        self, tmp_path, capsys, option, message
+    ):
+        # The data dir is empty: reaching the load stage would exit 1.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dataset": "iris", "data_dir": str(tmp_path), **option}))
+        code = run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv"))
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_nan_step_exits_two(self, tmp_path, capsys):
+        code = run_cli("sweep", "--dataset", "iris", "--p-step", "nan",
+                       "--data-dir", str(tmp_path), "--out", str(tmp_path / "s.csv"))
+        assert code == 2
+        assert "step must be positive and finite" in capsys.readouterr().err
+
     def test_integer_noise_levels_are_valid_floats(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         cfg = tmp_path / "cfg.json"
@@ -528,6 +552,22 @@ class TestSelect:
         )
         assert code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "doc", [{"features": 15}, {"model": "qnn", "features": 20}],
+        ids=["qknn-15", "qnn-20"],
+    )
+    def test_register_too_wide_to_run_still_ranks(self, tmp_path, capsys, doc):
+        # select builds no register, so a config that run would refuse for
+        # its qubit count still prints the ranking.
+        cfg = tmp_path / "f.json"
+        cfg.write_text(json.dumps(doc))
+        code = run_cli("select", "--config", str(cfg), "--dataset", "wdbc",
+                       "--data-dir", str(DATA_DIR))
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "dataset=wdbc (569 rows)" in out
+        assert out.count("[kept]") == 4
 
     def test_missing_data_exits_one(self, tmp_path, capsys):
         code = run_cli("select", "--dataset", "iris", "--data-dir", str(tmp_path))
