@@ -28,6 +28,7 @@ import numpy as np
 from . import cknn, qnn
 from .classifier import QknnConfig, check_register, fit_predict
 from .data import (
+    _FORMATS,
     Dataset,
     chi_square_select,
     load_dataset,
@@ -41,21 +42,8 @@ from .noise import NoiseKind, NoiseSpec
 
 MODELS = ("qknn", "cknn", "qnn")
 
-#: Dataset name -> (file name, loader format).
-DATASET_FILES = {
-    "iris": ("iris.data", "iris"),
-    "wdbc": ("wdbc.data", "wdbc"),
-    "banknote": ("data_banknote_authentication.txt", "banknote"),
-}
-
-#: Dataset name -> (feature columns, rows per class).  These fix the qnn
-#: register (one qubit per selected feature, one class per output) and the
-#: training-set size that bounds k before any data is loaded.
-DATASET_SHAPES = {
-    "iris": (4, (50, 50, 50)),
-    "wdbc": (30, (357, 212)),
-    "banknote": (4, (762, 610)),
-}
+#: Most levels a noise grid may hold: a 0.001 step over [0, 1].
+MAX_NOISE_LEVELS = 1001
 
 
 class BenchStageError(RuntimeError):
@@ -100,9 +88,9 @@ class BenchConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             _check_type(f.name, f.type, getattr(self, f.name))
-        if self.dataset not in DATASET_FILES:
+        if self.dataset not in _FORMATS:
             raise ValueError(
-                f"dataset must be one of {sorted(DATASET_FILES)}, got {self.dataset!r}"
+                f"dataset must be one of {sorted(_FORMATS)}, got {self.dataset!r}"
             )
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
@@ -124,7 +112,7 @@ class BenchConfig:
         # them rejects a bad value before any data is loaded.
         _qknn_config(self)
         qnn.TrainConfig(learning_rate=self.qnn_learning_rate, epochs=self.qnn_epochs)
-        class_rows = DATASET_SHAPES[self.dataset][1]
+        class_rows = _FORMATS[self.dataset].class_rows
         n_train = sum(n - split_test_count(n, self.test_fraction) for n in class_rows)
         if self.k > n_train:
             raise ValueError(
@@ -146,16 +134,15 @@ class BenchConfig:
 
 def load_benchmark_dataset(name: str, data_dir: str | Path) -> Dataset:
     """Load one of the three benchmark datasets from ``data_dir``."""
-    if name not in DATASET_FILES:
-        raise ValueError(f"unknown dataset {name!r}; expected {sorted(DATASET_FILES)}")
-    file_name, fmt = DATASET_FILES[name]
-    path = Path(data_dir) / file_name
+    if name not in _FORMATS:
+        raise ValueError(f"unknown dataset {name!r}; expected {sorted(_FORMATS)}")
+    path = Path(data_dir) / _FORMATS[name].file_name
     if not path.exists():
         raise FileNotFoundError(
             f"dataset file {path} not found; see scripts/fetch_data.py for "
             "how to obtain it"
         )
-    return load_dataset(path, fmt)
+    return load_dataset(path, name)
 
 
 def _stage(name: str, fn, *args, **kwargs):
@@ -275,12 +262,12 @@ def _check_run(
             raise ValueError(f"noise level must lie in [0, 1], got {p}")
     if not isinstance(noise_kind, NoiseKind):
         raise TypeError(f"noise_kind must be a NoiseKind, got {noise_kind!r}")
-    columns, class_rows = DATASET_SHAPES[config.dataset]
-    width = min(config.features, columns)
+    dataset = _FORMATS[config.dataset]
+    width = min(config.features, len(dataset.feature_names))
     if config.model == "qknn":
         check_register(_qknn_config(config, mitigation=mitigation), width)
     elif config.model == "qnn":
-        _qnn_setup(config, n_qubits=width, n_classes=len(class_rows))
+        _qnn_setup(config, n_qubits=width, n_classes=len(dataset.class_rows))
 
 
 def _run_model(
@@ -358,7 +345,8 @@ class SweepResult:
 
 
 def noise_grid(p_start: float, p_stop: float, p_step: float) -> list[float]:
-    """Inclusive arithmetic grid of noise levels, rounded to avoid drift."""
+    """Inclusive arithmetic grid of noise levels, rounded to avoid drift,
+    of at most ``MAX_NOISE_LEVELS`` levels."""
     for name, value in (("p_start", p_start), ("p_stop", p_stop), ("p_step", p_step)):
         _check_type(name, "float", value)
     # Negated comparisons, so that NaN (which would never end the grid) fails.
@@ -369,15 +357,14 @@ def noise_grid(p_start: float, p_stop: float, p_step: float) -> list[float]:
             f"noise range must satisfy 0 <= start <= stop <= 1, "
             f"got [{p_start}, {p_stop}]"
         )
-    levels = []
-    i = 0
-    while True:
-        p = round(p_start + i * p_step, 10)
-        if p > p_stop + 1e-9:
-            break
-        levels.append(min(float(p), 1.0))
-        i += 1
-    return levels
+    # Whole steps that fit in the range; inf when a tiny step overflows.
+    steps = (p_stop - p_start + 1e-9) / p_step
+    if steps >= MAX_NOISE_LEVELS:
+        raise ValueError(
+            f"step {p_step} over [{p_start}, {p_stop}] gives more than "
+            f"{MAX_NOISE_LEVELS} noise levels"
+        )
+    return [min(float(round(p_start + i * p_step, 10)), 1.0) for i in range(int(steps) + 1)]
 
 
 def _trial_seed(base_seed: int, level_index: int, trial: int) -> int:

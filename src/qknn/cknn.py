@@ -1,10 +1,14 @@
-"""Classical k-nearest-neighbour baseline with Euclidean distance.
+"""The k-nearest-neighbour rule both classifiers use, and the Euclidean
+baseline.
 
-Brute-force neighbour search; at benchmark sizes (hundreds to ~1400
-rows) this is faster than building any index.  Ranking is by ascending
-distance with ties broken by ascending training index, vote ties by the
-smaller summed neighbour distance and then the lower class index, so
-predictions are deterministic.
+The rule ranks training rows by a closeness, higher meaning nearer:
+swap-test fidelity for qknn (``classifier``), negated Euclidean distance
+here, so the two differ only in their similarity.  Negation is exact, so
+ranks, tie-breaks and sums are those of the distances.  Rank ties go to
+the lower training index; vote ties to the larger summed closeness, then
+the lower class index.  Search is brute force: at benchmark sizes (up to
+~1400 rows) that beats building any index.  Only NumPy and ``data`` are
+imported, so the classical baseline pulls in no quantum code.
 """
 
 from __future__ import annotations
@@ -14,6 +18,66 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
+
+
+def _check_training(labels: np.ndarray, rows: int, n_classes: int, k: int) -> None:
+    """Reject an empty training set, a label per row missing, k outside
+    [1, rows] and labels outside [0, n_classes)."""
+    if rows == 0:
+        raise ValueError("training set must be non-empty")
+    if labels.shape != (rows,):
+        raise ValueError(f"{labels.shape[0]} labels for {rows} rows")
+    if not 1 <= k <= rows:
+        raise ValueError(f"k must lie in [1, {rows}], got {k}")
+    if labels.min() < 0 or labels.max() >= n_classes:
+        raise ValueError(
+            f"labels must lie in [0, {n_classes}), got range "
+            f"[{labels.min()}, {labels.max()}]"
+        )
+
+
+def _check_schema(train: Dataset, test: Dataset) -> None:
+    if train.n_features != test.n_features:
+        raise ValueError(
+            f"feature count mismatch: train has {train.n_features}, "
+            f"test has {test.n_features}"
+        )
+    if train.class_names != test.class_names:
+        raise ValueError(
+            f"class mismatch: train has {train.class_names}, "
+            f"test has {test.class_names}"
+        )
+
+
+def _nearest(closeness: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k closest rows, by descending closeness, ties to
+    the lower index."""
+    return np.lexsort((np.arange(closeness.size), -closeness))[:k]
+
+
+def _vote(
+    labels: np.ndarray, closeness: np.ndarray, n_classes: int
+) -> tuple[int, np.ndarray]:
+    """Majority label of the neighbours and the vote count per class.
+
+    Vote ties go to the larger summed closeness among the tied classes,
+    then to the lower class index.
+    """
+    votes = np.bincount(labels, minlength=n_classes).astype(float)
+    candidates = np.flatnonzero(votes == votes.max())
+    if candidates.size > 1:
+        sums = np.array([closeness[labels == c].sum() for c in candidates])
+        candidates = candidates[sums == sums.max()]
+    return int(candidates[0]), votes
+
+
+def _predict_rows(classify, model, rows, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """``classify(model, row)`` for every row: (labels, score matrix)."""
+    predictions = np.empty(len(rows), dtype=int)
+    scores = np.empty((len(rows), n_classes))
+    for i, row in enumerate(rows):
+        predictions[i], scores[i] = classify(model, row)
+    return predictions, scores
 
 
 @dataclass
@@ -26,25 +90,12 @@ class CknnModel:
     def __post_init__(self) -> None:
         self.train_features = np.asarray(self.train_features, dtype=float)
         self.labels = np.asarray(self.labels, dtype=int)
-        if self.train_features.ndim != 2 or self.train_features.shape[0] == 0:
+        if self.train_features.ndim != 2:
             raise ValueError(
-                f"training features must be a non-empty matrix, got shape "
+                f"training features must be a matrix, got shape "
                 f"{self.train_features.shape}"
             )
-        if self.labels.shape != (self.train_features.shape[0],):
-            raise ValueError(
-                f"{self.labels.shape[0]} labels for "
-                f"{self.train_features.shape[0]} rows"
-            )
-        if not 1 <= self.k <= self.train_features.shape[0]:
-            raise ValueError(
-                f"k must lie in [1, {self.train_features.shape[0]}], got {self.k}"
-            )
-        if self.labels.min() < 0 or self.labels.max() >= self.n_classes:
-            raise ValueError(
-                f"labels must lie in [0, {self.n_classes}), got range "
-                f"[{self.labels.min()}, {self.labels.max()}]"
-            )
+        _check_training(self.labels, self.train_features.shape[0], self.n_classes, self.k)
 
 
 def find_neighbors(model: CknnModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -55,42 +106,26 @@ def find_neighbors(model: CknnModel, x: np.ndarray) -> tuple[np.ndarray, np.ndar
             f"expected {model.train_features.shape[1]} features, got shape {x.shape}"
         )
     distances = np.sqrt(np.sum((model.train_features - x) ** 2, axis=1))
-    order = np.lexsort((np.arange(distances.size), distances))
-    chosen = order[: model.k]
+    chosen = _nearest(-distances, model.k)
     return chosen, distances[chosen]
 
 
 def classify(model: CknnModel, x: np.ndarray) -> tuple[int, np.ndarray]:
     """Majority vote among the k nearest; scores are plain vote shares."""
     indices, distances = find_neighbors(model, x)
-    neighbor_labels = model.labels[indices]
-    votes = np.bincount(neighbor_labels, minlength=model.n_classes).astype(float)
-    candidates = np.flatnonzero(votes == votes.max())
-    if candidates.size > 1:
-        sums = np.array(
-            [distances[neighbor_labels == c].sum() for c in candidates]
-        )
-        candidates = candidates[sums == sums.min()]
-    return int(candidates[0]), votes / model.k
+    label, votes = _vote(model.labels[indices], -distances, model.n_classes)
+    return label, votes / model.k
 
 
 def fit_predict(
     train: Dataset, test: Dataset, k: int = 3
 ) -> tuple[np.ndarray, np.ndarray]:
     """Classify every test row against the training rows."""
-    if train.n_features != test.n_features:
-        raise ValueError(
-            f"feature count mismatch: train has {train.n_features}, "
-            f"test has {test.n_features}"
-        )
+    _check_schema(train, test)
     model = CknnModel(
         train_features=train.features,
         labels=train.labels,
         n_classes=train.n_classes,
         k=k,
     )
-    predictions = np.empty(test.n_instances, dtype=int)
-    scores = np.empty((test.n_instances, train.n_classes))
-    for i, row in enumerate(test.features):
-        predictions[i], scores[i] = classify(model, row)
-    return predictions, scores
+    return _predict_rows(classify, model, test.features, train.n_classes)

@@ -6,6 +6,9 @@ D = 0.5 * (1 + F) where F = |<a|b>|^2, so D lives in [0.5, 1.0] and
 points with the highest fidelity.  (Describing D as something to
 minimise, as "distance" suggests, would invert the ranking; the
 closeness semantics win here and the convention is pinned by tests.)
+Ranking and voting follow the k-NN rule of ``cknn``, with fidelity as
+the closeness, so qknn and the classical baseline differ only in their
+similarity.
 
 Two evaluation modes are provided:
 
@@ -38,6 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .cknn import _check_schema, _check_training, _nearest, _predict_rows, _vote
 from .data import Dataset
 from .encoding import EncodedPoint, EncodingConfig, apply_feature_map, encode_point
 from .noise import NoiseSpec, apply_pauli_errors, draw_pauli, sample_errors
@@ -129,22 +133,8 @@ class QknnModel:
 
     def __post_init__(self) -> None:
         self.labels = np.asarray(self.labels, dtype=int)
-        if not self.encoded_train:
-            raise ValueError("training set is empty")
+        _check_training(self.labels, len(self.encoded_train), self.n_classes, self.config.k)
         check_register(self.config, self.encoded_train[0].state.num_qubits)
-        if self.labels.shape != (len(self.encoded_train),):
-            raise ValueError(
-                f"{self.labels.shape[0]} labels for {len(self.encoded_train)} points"
-            )
-        if not 1 <= self.config.k <= len(self.encoded_train):
-            raise ValueError(
-                f"k must lie in [1, {len(self.encoded_train)}], got {self.config.k}"
-            )
-        if self.labels.min() < 0 or self.labels.max() >= self.n_classes:
-            raise ValueError(
-                f"labels must lie in [0, {self.n_classes}), got range "
-                f"[{self.labels.min()}, {self.labels.max()}]"
-            )
         # Exact mode computes all train fidelities against one test state
         # as a single matrix-vector product over this stack.
         self._train_amplitudes = np.stack(
@@ -255,8 +245,7 @@ def find_neighbors(model: QknnModel, test: EncodedPoint) -> NeighborSet:
             f"training set has {model.encoded_train[0].state.num_qubits}"
         )
     fids = _pair_fidelities(model, test)
-    order = np.lexsort((np.arange(fids.size), -fids))
-    chosen = order[: model.config.k]
+    chosen = _nearest(fids, model.config.k)
     kept = fids[chosen]
     return NeighborSet(
         indices=chosen, fidelities=kept, distances=0.5 * (1.0 + kept)
@@ -273,14 +262,7 @@ def classify(model: QknnModel, test: EncodedPoint) -> tuple[int, np.ndarray]:
     """
     neighbors = find_neighbors(model, test)
     neighbor_labels = model.labels[neighbors.indices]
-    votes = np.bincount(neighbor_labels, minlength=model.n_classes).astype(float)
-    candidates = np.flatnonzero(votes == votes.max())
-    if candidates.size > 1:
-        sums = np.array(
-            [neighbors.fidelities[neighbor_labels == c].sum() for c in candidates]
-        )
-        candidates = candidates[sums == sums.max()]
-    label = int(candidates[0])
+    label, votes = _vote(neighbor_labels, neighbors.fidelities, model.n_classes)
     total = neighbors.fidelities.sum()
     if total > 1e-12:
         scores = (
@@ -355,19 +337,6 @@ def _encode_rows(
     return points
 
 
-def _check_schema(train: Dataset, test: Dataset) -> None:
-    if train.n_features != test.n_features:
-        raise ValueError(
-            f"feature count mismatch: train has {train.n_features}, "
-            f"test has {test.n_features}"
-        )
-    if train.class_names != test.class_names:
-        raise ValueError(
-            f"class mismatch: train has {train.class_names}, "
-            f"test has {test.class_names}"
-        )
-
-
 def _fit(train: Dataset, cfg: QknnConfig, rng: np.random.Generator) -> QknnModel:
     return QknnModel(
         encoded_train=_encode_rows(train.features, cfg, rng),
@@ -397,8 +366,4 @@ def fit_predict(
     model = _fit(train, cfg, rng)
     _check_schema(train, test)
     encoded_test = _encode_rows(test.features, cfg, rng)
-    predictions = np.empty(test.n_instances, dtype=int)
-    scores = np.empty((test.n_instances, train.n_classes))
-    for i, point in enumerate(encoded_test):
-        predictions[i], scores[i] = classify(model, point)
-    return predictions, scores
+    return _predict_rows(classify, model, encoded_test, train.n_classes)

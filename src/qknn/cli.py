@@ -21,7 +21,6 @@ from .bench import (
     MODELS,
     BenchConfig,
     BenchStageError,
-    DATASET_FILES,
     load_benchmark_dataset,
     noise_grid,
     run_benchmark,
@@ -32,7 +31,7 @@ from .bench import (
     write_sweep_csv,
 )
 from .classifier import MITIGATION_MODES
-from .data import chi_square_select, parse_selection_policy
+from .data import _FORMATS, chi_square_select, parse_selection_policy
 from .noise import NoiseKind
 
 _CONFIG_KEYS = {f.name for f in fields(BenchConfig)}
@@ -51,7 +50,7 @@ _SELECT_DEFAULTS = {"policy": "topk=4"}
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON file of flag values (flags override)")
-    sub.add_argument("--dataset", choices=sorted(DATASET_FILES))
+    sub.add_argument("--dataset", choices=sorted(_FORMATS))
     sub.add_argument("--data-dir", dest="data_dir", help="directory of dataset files")
     sub.add_argument("--seed", type=int)
 

@@ -1,14 +1,14 @@
 """Dataset loading, normalization, chi-square feature selection, splitting.
 
-One table-driven loader reads the three UCI benchmark file formats
-(wdbc.data, iris.data, data_banknote_authentication.txt) and rejects
-malformed rows with their line number.  Normalization is min-max fitted
-on a caller-chosen row subset (the training rows) and applied everywhere
-else with clamping to [0, 1].  Feature selection ranks features by the
-chi-square independence statistic of an equal-width discretization
-against the class label; p-values come from the closed-form chi-square
-tail for integer degrees of freedom, so the package needs no statistics
-dependency.
+One table holds the facts of the three UCI benchmark datasets (iris,
+wdbc, banknote): file name, layout and rows per class.  One loader reads
+them through it and rejects malformed rows with their line number.
+Normalization is min-max fitted on a caller-chosen row subset (the
+training rows) and applied everywhere else with clamping to [0, 1].
+Feature selection ranks features by the chi-square independence
+statistic of an equal-width discretization against the class label;
+p-values come from the closed-form chi-square tail for integer degrees
+of freedom, so the package needs no statistics dependency.
 """
 
 from __future__ import annotations
@@ -39,8 +39,9 @@ _WDBC_FEATURES = tuple(
 
 @dataclass(frozen=True)
 class _Format:
-    """Layout of one UCI file format."""
+    """One benchmark dataset: its UCI file, layout and fixed shape."""
 
+    file_name: str
     fields: int
     columns: slice  # feature columns
     label: int  # label column
@@ -48,16 +49,25 @@ class _Format:
     classes: tuple[str, ...] | None  # in class order; None: sorted file tokens
     bad_label: str  # message for a bad label token, formatted with the token
     field_hint: str  # appended to the field count in the field-count error
+    #: Rows per class in the file.  With ``feature_names`` these fix the qnn
+    #: register and the training-set size that bounds k before any loading.
+    class_rows: tuple[int, ...]
 
 
+#: Dataset name -> its format; the name is also the loader format.
 _FORMATS = {
-    "iris": _Format(5, slice(0, 4), 4, _IRIS_FEATURES, None, "empty class field", ""),
+    "iris": _Format(
+        "iris.data", 5, slice(0, 4), 4, _IRIS_FEATURES, None, "empty class field", "",
+        (50, 50, 50),
+    ),
     "wdbc": _Format(
-        32, slice(2, 32), 1, _WDBC_FEATURES, ("B", "M"),
+        "wdbc.data", 32, slice(2, 32), 1, _WDBC_FEATURES, ("B", "M"),
         "unknown diagnosis {!r} (expected 'B' or 'M')", " (id, diagnosis, 30 features)",
+        (357, 212),
     ),
     "banknote": _Format(
-        5, slice(0, 4), 4, _BANKNOTE_FEATURES, ("0", "1"), "class must be 0 or 1, got {!r}", "",
+        "data_banknote_authentication.txt", 5, slice(0, 4), 4, _BANKNOTE_FEATURES,
+        ("0", "1"), "class must be 0 or 1, got {!r}", "", (762, 610),
     ),
 }
 

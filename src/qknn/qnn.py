@@ -200,10 +200,6 @@ def predict_proba(arch: QnnArchitecture, X: np.ndarray) -> np.ndarray:
     return softmax(z)
 
 
-def predict(arch: QnnArchitecture, X: np.ndarray) -> np.ndarray:
-    return np.argmax(predict_proba(arch, X), axis=1)
-
-
 def batch_loss(arch: QnnArchitecture, X: np.ndarray, y: np.ndarray) -> float:
     """Cross-entropy loss of the batch: BCE for binary, CCE otherwise."""
     y = np.asarray(y, dtype=int)

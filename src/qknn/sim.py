@@ -173,10 +173,6 @@ class GateOp:
             kernel = _FIXED_MATRICES[kind]
         object.__setattr__(self, "_kernel", kernel)
 
-    def matrix(self) -> np.ndarray:
-        """The gate's unitary as a fresh writable array."""
-        return self._kernel.copy()
-
 
 @functools.lru_cache(maxsize=4096)
 def _shared_op(kind: Gate, targets: tuple[int, ...], angle: float | None = None) -> GateOp:

@@ -25,7 +25,11 @@ the library once had and now only tests use:
   swap-test circuit, and ``ancilla_zero_probability``, its exact marginal;
 * ``regularized_gamma_q``, the upper incomplete gamma function by power
   series or Lentz's continued fraction, which the closed-form
-  ``data.chi_square_sf`` must match at Q(dof/2, statistic/2).
+  ``data.chi_square_sf`` must match at Q(dof/2, statistic/2);
+* ``cknn_find_neighbors``/``cknn_classify`` and ``qknn_classify``, the
+  neighbour ranking, vote and scores each classifier carried as its own
+  copy before both used the one k-NN rule of ``cknn``, which that rule
+  must match bit for bit.
 """
 
 from __future__ import annotations
@@ -431,3 +435,60 @@ def ancilla_zero_probability(swap_state: StateVector) -> float:
     """P(ancilla = 0) of a swap-test output state (ancilla is qubit 0)."""
     half = swap_state.amplitudes.size // 2
     return float(swap_state.probabilities()[:half].sum())
+
+
+def cknn_find_neighbors(model, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and distances of the k nearest rows (ascending distance)."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (model.train_features.shape[1],):
+        raise ValueError(
+            f"expected {model.train_features.shape[1]} features, got shape {x.shape}"
+        )
+    distances = np.sqrt(np.sum((model.train_features - x) ** 2, axis=1))
+    order = np.lexsort((np.arange(distances.size), distances))
+    chosen = order[: model.k]
+    return chosen, distances[chosen]
+
+
+def cknn_classify(model, x: np.ndarray) -> tuple[int, np.ndarray]:
+    """Majority vote among the k nearest; scores are plain vote shares."""
+    indices, distances = cknn_find_neighbors(model, x)
+    neighbor_labels = model.labels[indices]
+    votes = np.bincount(neighbor_labels, minlength=model.n_classes).astype(float)
+    candidates = np.flatnonzero(votes == votes.max())
+    if candidates.size > 1:
+        sums = np.array(
+            [distances[neighbor_labels == c].sum() for c in candidates]
+        )
+        candidates = candidates[sums == sums.min()]
+    return int(candidates[0]), votes / model.k
+
+
+def qknn_classify(model, fids: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+    """Neighbour indices, label and scores of the swap-test classifier,
+    given the fidelities of every training point to the test point."""
+    order = np.lexsort((np.arange(fids.size), -fids))
+    chosen = order[: model.config.k]
+    kept = fids[chosen]
+    neighbor_labels = model.labels[chosen]
+    votes = np.bincount(neighbor_labels, minlength=model.n_classes).astype(float)
+    candidates = np.flatnonzero(votes == votes.max())
+    if candidates.size > 1:
+        sums = np.array(
+            [kept[neighbor_labels == c].sum() for c in candidates]
+        )
+        candidates = candidates[sums == sums.max()]
+    label = int(candidates[0])
+    total = kept.sum()
+    if total > 1e-12:
+        scores = (
+            np.bincount(
+                neighbor_labels,
+                weights=kept,
+                minlength=model.n_classes,
+            )
+            / total
+        )
+    else:
+        scores = votes / votes.sum()
+    return chosen, label, scores

@@ -25,7 +25,7 @@ from qknn.qec import (
     measure_syndrome,
     readout_bits,
 )
-from qknn.qnn import TrainConfig, batch_loss, gradient, init_architecture, predict, train
+from qknn.qnn import TrainConfig, batch_loss, gradient, init_architecture, predict_proba, train
 from qknn.sim import (
     Gate,
     GateOp,
@@ -279,7 +279,7 @@ class TestAcceptance:
         y = np.array([0] * 12 + [1] * 12)
         arch = init_architecture(2, 2, 2, seed=0, init_scale=0.01)
         trained, _ = train(arch, X, y, TrainConfig(learning_rate=0.5, epochs=60))
-        accuracy = float(np.mean(predict(trained, X) == y))
+        accuracy = float(np.mean(np.argmax(predict_proba(trained, X), axis=1) == y))
         _criterion(
             "C12 parameter-shift gradient within 1e-4 of finite differences "
             "(50 architectures) and blob training reaches 0.9",

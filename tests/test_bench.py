@@ -13,8 +13,7 @@ import pytest
 
 from qknn import bench, qnn
 from qknn.bench import (
-    DATASET_FILES,
-    DATASET_SHAPES,
+    MAX_NOISE_LEVELS,
     BenchConfig,
     BenchStageError,
     _qknn_config,
@@ -30,7 +29,7 @@ from qknn.bench import (
     write_sweep_csv,
 )
 from qknn.classifier import classify, fit
-from qknn.data import stratified_indices
+from qknn.data import _FORMATS, stratified_indices
 from qknn.encoding import apply_feature_map, encode_point
 from qknn.noise import NoiseKind
 from qknn.sim import ResourceLimitError
@@ -135,20 +134,21 @@ class TestConfig:
         assert BenchConfig(dataset="wdbc", features=30).features == 30
         assert BenchConfig(dataset="iris", model="qnn", features=2).features == 2
 
-    @pytest.mark.parametrize("name", sorted(DATASET_FILES))
+    @pytest.mark.parametrize("name", sorted(_FORMATS))
     def test_dataset_shapes_match_the_files(self, name):
         if name == "banknote" and not BANKNOTE_PATH.exists():
             pytest.skip("banknote dataset file not present")
         dataset = load_benchmark_dataset(name, DATA_DIR)
-        columns, class_rows = DATASET_SHAPES[name]
-        assert columns == dataset.n_features
-        assert class_rows == tuple(np.bincount(dataset.labels).tolist())
+        facts = _FORMATS[name]
+        assert len(facts.feature_names) == dataset.n_features
+        assert facts.class_rows == tuple(np.bincount(dataset.labels).tolist())
 
-    @pytest.mark.parametrize("name", sorted(DATASET_FILES))
+    @pytest.mark.parametrize("name", sorted(_FORMATS))
     @pytest.mark.parametrize("fraction", [0.2, 0.35])
     def test_k_is_bounded_by_the_training_set_before_loading(self, name, fraction):
         # The bound equals the training rows the split really yields.
-        labels = np.repeat(np.arange(len(DATASET_SHAPES[name][1])), DATASET_SHAPES[name][1])
+        class_rows = _FORMATS[name].class_rows
+        labels = np.repeat(np.arange(len(class_rows)), class_rows)
         n_train = stratified_indices(labels, fraction, seed=0)[0].size
         cfg = BenchConfig(dataset=name, k=n_train, test_fraction=fraction)
         assert cfg.k == n_train
@@ -289,10 +289,23 @@ class TestRunBenchmark:
 
 class TestNoiseGrid:
     def test_inclusive_grid(self):
-        assert noise_grid(0.0, 0.6, 0.1) == pytest.approx(
-            [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
-        )
+        # The CLI's default grid, pinned exactly.
+        assert noise_grid(0.0, 0.6, 0.1) == [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
         assert noise_grid(0.2, 0.2, 0.1) == [0.2]
+
+    def test_level_count_is_bounded_before_any_level_is_built(self, monkeypatch):
+        grid = noise_grid(0.0, 1.0, 0.001)
+        assert len(grid) == MAX_NOISE_LEVELS == 1001
+        assert grid[:3] == [0.0, 0.001, 0.002] and grid[-1] == 1.0
+
+        def no_levels(*args):
+            raise AssertionError("a level was built")
+
+        # Every level is rounded, so a patched round shows whether any was made.
+        monkeypatch.setattr(bench, "round", no_levels, raising=False)
+        for step in (1e-6, 0.000999, 5e-324):
+            with pytest.raises(ValueError, match="more than 1001 noise levels"):
+                noise_grid(0.0, 1.0, step)
 
     def test_no_floating_point_drift(self):
         grid = noise_grid(0.0, 0.3, 0.1)

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qknn import cknn
+from qknn import cknn, classifier
 from qknn.classifier import (
     NeighborSet,
     QknnConfig,
@@ -31,6 +31,9 @@ from oracles import (
     ancilla_zero_probability,
     apply_dense,
     choice_sample_basis,
+    cknn_classify,
+    cknn_find_neighbors,
+    qknn_classify,
     quantum_distance,
     random_state,
     state_fidelity,
@@ -605,6 +608,17 @@ class TestCknn:
         preds, _ = cknn.fit_predict(data, data, k=1)
         np.testing.assert_array_equal(preds, labels)
 
+    def test_schema_mismatches_rejected(self, make_dataset):
+        train = toy_dataset([[0.1], [0.2]], [0, 1], make_dataset)
+        wider = toy_dataset([[0.1], [0.2]], [0, 1], make_dataset, n_classes=3)
+        narrow = toy_dataset([[0.1, 0.2]], [0], make_dataset)
+        with pytest.raises(ValueError, match="class mismatch"):
+            cknn.fit_predict(train, wider, k=1)
+        with pytest.raises(ValueError, match="class mismatch"):
+            fit_predict(train, wider, QknnConfig(k=1))
+        with pytest.raises(ValueError, match="feature count"):
+            cknn.fit_predict(train, narrow, k=1)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="non-empty"):
             cknn.CknnModel(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
@@ -612,3 +626,74 @@ class TestCknn:
             cknn.CknnModel(np.zeros((3, 2)), np.zeros(2, dtype=int), 2)
         with pytest.raises(ValueError, match="k must"):
             cknn.CknnModel(np.zeros((3, 2)), np.zeros(3, dtype=int), 2, k=4)
+
+
+class TestSharedKnnRule:
+    """The one k-NN rule of ``cknn`` gives, bit for bit, what each
+    classifier's own copy of it gave (``oracles``), on tie-heavy cases."""
+
+    CASES = 600
+    #: Repeated fidelities, so ranks and vote sums tie often.
+    FIDELITIES = (0.0, 0.125, 0.25, 1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0)
+
+    @staticmethod
+    def draw_case(rng):
+        n_train = int(rng.integers(1, 13))
+        k = int(rng.integers(1, min(7, n_train) + 1))
+        n_classes = int(rng.integers(2, 5))
+        labels = rng.integers(0, n_classes, size=n_train)
+        return n_train, k, n_classes, labels
+
+    def test_euclidean_rule_matches_the_reference(self, rng):
+        for _ in range(self.CASES):
+            n_train, k, n_classes, labels = self.draw_case(rng)
+            # Integer-grid features: equal distances are common.
+            d = int(rng.integers(1, 4))
+            model = cknn.CknnModel(
+                rng.integers(0, 4, size=(n_train, d)), labels, n_classes, k
+            )
+            x = rng.integers(0, 4, size=d).astype(float)
+            ref_indices, ref_distances = cknn_find_neighbors(model, x)
+            ref_label, ref_scores = cknn_classify(model, x)
+
+            distances = np.sqrt(np.sum((model.train_features - x) ** 2, axis=1))
+            chosen = cknn._nearest(-distances, k)
+            label, votes = cknn._vote(labels[chosen], -distances[chosen], n_classes)
+            assert chosen.tolist() == ref_indices.tolist()
+            assert label == ref_label
+            assert (votes / k).tobytes() == ref_scores.tobytes()
+
+            indices, kept = cknn.find_neighbors(model, x)
+            assert indices.tolist() == ref_indices.tolist()
+            assert kept.tobytes() == ref_distances.tobytes()
+            label, scores = cknn.classify(model, x)
+            assert label == ref_label
+            assert scores.tobytes() == ref_scores.tobytes()
+
+    def test_fidelity_rule_matches_the_reference(self, rng, monkeypatch):
+        current = {}
+        monkeypatch.setattr(classifier, "_pair_fidelities", lambda m, t: current["fids"])
+        test_point = point([0.0])
+        fallbacks = 0
+        for case in range(self.CASES):
+            n_train, k, n_classes, labels = self.draw_case(rng)
+            fids = rng.choice(self.FIDELITIES, size=n_train)
+            if case % 10 == 0:
+                fids[:] = 0.0  # every neighbour orthogonal: count shares
+            current["fids"] = fids
+            model = QknnModel(
+                [test_point] * n_train, labels, n_classes, QknnConfig(k=k)
+            )
+            ref_indices, ref_label, ref_scores = qknn_classify(model, fids)
+            fallbacks += fids[ref_indices].sum() <= 1e-12
+
+            chosen = cknn._nearest(fids, k)
+            label, _ = cknn._vote(labels[chosen], fids[chosen], n_classes)
+            assert chosen.tolist() == ref_indices.tolist()
+            assert label == ref_label
+
+            assert find_neighbors(model, test_point).indices.tolist() == ref_indices.tolist()
+            label, scores = classify(model, test_point)
+            assert label == ref_label
+            assert scores.tobytes() == ref_scores.tobytes()
+        assert fallbacks >= self.CASES // 10

@@ -418,6 +418,19 @@ class TestSweep:
             capsys.readouterr().err
         )
 
+    def test_oversized_noise_grid_exits_two_before_loading(self, tmp_path, capsys):
+        # The data dir is empty: reaching the load stage would exit 1.
+        code = run_cli(
+            "sweep",
+            "--dataset", "iris",
+            "--p-stop", "1.0",
+            "--p-step", "1e-6",
+            "--data-dir", str(tmp_path),
+            "--out", str(tmp_path / "s.csv"),
+        )
+        assert code == 2
+        assert "more than 1001 noise levels" in capsys.readouterr().err
+
     def test_zero_trials_exits_two_before_loading(self, tmp_path, capsys):
         code = run_cli(
             "sweep",

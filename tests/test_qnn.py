@@ -18,7 +18,6 @@ from qknn.qnn import (
     cce_loss,
     gradient,
     init_architecture,
-    predict,
     predict_proba,
     softmax,
     train,
@@ -213,13 +212,6 @@ class TestPredict:
         assert p.shape == (4, 3)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_predict_argmax(self, rng):
-        arch = init_architecture(2, 1, 2, seed=2, init_scale=1.0)
-        X = rng.uniform(0, math.pi, size=(5, 2))
-        np.testing.assert_array_equal(
-            predict(arch, X), np.argmax(predict_proba(arch, X), axis=1)
-        )
-
     def test_label_validation(self):
         arch = arch_with(np.zeros((1, 2)))
         with pytest.raises(ValueError, match="labels"):
@@ -277,7 +269,7 @@ class TestTraining:
         trained, history = train(arch, X, y, cfg)
         assert len(history) == 60
         assert history[-1] < history[0]
-        accuracy = float(np.mean(predict(trained, X) == y))
+        accuracy = float(np.mean(np.argmax(predict_proba(trained, X), axis=1) == y))
         assert accuracy >= 0.9
 
     def test_history_is_mostly_monotone(self, rng):
@@ -312,7 +304,7 @@ class TestTraining:
         arch = init_architecture(3, 2, 3, seed=3, init_scale=0.05)
         trained, history = train(arch, X, y, TrainConfig(learning_rate=0.4, epochs=40))
         assert history[-1] < history[0]
-        assert float(np.mean(predict(trained, X) == y)) > 0.5
+        assert float(np.mean(np.argmax(predict_proba(trained, X), axis=1) == y)) > 0.5
 
     def test_config_validation(self):
         for bad in (0.0, float("nan"), float("inf")):

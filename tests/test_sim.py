@@ -140,7 +140,7 @@ class TestApplyGate:
                 angle = float(rng.uniform(-2 * math.pi, 2 * math.pi))
             op = GateOp(kind, targets, angle)
             result = apply_gate(StateVector(n, amps.copy()), op)
-            expected = apply_dense(amps, op.matrix(), op.targets, n)
+            expected = apply_dense(amps, gate_matrix(op.kind, op.angle), op.targets, n)
             np.testing.assert_allclose(result.amplitudes, expected, atol=1e-10)
 
     def test_norm_preserved_over_many_applications(self, rng):
@@ -363,7 +363,7 @@ class TestGateOpValidation:
 
 class TestImmutableOps:
     """Each op builds its matrix once, read-only; repeated gates share one
-    frozen op; the public matrix accessors hand out writable copies."""
+    frozen op; ``gate_matrix`` hands out writable copies."""
 
     @pytest.mark.parametrize("kind", ALL_GATES, ids=lambda g: g.value)
     def test_kernel_is_read_only_and_copies_are_writable(self, kind):
@@ -374,13 +374,14 @@ class TestImmutableOps:
         assert not op._kernel.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             op._kernel[0, 0] = 2.0
-        for fresh in (op.matrix(), gate_matrix(kind, angle)):
+        for fresh in (gate_matrix(op.kind, op.angle), gate_matrix(kind, angle)):
             assert fresh.flags.writeable and fresh.dtype == complex
             assert not np.shares_memory(fresh, op._kernel)
             assert fresh.tobytes() == op._kernel.tobytes()
             fresh[0, 0] = 2.0
-        assert op.matrix()[0, 0] != 2.0
+        assert gate_matrix(op.kind, op.angle)[0, 0] != 2.0
         assert gate_matrix(kind, angle)[0, 0] != 2.0
+        assert op._kernel[0, 0] != 2.0
 
     def test_fixed_kinds_share_one_array(self):
         assert GateOp(Gate.X, (0,))._kernel is GateOp(Gate.X, (3,))._kernel
