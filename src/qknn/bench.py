@@ -45,6 +45,9 @@ MODELS = ("qknn", "cknn", "qnn")
 #: Most levels a noise grid may hold: a 0.001 step over [0, 1].
 MAX_NOISE_LEVELS = 1001
 
+#: Most (level, trial) runs one noise sweep may make.
+MAX_SWEEP_RUNS = 100_000
+
 
 class BenchStageError(RuntimeError):
     """A pipeline stage failed; the message names the stage."""
@@ -229,22 +232,6 @@ def _qknn_config(config: BenchConfig, noise: NoiseSpec | None = None,
     )
 
 
-def _qnn_setup(
-    config: BenchConfig, n_qubits: int, n_classes: int
-) -> tuple[qnn.QnnArchitecture, qnn.TrainConfig]:
-    arch = qnn.init_architecture(
-        n_qubits=n_qubits,
-        n_layers=config.qnn_layers,
-        n_classes=n_classes,
-        seed=config.seed,
-        init_scale=config.qnn_init_scale,
-    )
-    train_cfg = qnn.TrainConfig(
-        learning_rate=config.qnn_learning_rate, epochs=config.qnn_epochs
-    )
-    return arch, train_cfg
-
-
 def _check_run(
     config: BenchConfig, mitigation: str = "none",
     noise_kind: NoiseKind = NoiseKind.BIT_FLIP, p_values: Sequence[float] = (0.0,),
@@ -257,6 +244,11 @@ def _check_run(
         raise ValueError(f"trials must be positive, got {trials}")
     if not p_values:
         raise ValueError("need at least one noise level")
+    if len(p_values) * trials > MAX_SWEEP_RUNS:
+        raise ValueError(
+            f"{len(p_values)} noise levels x {trials} trials is more than "
+            f"{MAX_SWEEP_RUNS} sweep runs"
+        )
     for p in p_values:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"noise level must lie in [0, 1], got {p}")
@@ -267,7 +259,7 @@ def _check_run(
     if config.model == "qknn":
         check_register(_qknn_config(config, mitigation=mitigation), width)
     elif config.model == "qnn":
-        _qnn_setup(config, n_qubits=width, n_classes=len(dataset.class_rows))
+        qnn.QnnArchitecture(len(dataset.class_rows), np.zeros((1, width)))
 
 
 def _run_model(
@@ -280,7 +272,11 @@ def _run_model(
         return fit_predict(train, test, _qknn_config(config, noise, mitigation, seed))
     if config.model == "cknn":
         return cknn.fit_predict(train, test, k=config.k)
-    arch, train_cfg = _qnn_setup(config, train.n_features, train.n_classes)
+    arch = qnn.init_architecture(
+        train.n_features, config.qnn_layers, train.n_classes,
+        seed=config.seed, init_scale=config.qnn_init_scale,
+    )
+    train_cfg = qnn.TrainConfig(config.qnn_learning_rate, config.qnn_epochs)
     # The angle embedding wants features in [0, pi]: full RY range, no wrap.
     trained, _ = qnn.train(arch, train.features * math.pi, train.labels, train_cfg)
     proba = qnn.predict_proba(trained, test.features * math.pi)

@@ -10,9 +10,10 @@ permute basis states, so Z readout and the loss would not depend on the
 parameters at all.
 
 Readout: binary problems read one qubit and map z -> (1+z)/2 as the
-positive-class probability (trained with binary cross entropy);
-C-class problems read C qubits and apply softmax (categorical cross
-entropy).
+positive-class probability; C-class problems read C qubits and apply
+softmax.  That one map (``_probabilities``) feeds the predictions, the
+one cross entropy the model trains on, and its derivative in z.  The
+circuit shape is read from the parameters: ``params`` is [layers, qubits].
 
 Every gate here is real, so training evaluates the batch as one float64
 [batch, 2**n] amplitude matrix, each gate applied to every row at once by
@@ -29,26 +30,27 @@ import numpy as np
 
 from .sim import Gate, _apply_matrix, _check_size, gate_matrix
 
-#: Probability clamp for the cross-entropy losses.
+#: Probability clamp for the cross entropy.
 EPS = 1e-12
 
 
 @dataclass
 class QnnArchitecture:
-    """Circuit shape and trainable parameters."""
+    """Class count and trainable parameters, one row of RY angles per layer."""
 
-    n_qubits: int
-    n_layers: int
     n_classes: int
     params: np.ndarray
 
     def __post_init__(self) -> None:
         self.params = np.asarray(self.params, dtype=float)
+        if self.params.ndim != 2 or self.params.shape[0] < 1:
+            raise ValueError(
+                f"params must be a [layers, qubits] array with at least one layer, "
+                f"got shape {self.params.shape}"
+            )
         # The batch path holds a [batch, 2**n] stack, so the simulator's
         # register limit applies here too.
         _check_size(self.n_qubits)
-        if self.n_layers < 1:
-            raise ValueError(f"need at least one layer, got {self.n_layers}")
         if self.n_classes < 2:
             raise ValueError(f"need at least two classes, got {self.n_classes}")
         if self.n_classes > 2 and self.n_classes > self.n_qubits:
@@ -56,13 +58,16 @@ class QnnArchitecture:
                 f"{self.n_classes} classes need {self.n_classes} readout qubits "
                 f"but only {self.n_qubits} are available"
             )
-        if self.params.shape != (self.n_layers, self.n_qubits):
-            raise ValueError(
-                f"params must have shape ({self.n_layers}, {self.n_qubits}), "
-                f"got {self.params.shape}"
-            )
         if not np.all(np.isfinite(self.params)):
             raise ValueError("params contain non-finite values")
+
+    @property
+    def n_layers(self) -> int:
+        return self.params.shape[0]
+
+    @property
+    def n_qubits(self) -> int:
+        return self.params.shape[1]
 
     @property
     def n_readout(self) -> int:
@@ -70,12 +75,7 @@ class QnnArchitecture:
         return 1 if self.n_classes == 2 else self.n_classes
 
     def with_params(self, params: np.ndarray) -> "QnnArchitecture":
-        return QnnArchitecture(
-            n_qubits=self.n_qubits,
-            n_layers=self.n_layers,
-            n_classes=self.n_classes,
-            params=params,
-        )
+        return QnnArchitecture(self.n_classes, params)
 
 
 @dataclass(frozen=True)
@@ -106,12 +106,7 @@ def init_architecture(
         raise ValueError(f"init scale must be positive and finite, got {init_scale}")
     rng = np.random.default_rng(seed)
     params = rng.uniform(-init_scale, init_scale, size=(n_layers, n_qubits))
-    return QnnArchitecture(
-        n_qubits=n_qubits,
-        n_layers=n_layers,
-        n_classes=n_classes,
-        params=params,
-    )
+    return QnnArchitecture(n_classes, params)
 
 
 def _entangle_pairs(n_qubits: int) -> list[tuple[int, int]]:
@@ -165,49 +160,29 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def bce_loss(y: np.ndarray, y_hat: np.ndarray) -> float:
-    """Mean binary cross entropy; probabilities clamped to [EPS, 1-EPS]."""
-    y = np.asarray(y, dtype=float)
-    y_hat = np.asarray(y_hat, dtype=float)
-    if y.shape != y_hat.shape:
-        raise ValueError(f"shape mismatch: {y.shape} vs {y_hat.shape}")
-    p = np.clip(y_hat, EPS, 1.0 - EPS)
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
-
-
-def cce_loss(y_onehot: np.ndarray, p: np.ndarray) -> float:
-    """Mean categorical cross entropy over instances."""
-    y_onehot = np.asarray(y_onehot, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if y_onehot.shape != p.shape:
-        raise ValueError(f"shape mismatch: {y_onehot.shape} vs {p.shape}")
-    clamped = np.clip(p, EPS, 1.0)
-    return float(-np.mean((y_onehot * np.log(clamped)).sum(axis=-1)))
-
-
-def _onehot(y: np.ndarray, n_classes: int) -> np.ndarray:
-    out = np.zeros((y.size, n_classes))
-    out[np.arange(y.size), y] = 1.0
-    return out
-
-
-def predict_proba(arch: QnnArchitecture, X: np.ndarray) -> np.ndarray:
-    """Class probabilities, shape [batch, n_classes]."""
-    z = _forward_batch(arch, X)
+def _probabilities(arch: QnnArchitecture, z: np.ndarray) -> np.ndarray:
+    """Class probabilities [batch, n_classes] from readout expectations z."""
     if arch.n_classes == 2:
         p_one = np.clip((1.0 + z[:, 0]) / 2.0, 0.0, 1.0)
         return np.stack([1.0 - p_one, p_one], axis=1)
     return softmax(z)
 
 
+def _cross_entropy(p: np.ndarray, y: np.ndarray) -> float:
+    """Mean cross entropy of the true classes' probabilities, clamped at EPS."""
+    return float(-np.mean(np.log(np.clip(p[np.arange(y.size), y], EPS, 1.0))))
+
+
+def predict_proba(arch: QnnArchitecture, X: np.ndarray) -> np.ndarray:
+    """Class probabilities, shape [batch, n_classes]."""
+    return _probabilities(arch, _forward_batch(arch, X))
+
+
 def batch_loss(arch: QnnArchitecture, X: np.ndarray, y: np.ndarray) -> float:
-    """Cross-entropy loss of the batch: BCE for binary, CCE otherwise."""
+    """Cross-entropy loss of the batch."""
     y = np.asarray(y, dtype=int)
     _check_labels(arch, X, y)
-    z = _forward_batch(arch, X)
-    if arch.n_classes == 2:
-        return bce_loss(y, (1.0 + z[:, 0]) / 2.0)
-    return cce_loss(_onehot(y, arch.n_classes), softmax(z))
+    return _cross_entropy(_probabilities(arch, _forward_batch(arch, X)), y)
 
 
 def _check_labels(arch: QnnArchitecture, X: np.ndarray, y: np.ndarray) -> None:
@@ -224,15 +199,17 @@ def _check_labels(arch: QnnArchitecture, X: np.ndarray, y: np.ndarray) -> None:
 def _loss_grad_wrt_z(arch: QnnArchitecture, z: np.ndarray, y: np.ndarray) -> np.ndarray:
     """dLoss/dz per instance and readout qubit (analytic chain rule)."""
     batch = z.shape[0]
+    p = _probabilities(arch, z)
     if arch.n_classes == 2:
-        p = (1.0 + z[:, 0]) / 2.0
-        # Inside the clamp window the BCE derivative is (p-y)/(p(1-p)) * dp/dz;
-        # at a clamped endpoint the loss is locally flat in z.
-        active = (p > EPS) & (p < 1.0 - EPS)
-        p_safe = np.clip(p, EPS, 1.0 - EPS)
+        p_one = p[:, 1]
+        # Inside the clamp window the derivative is (p-y)/(p(1-p)) * dp/dz;
+        # outside it the loss is clamped, or within EPS of zero, and flat.
+        active = (p_one > EPS) & (p_one < 1.0 - EPS)
+        p_safe = np.clip(p_one, EPS, 1.0 - EPS)
         grad = (p_safe - y) / (p_safe * (1.0 - p_safe)) * 0.5 / batch
         return np.where(active, grad, 0.0)[:, None]
-    return (softmax(z) - _onehot(y, arch.n_classes)) / batch
+    p[np.arange(batch), y] -= 1.0
+    return p / batch
 
 
 def gradient(arch: QnnArchitecture, X: np.ndarray, y: np.ndarray) -> np.ndarray:

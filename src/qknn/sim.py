@@ -119,19 +119,35 @@ def _parametric_matrix(kind: Gate, theta: float) -> np.ndarray:
     return m
 
 
-def gate_matrix(kind: Gate, angle: float | None = None) -> np.ndarray:
-    """Return the unitary matrix of ``kind`` as a fresh complex array.
+def _checked_kernel(kind: Gate, angle: float | None) -> np.ndarray:
+    """Read-only matrix of ``kind``: the shared array of a fixed kind, or a
+    fresh array of a parametric kind at a finite ``angle``.
 
     Parametric kinds (RZ, RY, ISING_XY) require ``angle``; fixed kinds
     reject one.
     """
-    if kind in PARAMETRIC_GATES:
-        if angle is None:
-            raise ValueError(f"gate {kind.value} requires an angle")
-        return _parametric_matrix(kind, float(angle))
-    if angle is not None:
-        raise ValueError(f"gate {kind.value} takes no angle")
-    return _FIXED_MATRICES[kind].copy()
+    if kind not in PARAMETRIC_GATES:
+        if angle is not None:
+            raise ValueError(f"gate {kind.value} takes no angle")
+        return _FIXED_MATRICES[kind]
+    if angle is None:
+        raise ValueError(f"gate {kind.value} requires an angle")
+    if not math.isfinite(angle):
+        raise ValueError(f"gate angle must be finite, got {angle}")
+    kernel = _parametric_matrix(kind, float(angle))
+    kernel.setflags(write=False)
+    return kernel
+
+
+def gate_matrix(kind: Gate, angle: float | None = None) -> np.ndarray:
+    """Return the unitary matrix of ``kind`` as a fresh, writable complex
+    array, under the angle rules of ``_checked_kernel``."""
+    matrix = _checked_kernel(kind, angle)
+    if kind not in PARAMETRIC_GATES:
+        return matrix.copy()
+    # A parametric matrix is fresh and held by nothing else.
+    matrix.setflags(write=True)
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -148,7 +164,7 @@ class GateOp:
     angle: float | None = None
 
     def __post_init__(self) -> None:
-        kind, angle = self.kind, self.angle
+        kind = self.kind
         targets = tuple(map(int, self.targets))
         object.__setattr__(self, "targets", targets)
         arity = GATE_ARITY[kind]
@@ -160,18 +176,7 @@ class GateOp:
             raise ValueError(f"gate targets must be distinct, got {targets}")
         if min(targets) < 0:
             raise ValueError(f"gate targets must be non-negative, got {targets}")
-        if kind in PARAMETRIC_GATES:
-            if angle is None:
-                raise ValueError(f"gate {kind.value} requires an angle")
-            if not math.isfinite(angle):
-                raise ValueError(f"gate angle must be finite, got {angle}")
-            kernel = _parametric_matrix(kind, float(angle))
-            kernel.setflags(write=False)
-        elif angle is not None:
-            raise ValueError(f"gate {kind.value} takes no angle")
-        else:
-            kernel = _FIXED_MATRICES[kind]
-        object.__setattr__(self, "_kernel", kernel)
+        object.__setattr__(self, "_kernel", _checked_kernel(kind, self.angle))
 
 
 @functools.lru_cache(maxsize=4096)
@@ -197,14 +202,8 @@ class StateVector:
                 f"expected ({2**self.num_qubits},)"
             )
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.num_qubits, self.amplitudes.copy())
 
 
 def _trusted_state(num_qubits: int, amplitudes: np.ndarray) -> StateVector:

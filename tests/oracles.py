@@ -29,7 +29,11 @@ the library once had and now only tests use:
 * ``cknn_find_neighbors``/``cknn_classify`` and ``qknn_classify``, the
   neighbour ranking, vote and scores each classifier carried as its own
   copy before both used the one k-NN rule of ``cknn``, which that rule
-  must match bit for bit.
+  must match bit for bit;
+* ``bce_loss``, ``cce_loss``, ``onehot`` and ``qnn_loss_grad_wrt_z``, the
+  qnn's two losses and its dLoss/dz before one readout map and one cross
+  entropy replaced them, which ``qnn.batch_loss`` and ``qnn.gradient``
+  must match bit for bit inside the probability clamp.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from qknn.classifier import (
 )
 from qknn.encoding import EncodedPoint
 from qknn.noise import NoiseKind, NoiseSpec, apply_pauli_errors, sample_errors
-from qknn.qnn import QnnArchitecture
+from qknn.qnn import EPS, QnnArchitecture, softmax
 from qknn.sim import Gate, GateOp, StateVector, apply_gate, new_zero_state
 
 _PAULI = {
@@ -407,6 +411,46 @@ def qnn_train_history(
         params = params - learning_rate * grad
         history.append(loss_and_dldz(readout(params))[0])
     return history
+
+
+def bce_loss(y: np.ndarray, y_hat: np.ndarray) -> float:
+    """Mean binary cross entropy; probabilities clamped to [EPS, 1-EPS]."""
+    y = np.asarray(y, dtype=float)
+    y_hat = np.asarray(y_hat, dtype=float)
+    if y.shape != y_hat.shape:
+        raise ValueError(f"shape mismatch: {y.shape} vs {y_hat.shape}")
+    p = np.clip(y_hat, EPS, 1.0 - EPS)
+    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+
+
+def cce_loss(y_onehot: np.ndarray, p: np.ndarray) -> float:
+    """Mean categorical cross entropy over instances."""
+    y_onehot = np.asarray(y_onehot, dtype=float)
+    p = np.asarray(p, dtype=float)
+    if y_onehot.shape != p.shape:
+        raise ValueError(f"shape mismatch: {y_onehot.shape} vs {p.shape}")
+    clamped = np.clip(p, EPS, 1.0)
+    return float(-np.mean((y_onehot * np.log(clamped)).sum(axis=-1)))
+
+
+def onehot(y: np.ndarray, n_classes: int) -> np.ndarray:
+    out = np.zeros((y.size, n_classes))
+    out[np.arange(y.size), y] = 1.0
+    return out
+
+
+def qnn_loss_grad_wrt_z(arch: QnnArchitecture, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """dLoss/dz per instance and readout qubit (analytic chain rule)."""
+    batch = z.shape[0]
+    if arch.n_classes == 2:
+        p = (1.0 + z[:, 0]) / 2.0
+        # Inside the clamp window the BCE derivative is (p-y)/(p(1-p)) * dp/dz;
+        # at a clamped endpoint the loss is locally flat in z.
+        active = (p > EPS) & (p < 1.0 - EPS)
+        p_safe = np.clip(p, EPS, 1.0 - EPS)
+        grad = (p_safe - y) / (p_safe * (1.0 - p_safe)) * 0.5 / batch
+        return np.where(active, grad, 0.0)[:, None]
+    return (softmax(z) - onehot(y, arch.n_classes)) / batch
 
 
 def quantum_distance(

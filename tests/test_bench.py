@@ -14,6 +14,7 @@ import pytest
 from qknn import bench, qnn
 from qknn.bench import (
     MAX_NOISE_LEVELS,
+    MAX_SWEEP_RUNS,
     BenchConfig,
     BenchStageError,
     _qknn_config,
@@ -403,6 +404,18 @@ class TestNoiseSweep:
         cfg = iris_config(data_dir=str(tmp_path / "missing"), **SMALL_SWEEP)
         with pytest.raises(error, match=message):
             run_noise_sweep(cfg, **{"p_values": [0.1], "trials": 1, **setting})
+
+    def test_sweep_size_is_bounded_before_loading(self, tmp_path):
+        # The data directory does not exist: reaching it is a load error,
+        # so a refusal shows the bound is checked before any data or the
+        # [levels, trials] accuracy matrix exists.
+        cfg = iris_config(data_dir=str(tmp_path / "missing"), **SMALL_SWEEP)
+        assert MAX_SWEEP_RUNS == 100_000
+        for levels, trials in ((1, 10**9), (2, MAX_SWEEP_RUNS // 2 + 1)):
+            with pytest.raises(ValueError, match=f"more than {MAX_SWEEP_RUNS} sweep runs"):
+                run_noise_sweep(cfg, [0.1] * levels, trials)
+        with pytest.raises(BenchStageError, match="stage 'load'"):
+            run_noise_sweep(cfg, [0.1, 0.2], MAX_SWEEP_RUNS // 2)
 
     def test_repeat_vote_checks_the_register_it_builds(self, tmp_path):
         # Repeat-vote draws its votes from the exact ancilla marginal, so it

@@ -431,6 +431,19 @@ class TestSweep:
         assert code == 2
         assert "more than 1001 noise levels" in capsys.readouterr().err
 
+    def test_oversized_sweep_exits_two_before_loading(self, tmp_path, capsys):
+        # tmp_path holds no data files: reaching the loader would exit 1.
+        code = run_cli(
+            "sweep",
+            "--dataset", "iris",
+            "--trials", "1000000000",
+            "--data-dir", str(tmp_path),
+            "--out", str(tmp_path / "s.csv"),
+        )
+        assert code == 2
+        assert "more than 100000 sweep runs" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
     def test_zero_trials_exits_two_before_loading(self, tmp_path, capsys):
         code = run_cli(
             "sweep",

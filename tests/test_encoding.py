@@ -122,7 +122,7 @@ class TestFeatureMap:
 
     def test_norm_preserved(self, rng):
         point = encode_point(rng.uniform(0, 1, size=5))
-        assert abs(apply_feature_map(point).state.norm() - 1.0) < 1e-12
+        assert abs(np.linalg.norm(apply_feature_map(point).state.amplitudes) - 1.0) < 1e-12
 
 
 class TestAngleEmbed:

@@ -94,7 +94,7 @@ class TestApply:
         spec = NoiseSpec(NoiseKind.MIXED_PAULI, 0.5)
         state = random_sv(3, rng)
         out = apply_pauli_errors(state, sample_errors(spec, range(3), rng))
-        assert abs(out.norm() - 1.0) < 1e-12
+        assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
 
 
 class TestTrajectories:

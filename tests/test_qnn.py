@@ -11,11 +11,12 @@ from qknn.qnn import (
     EPS,
     QnnArchitecture,
     TrainConfig,
+    _cross_entropy,
     _embed_batch,
     _forward_batch,
+    _loss_grad_wrt_z,
+    _probabilities,
     batch_loss,
-    bce_loss,
-    cce_loss,
     gradient,
     init_architecture,
     predict_proba,
@@ -24,17 +25,19 @@ from qknn.qnn import (
 )
 from qknn.sim import MAX_QUBITS, Gate, ResourceLimitError, _apply_matrix, gate_matrix
 
-from oracles import finite_difference_gradient, qnn_forward, qnn_train_history
+from oracles import (
+    bce_loss,
+    cce_loss,
+    finite_difference_gradient,
+    onehot,
+    qnn_forward,
+    qnn_loss_grad_wrt_z,
+    qnn_train_history,
+)
 
 
 def arch_with(params, n_classes=2):
-    params = np.atleast_2d(np.asarray(params, dtype=float))
-    return QnnArchitecture(
-        n_qubits=params.shape[1],
-        n_layers=params.shape[0],
-        n_classes=n_classes,
-        params=params,
-    )
+    return QnnArchitecture(n_classes, np.atleast_2d(np.asarray(params, dtype=float)))
 
 
 class TestArchitecture:
@@ -44,11 +47,20 @@ class TestArchitecture:
         with pytest.raises(ValueError, match="at least two classes"):
             arch_with([[0.0]], n_classes=1)
         with pytest.raises(ValueError, match="readout"):
-            QnnArchitecture(2, 1, 3, np.zeros((1, 2)))
-        with pytest.raises(ValueError, match="shape"):
-            QnnArchitecture(2, 2, 2, np.zeros((1, 2)))
+            QnnArchitecture(3, np.zeros((1, 2)))
         with pytest.raises(ValueError, match="non-finite"):
             arch_with([[np.nan]])
+
+    @pytest.mark.parametrize("shape", [(0, 2), (2,), (1, 2, 2)])
+    def test_params_must_be_layers_by_qubits(self, shape):
+        with pytest.raises(ValueError, match=r"\[layers, qubits\].*at least one layer"):
+            QnnArchitecture(2, np.zeros(shape))
+
+    def test_shape_is_read_from_the_params(self):
+        arch = QnnArchitecture(3, np.zeros((2, 4)))
+        assert (arch.n_layers, arch.n_qubits) == (2, 4)
+        wider = arch.with_params(np.zeros((1, 5)))
+        assert (wider.n_layers, wider.n_qubits, wider.n_classes) == (1, 5, 3)
 
     def test_readout_width(self):
         assert arch_with(np.zeros((1, 3)), n_classes=2).n_readout == 1
@@ -173,29 +185,77 @@ class TestLosses:
         with pytest.raises(ValueError, match="non-finite"):
             softmax(np.array([np.inf, 0.0]))
 
-    def test_bce_known_values(self):
-        # uniform prediction on either label costs ln 2
-        assert bce_loss(np.array([1.0]), np.array([0.5])) == pytest.approx(math.log(2))
-        assert bce_loss(np.array([0.0]), np.array([0.5])) == pytest.approx(math.log(2))
-        assert bce_loss(np.array([1.0]), np.array([1.0])) == pytest.approx(
-            -math.log(1 - EPS), abs=1e-9
-        )
+    def test_binary_known_values(self):
+        # z = 0 reads p = 1/2: either label costs ln 2
+        arch = arch_with([[0.0]])
+        p = _probabilities(arch, np.zeros((2, 1)))
+        np.testing.assert_array_equal(p, [[0.5, 0.5], [0.5, 0.5]])
+        assert _cross_entropy(p, np.array([0, 1])) == pytest.approx(math.log(2))
+        # RY(pi/2)|0> reads z ~ 0 through the whole batch path
+        loss = batch_loss(arch, np.array([[math.pi / 2]]), np.array([1]))
+        assert loss == pytest.approx(math.log(2))
 
-    def test_bce_clamps_extremes(self):
-        loss = bce_loss(np.array([1.0]), np.array([0.0]))
-        assert math.isfinite(loss)
-        assert loss == pytest.approx(-math.log(EPS))
+    def test_multiclass_known_values(self):
+        arch = arch_with(np.zeros((1, 3)), n_classes=3)
+        uniform = _probabilities(arch, np.zeros((1, 3)))
+        assert _cross_entropy(uniform, np.array([0])) == pytest.approx(math.log(3))
+        assert _cross_entropy(np.array([[1.0, 0.0, 0.0]]), np.array([0])) == 0.0
 
-    def test_cce_known_values(self):
-        y = np.array([[1.0, 0.0, 0.0]])
-        assert cce_loss(y, np.full((1, 3), 1 / 3)) == pytest.approx(math.log(3))
-        assert cce_loss(y, np.array([[1.0, 0.0, 0.0]])) == pytest.approx(0.0)
+    def test_perfect_prediction_costs_nothing(self):
+        # |0> reads z = +1, so p(class 1) = 1
+        arch = arch_with([[0.0]])
+        assert batch_loss(arch, np.zeros((1, 1)), np.array([1])) == 0.0
 
-    def test_loss_shape_checks(self):
-        with pytest.raises(ValueError, match="shape"):
-            bce_loss(np.zeros(2), np.zeros(3))
-        with pytest.raises(ValueError, match="shape"):
-            cce_loss(np.zeros((1, 2)), np.zeros((1, 3)))
+
+class TestOneReadout:
+    """The one readout map and cross entropy give the bits the separate
+    binary and categorical losses of ``oracles`` gave."""
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_loss_and_gradient_match_the_two_loss_reference(self, rng, n_classes, monkeypatch):
+        for case in range(20):
+            arch = init_architecture(3, 2, n_classes, seed=case, init_scale=1.0)
+            X = rng.uniform(0, math.pi, size=(7, 3))
+            y = rng.integers(0, n_classes, size=7)
+            z = _forward_batch(arch, X)
+            if n_classes == 2:
+                p_one = (1.0 + z[:, 0]) / 2.0
+                assert np.all((p_one > 1e-6) & (p_one < 1 - 1e-6))
+                expected = bce_loss(y, p_one)
+            else:
+                expected = cce_loss(onehot(y, n_classes), softmax(z))
+            assert batch_loss(arch, X, y) == expected
+            dldz = _loss_grad_wrt_z(arch, z, y)
+            assert dldz.tobytes() == qnn_loss_grad_wrt_z(arch, z, y).tobytes()
+            grad = gradient(arch, X, y)
+            with monkeypatch.context() as patch:
+                patch.setattr(qnn, "_loss_grad_wrt_z", qnn_loss_grad_wrt_z)
+                assert grad.tobytes() == gradient(arch, X, y).tobytes()
+
+    @pytest.mark.parametrize("p_one, y", [(0.0, 0), (0.0, 1), (1.0, 0), (1.0, 1)])
+    def test_clamped_extremes_stay_finite(self, p_one, y):
+        # RY(pi)|0> = |1> reads z = -1 and |0> reads z = +1, putting p(class 1)
+        # at 0 and 1, where both clamps act.
+        arch = arch_with([[0.0]])
+        X = np.array([[math.pi if p_one == 0.0 else 0.0]])
+        z = _forward_batch(arch, X)
+        assert z[0, 0] == 2.0 * p_one - 1.0
+        labels = np.array([y])
+        loss, expected = batch_loss(arch, X, labels), bce_loss(labels, [p_one])
+        assert math.isfinite(loss) and math.isfinite(expected)
+        if p_one != y:
+            # A confident miss costs the clamp, -log(EPS), on either class.
+            assert loss == -math.log(EPS)
+        if p_one == y or y == 1:
+            assert abs(loss - expected) <= 1e-12
+        else:
+            # On class 0 the reference clamps p to fl(1 - EPS) and takes
+            # log(1 - p) = log(0.99998 * EPS), where the one cross entropy
+            # clamps 1 - p to EPS itself.
+            assert loss == pytest.approx(expected, rel=1e-6)
+        dldz = _loss_grad_wrt_z(arch, z, labels)
+        assert np.array_equal(dldz, qnn_loss_grad_wrt_z(arch, z, labels))
+        assert np.all(dldz == 0.0)
 
 
 class TestPredict:

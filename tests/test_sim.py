@@ -122,6 +122,13 @@ class TestGateMatrices:
         with pytest.raises(ValueError):
             gate_matrix(Gate.H, 0.5)
 
+    @pytest.mark.parametrize("kind", PARAMETRIC_GATES, ids=lambda g: g.value)
+    @pytest.mark.parametrize("angle", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_angle_is_rejected(self, kind, angle):
+        # The same rule as GateOp's: a NaN or infinite angle is no gate.
+        with pytest.raises(ValueError, match="gate angle must be finite"):
+            gate_matrix(kind, angle)
+
 
 class TestApplyGate:
     def test_matches_dense_oracle_on_random_circuits(self, rng):
@@ -149,7 +156,7 @@ class TestApplyGate:
         for _ in range(300):
             op = _random_op(rng, n)
             state = apply_gate(state, op)
-        assert abs(state.norm() - 1.0) < 1e-10
+        assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-10
 
     def test_self_inverse_gates_square_to_identity(self, rng):
         n = 3
@@ -463,7 +470,7 @@ class TestStates:
     def test_zero_state_is_all_zero_basis(self):
         state = new_zero_state(3)
         assert state.amplitudes[0] == 1.0
-        assert state.norm() == 1.0
+        assert np.linalg.norm(state.amplitudes) == 1.0
 
     def test_basis_state_msb_convention(self):
         # index 2 on two qubits means qubit 0 (the MSB) is |1>
