@@ -391,9 +391,8 @@ def run_noise_sweep(
     accuracies = np.zeros((len(p_values), trials))
     for i, p in enumerate(p_values):
         for t in range(trials):
-            noise = NoiseSpec(noise_kind, p) if p > 0 else None
             predictions, _ = _stage(
-                "model", _run_model, config, prepared, noise=noise,
+                "model", _run_model, config, prepared, noise=NoiseSpec(noise_kind, p),
                 mitigation=mitigation, seed=_trial_seed(config.seed, i, t),
             )
             accuracies[i, t] = float(np.mean(predictions == y_test))

@@ -23,13 +23,15 @@ Two evaluation modes are provided:
   depend on the order in which rows are classified.
 
 Optional Pauli noise is injected per trajectory into every encoded
-state after the feature map.  Two error-mitigation modes exist for
+state after the feature map, by one loop in ``_encode_rows`` that draws
+each qubit's Pauli in qubit order.  Two error-mitigation modes exist for
 noisy runs: "repeat-vote" (each sampled ancilla measurement is repeated
 n times and majority voted, drawn from the exact ancilla marginal on
 the same per-row stream) and
 "physical-code" (each data qubit's channel draw is passed through an
 n-qubit repetition code with syndrome correction before the surviving
-logical error touches the state).
+logical error touches the state; ``_code_pauli`` draws one qubit's
+block, and the code is built once per ``_encode_rows`` call).
 """
 
 from __future__ import annotations
@@ -37,14 +39,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .cknn import _check_schema, _check_training, _nearest, _predict_rows, _vote
 from .data import Dataset
 from .encoding import EncodedPoint, EncodingConfig, apply_feature_map, encode_point
-from .noise import NoiseSpec, apply_pauli_errors, draw_pauli, sample_errors
+from .noise import NoiseSpec, apply_pauli_errors, draw_pauli
 from .qec import RepetitionCode, code_corrected_flip
 from .sim import (
     MAX_QUBITS,
@@ -102,10 +103,8 @@ class QknnConfig:
                 "repeat-vote mitigation repeats ancilla measurements and "
                 "therefore requires distance_mode='sampled'"
             )
-        if self.code_length < 3 or self.code_length % 2 == 0:
-            raise ValueError(
-                f"code length must be odd and >= 3, got {self.code_length}"
-            )
+        # RepetitionCode owns the odd, >= 3 rule for both modes.
+        RepetitionCode(self.code_length)
 
 
 def check_register(cfg: QknnConfig, n_features: int) -> None:
@@ -278,61 +277,51 @@ def classify(model: QknnModel, test: EncodedPoint) -> tuple[int, np.ndarray]:
     return label, scores
 
 
-def _physical_code_errors(
-    spec: NoiseSpec,
-    qubits: Sequence[int],
-    rng: np.random.Generator,
-    code: RepetitionCode,
-) -> list[tuple[int, str]]:
-    """Channel draw for each qubit filtered through a repetition code.
+#: The logical Pauli left by a code block's (logical X, logical Z) parts.
+_LOGICAL_PAULI = {(0, 0): None, (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 
-    Each data qubit is treated as logically encoded across ``code.n``
-    physical qubits, each of which suffers an independent channel draw.
-    The X component of the draws runs through the real encode/syndrome/
-    correct/decode path; a surviving majority becomes a logical X.  Z
-    components combine by parity (the bit-flip code offers no phase
-    protection).  Both surviving -> Y (= XZ up to global phase).
+
+def _code_pauli(
+    spec: NoiseSpec, rng: np.random.Generator, code: RepetitionCode
+) -> str | None:
+    """One data qubit's channel draw filtered through a repetition code:
+    the surviving logical Pauli, or None.
+
+    The qubit is treated as logically encoded across ``code.n`` physical
+    qubits, each of which suffers an independent channel draw.  The X
+    components of the draws run through the real encode/syndrome/correct/
+    decode path; a surviving majority becomes a logical X.  Z components
+    combine by parity (the bit-flip code offers no phase protection).
+    Both surviving -> Y (= XZ up to global phase).
     """
-    errors = []
-    for q in qubits:
-        draws = [draw_pauli(spec, rng) for _ in range(code.n)]
-        flips = [1 if d in ("X", "Y") else 0 for d in draws]
-        logical_x = code_corrected_flip(flips, code) if any(flips) else 0
-        logical_z = sum(1 for d in draws if d in ("Z", "Y")) % 2
-        if logical_x and logical_z:
-            errors.append((int(q), "Y"))
-        elif logical_x:
-            errors.append((int(q), "X"))
-        elif logical_z:
-            errors.append((int(q), "Z"))
-    return errors
-
-
-def _inject(
-    state: StateVector, cfg: QknnConfig, rng: np.random.Generator
-) -> StateVector:
-    qubits = range(state.num_qubits)
-    if cfg.mitigation == "physical-code":
-        errors = _physical_code_errors(
-            cfg.noise, qubits, rng, RepetitionCode(cfg.code_length)
-        )
-    else:
-        errors = sample_errors(cfg.noise, qubits, rng)
-    return apply_pauli_errors(state, errors)
+    draws = [draw_pauli(spec, rng) for _ in range(code.n)]
+    flips = [1 if d in ("X", "Y") else 0 for d in draws]
+    logical_x = code_corrected_flip(flips, code) if any(flips) else 0
+    logical_z = sum(1 for d in draws if d in ("Z", "Y")) % 2
+    return _LOGICAL_PAULI[logical_x, logical_z]
 
 
 def _encode_rows(
     features: np.ndarray, cfg: QknnConfig, rng: np.random.Generator
 ) -> list[EncodedPoint]:
-    """Encode rows; with noise, each point gets one trajectory after the map."""
+    """Encode rows; with noise, each point gets one trajectory after the map:
+    per qubit, in qubit order, one channel draw from ``rng``, or with
+    "physical-code" the logical Pauli of the qubit's code block."""
     noisy = cfg.noise is not None and cfg.noise.p > 0.0
+    coded = cfg.mitigation == "physical-code"
+    code = RepetitionCode(cfg.code_length)
     points = []
     for row_index, row in enumerate(features):
         point = encode_point(row, cfg.encoding, source_row=row_index)
         if cfg.use_feature_map:
             point = apply_feature_map(point)
         if noisy:
-            point.state = _inject(point.state, cfg, rng)
+            paulis = [
+                _code_pauli(cfg.noise, rng, code) if coded else draw_pauli(cfg.noise, rng)
+                for _ in range(point.state.num_qubits)
+            ]
+            errors = [(q, pauli) for q, pauli in enumerate(paulis) if pauli is not None]
+            point.state = apply_pauli_errors(point.state, errors)
         points.append(point)
     return points
 
@@ -361,9 +350,9 @@ def fit_predict(
     call is one trajectory; rerun with different seeds to average.
     Deterministic for a fixed config.
     """
+    _check_schema(train, test)
     # The training rows, then the test rows, draw from one noise stream.
     rng = np.random.default_rng(cfg.seed)
     model = _fit(train, cfg, rng)
-    _check_schema(train, test)
     encoded_test = _encode_rows(test.features, cfg, rng)
     return _predict_rows(classify, model, encoded_test, train.n_classes)

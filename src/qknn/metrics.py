@@ -99,7 +99,14 @@ def compute_metrics(
         raise ValueError(
             f"scores must be [n, n_classes] aligned with labels, got {scores.shape}"
         )
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("scores contain non-finite values")
     n_classes = scores.shape[1]
+    if y_true.min() < 0 or y_pred.min() < 0:
+        raise ValueError(
+            f"labels must be non-negative: true min {y_true.min()}, "
+            f"pred min {y_pred.min()}"
+        )
     if y_true.max() >= n_classes or y_pred.max() >= n_classes:
         raise ValueError(
             f"labels exceed the {n_classes} score columns: "

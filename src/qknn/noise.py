@@ -6,10 +6,12 @@ single-Pauli channels map rho -> (1-p) rho + p K rho K with K in
 applies each of X, Z, Y with probability p/3.
 
 A trajectory realisation keeps the state pure: per qubit one Pauli is
-drawn (or none) and applied as a gate.  Averaging the trajectory density
-matrices over many shots converges to the channel output; the trajectory
-average and the exact one-qubit channel used to check it live in
-``tests/oracles.py``.
+drawn (or none) by ``draw_pauli`` and applied as a gate by
+``apply_pauli_errors``.  The one loop that draws a whole trajectory, in
+qubit order, is ``classifier._encode_rows``.  Averaging the trajectory
+density matrices over many shots converges to the channel output; the
+trajectory average and the exact one-qubit channel used to check it live
+in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -62,18 +64,6 @@ def draw_pauli(spec: NoiseSpec, rng: np.random.Generator) -> str | None:
     if spec.kind is NoiseKind.MIXED_PAULI:
         return _MIXED_PAULIS[rng.integers(3)]
     return _CHANNEL_PAULI[spec.kind]
-
-
-def sample_errors(
-    spec: NoiseSpec, qubits: Sequence[int], rng: np.random.Generator
-) -> list[tuple[int, str]]:
-    """One trajectory's error draw: (qubit, pauli) pairs in qubit order."""
-    errors = []
-    for q in qubits:
-        pauli = draw_pauli(spec, rng)
-        if pauli is not None:
-            errors.append((int(q), pauli))
-    return errors
 
 
 def apply_pauli_errors(

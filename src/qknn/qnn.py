@@ -132,6 +132,8 @@ def _forward_batch(arch: QnnArchitecture, X: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"expected a [batch, {arch.n_qubits}] feature matrix, got shape {X.shape}"
         )
+    if not np.all(np.isfinite(X)):
+        raise ValueError("feature matrix contains non-finite values")
     n = arch.n_qubits
     amps = _embed_batch(X, n)
     cnot = gate_matrix(Gate.CNOT).real

@@ -33,7 +33,13 @@ the library once had and now only tests use:
 * ``bce_loss``, ``cce_loss``, ``onehot`` and ``qnn_loss_grad_wrt_z``, the
   qnn's two losses and its dLoss/dz before one readout map and one cross
   entropy replaced them, which ``qnn.batch_loss`` and ``qnn.gradient``
-  must match bit for bit inside the probability clamp.
+  must match bit for bit inside the probability clamp;
+* ``sample_errors``, ``physical_code_errors``, ``inject`` and
+  ``encode_rows``, the noisy trajectory as two per-qubit draw loops (one
+  per mitigation mode) joined by an injector that built a repetition code
+  per encoded point, before one loop in ``classifier._encode_rows`` drew
+  both; that loop must draw the same streams and give bitwise-equal
+  states.
 """
 
 from __future__ import annotations
@@ -46,11 +52,13 @@ import numpy as np
 from qknn.classifier import (
     DEFAULT_SHOTS,
     DISTANCE_MODES,
+    QknnConfig,
     _sampled_ancilla_zero,
     swap_test_state,
 )
-from qknn.encoding import EncodedPoint
-from qknn.noise import NoiseKind, NoiseSpec, apply_pauli_errors, sample_errors
+from qknn.encoding import EncodedPoint, apply_feature_map, encode_point
+from qknn.noise import NoiseKind, NoiseSpec, apply_pauli_errors, draw_pauli
+from qknn.qec import RepetitionCode, code_corrected_flip
 from qknn.qnn import EPS, QnnArchitecture, softmax
 from qknn.sim import Gate, GateOp, StateVector, apply_gate, new_zero_state
 
@@ -283,6 +291,77 @@ def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
     return amps / np.linalg.norm(amps)
 
 
+def sample_errors(
+    spec: NoiseSpec, qubits: Sequence[int], rng: np.random.Generator
+) -> list[tuple[int, str]]:
+    """One trajectory's error draw: (qubit, pauli) pairs in qubit order."""
+    errors = []
+    for q in qubits:
+        pauli = draw_pauli(spec, rng)
+        if pauli is not None:
+            errors.append((int(q), pauli))
+    return errors
+
+
+def physical_code_errors(
+    spec: NoiseSpec,
+    qubits: Sequence[int],
+    rng: np.random.Generator,
+    code: RepetitionCode,
+) -> list[tuple[int, str]]:
+    """Channel draw for each qubit filtered through a repetition code.
+
+    Each data qubit is treated as logically encoded across ``code.n``
+    physical qubits, each of which suffers an independent channel draw.
+    The X component of the draws runs through the real encode/syndrome/
+    correct/decode path; a surviving majority becomes a logical X.  Z
+    components combine by parity (the bit-flip code offers no phase
+    protection).  Both surviving -> Y (= XZ up to global phase).
+    """
+    errors = []
+    for q in qubits:
+        draws = [draw_pauli(spec, rng) for _ in range(code.n)]
+        flips = [1 if d in ("X", "Y") else 0 for d in draws]
+        logical_x = code_corrected_flip(flips, code) if any(flips) else 0
+        logical_z = sum(1 for d in draws if d in ("Z", "Y")) % 2
+        if logical_x and logical_z:
+            errors.append((int(q), "Y"))
+        elif logical_x:
+            errors.append((int(q), "X"))
+        elif logical_z:
+            errors.append((int(q), "Z"))
+    return errors
+
+
+def inject(
+    state: StateVector, cfg: QknnConfig, rng: np.random.Generator
+) -> StateVector:
+    qubits = range(state.num_qubits)
+    if cfg.mitigation == "physical-code":
+        errors = physical_code_errors(
+            cfg.noise, qubits, rng, RepetitionCode(cfg.code_length)
+        )
+    else:
+        errors = sample_errors(cfg.noise, qubits, rng)
+    return apply_pauli_errors(state, errors)
+
+
+def encode_rows(
+    features: np.ndarray, cfg: QknnConfig, rng: np.random.Generator
+) -> list[EncodedPoint]:
+    """Encode rows; with noise, each point gets one trajectory after the map."""
+    noisy = cfg.noise is not None and cfg.noise.p > 0.0
+    points = []
+    for row_index, row in enumerate(features):
+        point = encode_point(row, cfg.encoding, source_row=row_index)
+        if cfg.use_feature_map:
+            point = apply_feature_map(point)
+        if noisy:
+            point.state = inject(point.state, cfg, rng)
+        points.append(point)
+    return points
+
+
 def run_trajectory_batch(
     state: StateVector,
     spec: NoiseSpec,
@@ -290,8 +369,8 @@ def run_trajectory_batch(
     shots: int,
     seed: int,
 ) -> np.ndarray:
-    """Density matrix averaged over ``shots`` trajectories of the library's
-    error draws; deterministic per seed."""
+    """Density matrix averaged over ``shots`` trajectories of
+    ``sample_errors``; deterministic per seed."""
     rng = np.random.default_rng(seed)
     dim = 2**state.num_qubits
     rho = np.zeros((dim, dim), dtype=complex)

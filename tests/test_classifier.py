@@ -13,8 +13,9 @@ from qknn.classifier import (
     NeighborSet,
     QknnConfig,
     QknnModel,
+    _code_pauli,
+    _encode_rows,
     _pair_fidelities,
-    _physical_code_errors,
     _voted_fidelities,
     classify,
     find_neighbors,
@@ -33,6 +34,7 @@ from oracles import (
     choice_sample_basis,
     cknn_classify,
     cknn_find_neighbors,
+    encode_rows,
     qknn_classify,
     quantum_distance,
     random_state,
@@ -329,6 +331,22 @@ class TestFitPredict:
         with pytest.raises(ValueError, match="feature count"):
             fit_predict(train, narrow, QknnConfig(k=1))
 
+    def test_schema_is_checked_before_any_row_is_encoded(
+        self, rng, make_dataset, monkeypatch
+    ):
+        calls = []
+
+        def counting_encode_point(*args, **kwargs):
+            calls.append(1)
+            return encode_point(*args, **kwargs)
+
+        monkeypatch.setattr(classifier, "encode_point", counting_encode_point)
+        train = toy_dataset(rng.uniform(0, 1, size=(50, 2)), [0, 1] * 25, make_dataset)
+        wider = toy_dataset(rng.uniform(0, 1, size=(5, 3)), [0] * 5, make_dataset, n_classes=2)
+        with pytest.raises(ValueError, match="feature count"):
+            fit_predict(train, wider, QknnConfig(k=1))
+        assert calls == []
+
     def test_empty_training_set_rejected(self, make_dataset):
         import qknn.data as data_mod
 
@@ -337,9 +355,9 @@ class TestFitPredict:
             features=np.zeros((0, 1)),
             labels=np.zeros(0, dtype=int),
             feature_names=("f0",),
-            class_names=("c0", "c1"),
+            class_names=("0", "1"),
         )
-        test = toy_dataset([[0.1]], [0], make_dataset)
+        test = toy_dataset([[0.1]], [0], make_dataset, n_classes=2)
         with pytest.raises(ValueError, match="empty"):
             fit_predict(empty, test, QknnConfig(k=1))
 
@@ -472,6 +490,50 @@ class TestNoiseAndMitigation:
             np.testing.assert_allclose(got, after, atol=1e-12)
             assert abs(np.vdot(before, got)) ** 2 < 1e-12
 
+    @pytest.mark.parametrize(
+        "mitigation,n", [("none", 3), ("physical-code", 3), ("physical-code", 5)]
+    )
+    @pytest.mark.parametrize("kind", list(NoiseKind), ids=lambda k: k.value)
+    def test_one_draw_loop_matches_the_two_loop_oracle(
+        self, separated_problem, kind, mitigation, n
+    ):
+        # The oracle draws each trajectory with a per-mode loop and builds a
+        # code per point; the fitted states must be bitwise equal, and both
+        # must leave the stream at the same place for the test rows.
+        train, test = separated_problem
+        for p in (0.1, 0.5):
+            for seed in (0, 5, 19):
+                cfg = QknnConfig(
+                    **{**NOISE_CFG, "seed": seed}, noise=NoiseSpec(kind, p),
+                    mitigation=mitigation, code_length=n,
+                )
+                reference = encode_rows(train.features, cfg, np.random.default_rng(seed))
+                expected = np.stack([point.state.amplitudes for point in reference])
+                assert np.array_equal(fit(train, cfg)._train_amplitudes, expected)
+                ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                for features in (train.features, test.features):
+                    got = _encode_rows(features, cfg, ours)
+                    want = encode_rows(features, cfg, theirs)
+                    for a, b in zip(got, want):
+                        assert np.array_equal(a.state.amplitudes, b.state.amplitudes)
+                    assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_the_code_is_built_once_per_encoding_call(self, separated_problem, monkeypatch):
+        train, _ = separated_problem
+        cfg = QknnConfig(
+            **NOISE_CFG, noise=NoiseSpec(NoiseKind.MIXED_PAULI, 0.3),
+            mitigation="physical-code", code_length=5,
+        )
+        built = []
+
+        def counting_code(n):
+            built.append(n)
+            return RepetitionCode(n)
+
+        monkeypatch.setattr(classifier, "RepetitionCode", counting_code)
+        _encode_rows(train.features, cfg, np.random.default_rng(0))
+        assert built == [5]
+
     @pytest.mark.parametrize("n", [3, 5])
     @pytest.mark.parametrize("p", [0.1, 0.3])
     @pytest.mark.parametrize(
@@ -483,10 +545,9 @@ class TestNoiseAndMitigation:
         # logical phase-error rate rises to (1 - (1 - 2 q_z)^n) / 2
         # (Nielsen & Chuang, section 10.1).
         draws = 20_000
-        errors = _physical_code_errors(
-            NoiseSpec(kind, p), range(draws), np.random.default_rng(7), RepetitionCode(n)
-        )
-        rate = sum(1 for _, pauli in errors if pauli in ("Z", "Y")) / draws
+        spec, rng, code = NoiseSpec(kind, p), np.random.default_rng(7), RepetitionCode(n)
+        paulis = [_code_pauli(spec, rng, code) for _ in range(draws)]
+        rate = sum(1 for pauli in paulis if pauli in ("Z", "Y")) / draws
         expected = (1.0 - (1.0 - 2.0 * z_share * p) ** n) / 2.0
         assert expected > z_share * p
         z = (rate - expected) / math.sqrt(expected * (1.0 - expected) / draws)
@@ -516,13 +577,10 @@ class TestNoiseAndMitigation:
             logical[names[flip, parity]] += weight
         assert math.isclose(sum(logical.values()), 1.0, rel_tol=1e-12)
         draws = 20_000
-        errors = _physical_code_errors(
-            NoiseSpec(kind, p), range(draws), np.random.default_rng(11), code
-        )
+        spec, rng = NoiseSpec(kind, p), np.random.default_rng(11)
         counts = {pauli: 0 for pauli in logical}
-        for _, pauli in errors:
-            counts[pauli] += 1
-        counts["I"] = draws - len(errors)
+        for _ in range(draws):
+            counts[_code_pauli(spec, rng, code) or "I"] += 1
         for pauli, prob in logical.items():
             if prob == 0.0:
                 assert counts[pauli] == 0, pauli

@@ -154,3 +154,21 @@ class TestComputeMetrics:
             compute_metrics(y, y, np.zeros((3, 2)))
         with pytest.raises(ValueError, match="exceed"):
             compute_metrics(np.array([0, 2]), np.array([0, 1]), np.zeros((2, 2)))
+
+    def test_negative_labels_rejected(self):
+        # A -1 would index the last confusion row or column and count as a hit.
+        scores = np.full((4, 2), 0.5)
+        good = np.array([0, 1, 1, 1])
+        bad = np.array([0, 1, -1, 1])
+        with pytest.raises(ValueError, match="non-negative"):
+            compute_metrics(bad, good, scores)
+        with pytest.raises(ValueError, match="non-negative"):
+            compute_metrics(good, bad, scores)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, value):
+        y = np.array([0, 1, 0, 1])
+        scores = binary_scores(y)
+        scores[1, 1] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            compute_metrics(y, y, scores)

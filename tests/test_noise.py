@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from qknn.classifier import QknnConfig, _encode_rows
+from qknn.encoding import EncodingConfig, apply_feature_map, encode_point
 from qknn.noise import (
     NoiseKind,
     NoiseSpec,
     apply_pauli_errors,
     draw_pauli,
-    sample_errors,
 )
 from qknn.sim import StateVector, new_zero_state
 
@@ -66,22 +67,31 @@ class TestDraws:
         hits = sum(draw_pauli(spec, rng) is not None for _ in range(50000))
         assert hits / 50000 == pytest.approx(0.3, abs=0.01)
 
-    def test_sample_errors_orders_by_qubit(self):
-        rng = np.random.default_rng(3)
-        spec = NoiseSpec(NoiseKind.BIT_FLIP, 1.0)
-        errors = sample_errors(spec, [2, 0, 1], rng)
-        assert errors == [(2, "X"), (0, "X"), (1, "X")]
+    def test_trajectory_draws_one_pauli_per_qubit_in_qubit_order(self, rng):
+        # Mixed Pauli at p = 1 puts a draw on every qubit; seed 0 draws
+        # Z, X, X, Y, so the encoded state pins which draw landed where.
+        spec = NoiseSpec(NoiseKind.MIXED_PAULI, 1.0)
+        cfg = QknnConfig(encoding=EncodingConfig(angle_scale=math.pi), noise=spec)
+        row = rng.uniform(0, 1, size=4)
+        [point] = _encode_rows(row[None, :], cfg, np.random.default_rng(0))
+        stream = np.random.default_rng(0)
+        errors = [(q, draw_pauli(spec, stream)) for q in range(4)]
+        assert [pauli for _, pauli in errors] == ["Z", "X", "X", "Y"]
+        clean = apply_feature_map(encode_point(row, cfg.encoding, source_row=0)).state
+        expected = apply_pauli_errors(clean, errors).amplitudes
+        np.testing.assert_array_equal(point.state.amplitudes, expected)
 
 
 class TestApply:
     def test_certain_bit_flip_flips_the_basis_state(self, rng):
         spec = NoiseSpec(NoiseKind.BIT_FLIP, 1.0)
-        state = apply_pauli_errors(new_zero_state(2), sample_errors(spec, [0, 1], rng))
+        errors = [(q, draw_pauli(spec, rng)) for q in (0, 1)]
+        state = apply_pauli_errors(new_zero_state(2), errors)
         np.testing.assert_allclose(state.amplitudes, [0, 0, 0, 1], atol=1e-15)
 
     def test_phase_flip_leaves_zero_state_invariant(self, rng):
         spec = NoiseSpec(NoiseKind.PHASE_FLIP, 1.0)
-        state = apply_pauli_errors(new_zero_state(1), sample_errors(spec, [0], rng))
+        state = apply_pauli_errors(new_zero_state(1), [(0, draw_pauli(spec, rng))])
         np.testing.assert_allclose(state.amplitudes, [1, 0], atol=1e-15)
 
     def test_errors_apply_as_gates(self):
@@ -91,9 +101,8 @@ class TestApply:
         )
 
     def test_norm_preserved(self, rng):
-        spec = NoiseSpec(NoiseKind.MIXED_PAULI, 0.5)
         state = random_sv(3, rng)
-        out = apply_pauli_errors(state, sample_errors(spec, range(3), rng))
+        out = apply_pauli_errors(state, [(0, "X"), (1, "Y"), (2, "Z")])
         assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
 
 
@@ -101,8 +110,8 @@ class TestTrajectories:
     def test_same_seed_same_stream(self):
         spec = NoiseSpec(NoiseKind.MIXED_PAULI, 0.4)
         first, second = np.random.default_rng(5), np.random.default_rng(5)
-        a = [sample_errors(spec, range(3), first) for _ in range(20)]
-        b = [sample_errors(spec, range(3), second) for _ in range(20)]
+        a = [draw_pauli(spec, first) for _ in range(60)]
+        b = [draw_pauli(spec, second) for _ in range(60)]
         assert a == b
         assert any(a) and not all(a)
 

@@ -135,6 +135,18 @@ class TestForward:
         with pytest.raises(ValueError, match="feature matrix"):
             _forward_batch(arch, np.zeros((3, 5)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, value):
+        arch = arch_with(np.zeros((1, 2)))
+        X = np.array([[value, 0.1], [0.2, 0.3]])
+        y = np.array([0, 1])
+        with pytest.raises(ValueError, match="non-finite"):
+            predict_proba(arch, X)
+        with pytest.raises(ValueError, match="non-finite"):
+            batch_loss(arch, X, y)
+        with pytest.raises(ValueError, match="non-finite"):
+            gradient(arch, X, y)
+
 
 class TestRealStack:
     """Every matrix of the circuit is real, so the stack runs in float64."""
