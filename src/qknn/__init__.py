@@ -7,7 +7,7 @@ Modules:
 * sim        - dense state-vector simulator and gate set
 * encoding   - phase feature encoding and the entangling map
 * noise      - Pauli channels as Monte-Carlo trajectories
-* qec        - bit-flip repetition code (encode/syndrome/correct/decode)
+* qec        - bit-flip repetition code, decoded in closed form
 * classifier - swap-test k-nearest-neighbour model
 * qnn        - variational circuit baseline with parameter-shift training
 * cknn       - classical Euclidean k-nearest-neighbour baseline

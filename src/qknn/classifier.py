@@ -31,7 +31,8 @@ the same per-row stream) and
 "physical-code" (each data qubit's channel draw is passed through an
 n-qubit repetition code with syndrome correction before the surviving
 logical error touches the state; ``_code_pauli`` draws one qubit's
-block, and the code is built once per ``_encode_rows`` call).
+block and decodes its flips in closed form, and the code is built once
+per ``_encode_rows`` call).
 """
 
 from __future__ import annotations
@@ -288,17 +289,19 @@ def _code_pauli(
     the surviving logical Pauli, or None.
 
     The qubit is treated as logically encoded across ``code.n`` physical
-    qubits, each of which suffers an independent channel draw.  The X
-    components of the draws run through the real encode/syndrome/correct/
-    decode path; a surviving majority becomes a logical X.  Z components
-    combine by parity (the bit-flip code offers no phase protection).
-    Both surviving -> Y (= XZ up to global phase).
+    qubits, each of which suffers an independent channel draw, in order.
+    The X components of the draws are decoded by ``code_corrected_flip``
+    (called only when some draw flips); a surviving majority becomes a
+    logical X.  Z components combine by parity (the bit-flip code offers
+    no phase protection).  Both surviving -> Y (= XZ up to global phase).
     """
-    draws = [draw_pauli(spec, rng) for _ in range(code.n)]
-    flips = [1 if d in ("X", "Y") else 0 for d in draws]
+    flips, z_parity = [], 0
+    for _ in range(code.n):
+        pauli = draw_pauli(spec, rng)
+        flips.append(pauli in ("X", "Y"))
+        z_parity ^= pauli in ("Z", "Y")
     logical_x = code_corrected_flip(flips, code) if any(flips) else 0
-    logical_z = sum(1 for d in draws if d in ("Z", "Y")) % 2
-    return _LOGICAL_PAULI[logical_x, logical_z]
+    return _LOGICAL_PAULI[logical_x, z_parity]
 
 
 def _encode_rows(

@@ -53,6 +53,8 @@ class NoiseSpec:
     p: float
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, NoiseKind):
+            raise TypeError(f"noise kind must be a NoiseKind, got {self.kind!r}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"noise probability must lie in [0, 1], got {self.p}")
 

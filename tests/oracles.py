@@ -39,12 +39,20 @@ the library once had and now only tests use:
   per mitigation mode) joined by an injector that built a repetition code
   per encoded point, before one loop in ``classifier._encode_rows`` drew
   both; that loop must draw the same streams and give bitwise-equal
-  states.
+  states;
+* ``encode_logical``, ``measure_syndrome`` (with ``Syndrome`` and
+  ``BasisStateError``), ``decode_flips``, ``correct``, ``readout_bits``
+  and ``majority_decode``, the repetition code run as a circuit on basis
+  states, and ``circuit_corrected_flip``, the whole path for one X-flip
+  pattern, which decoded every code block before ``qec.code_corrected_flip``
+  returned the majority in closed form; the closed form must match it on
+  every pattern, and ``physical_code_errors`` decodes through it.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -58,9 +66,17 @@ from qknn.classifier import (
 )
 from qknn.encoding import EncodedPoint, apply_feature_map, encode_point
 from qknn.noise import NoiseKind, NoiseSpec, apply_pauli_errors, draw_pauli
-from qknn.qec import RepetitionCode, code_corrected_flip
+from qknn.qec import RepetitionCode
 from qknn.qnn import EPS, QnnArchitecture, softmax
-from qknn.sim import Gate, GateOp, StateVector, apply_gate, new_zero_state
+from qknn.sim import (
+    Gate,
+    GateOp,
+    StateVector,
+    apply_gate,
+    basis_state,
+    bit_value,
+    new_zero_state,
+)
 
 _PAULI = {
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -303,6 +319,109 @@ def sample_errors(
     return errors
 
 
+class BasisStateError(ValueError):
+    """Raised when an operation requires a computational basis state."""
+
+
+@dataclass(frozen=True)
+class Syndrome:
+    """Adjacent-pair Z parities, each +1 or -1."""
+
+    values: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if any(v not in (-1, 1) for v in self.values):
+            raise ValueError(f"syndrome entries must be +/-1, got {self.values}")
+
+
+def encode_logical(bit: int, code: RepetitionCode) -> StateVector:
+    """Encode a classical bit as |b>^n."""
+    if bit not in (0, 1):
+        raise ValueError(f"logical bit must be 0 or 1, got {bit}")
+    index = (2**code.n - 1) if bit else 0
+    return basis_state(code.n, index)
+
+
+def _basis_index(state: StateVector) -> int:
+    """The single basis index carrying all probability, else BasisStateError."""
+    probs = state.probabilities()
+    top = int(np.argmax(probs))
+    if probs[top] < 1.0 - 1e-10:
+        raise BasisStateError(
+            "syndrome readout requires a computational basis state; "
+            f"largest probability is only {probs[top]:.6f}"
+        )
+    return top
+
+
+def measure_syndrome(state: StateVector, code: RepetitionCode) -> Syndrome:
+    """Read the Z_i Z_{i+1} parities of a basis state (non-destructive)."""
+    if state.num_qubits != code.n:
+        raise ValueError(
+            f"state has {state.num_qubits} qubits but the code needs {code.n}"
+        )
+    index = _basis_index(state)
+    z = [1 - 2 * bit_value(index, q, code.n) for q in range(code.n)]
+    return Syndrome(tuple(z[i] * z[i + 1] for i in range(code.n - 1)))
+
+
+def decode_flips(syndrome: Syndrome, code: RepetitionCode) -> tuple[int, ...]:
+    """Minimum-weight X-flip set consistent with the syndrome.
+
+    The syndrome fixes the bit pattern up to global complement; of the two
+    candidates the lighter one is returned (n odd, so no tie is possible).
+    """
+    if len(syndrome.values) != code.n - 1:
+        raise ValueError(
+            f"syndrome has {len(syndrome.values)} entries but the code needs {code.n - 1}"
+        )
+    bits = [0]
+    for s in syndrome.values:
+        bits.append(bits[-1] ^ (1 if s == -1 else 0))
+    weight = sum(bits)
+    if weight > code.n - weight:
+        bits = [1 - b for b in bits]
+    return tuple(i for i, b in enumerate(bits) if b)
+
+
+def correct(state: StateVector, syndrome: Syndrome, code: RepetitionCode) -> StateVector:
+    """Apply the decoder's X flips to the state."""
+    for q in decode_flips(syndrome, code):
+        state = apply_gate(state, GateOp(Gate.X, (q,)))
+    return state
+
+
+def readout_bits(state: StateVector, code: RepetitionCode) -> list[int]:
+    """The physical bit values of a (corrected) basis state."""
+    index = _basis_index(state)
+    return [bit_value(index, q, code.n) for q in range(code.n)]
+
+
+def majority_decode(bits: Sequence[int]) -> int:
+    """Majority vote over an odd number of classical bits."""
+    bits = list(bits)
+    if len(bits) % 2 == 0 or not bits:
+        raise ValueError(f"majority vote needs an odd number of bits, got {len(bits)}")
+    if any(b not in (0, 1) for b in bits):
+        raise ValueError(f"bits must be 0 or 1, got {bits}")
+    return int(sum(bits) * 2 > len(bits))
+
+
+def circuit_corrected_flip(flip_bits: Sequence[int], code: RepetitionCode) -> int:
+    """Whether a physical X-flip pattern survives the code as a logical flip,
+    by the circuit: encode logical |0>, apply X wherever ``flip_bits`` is
+    set, read the syndrome, correct, and majority-decode the readout."""
+    flip_bits = list(flip_bits)
+    if len(flip_bits) != code.n:
+        raise ValueError(f"expected {code.n} flip bits, got {len(flip_bits)}")
+    state = encode_logical(0, code)
+    for qubit, flip in enumerate(flip_bits):
+        if flip:
+            state = apply_gate(state, GateOp(Gate.X, (qubit,)))
+    state = correct(state, measure_syndrome(state, code), code)
+    return majority_decode(readout_bits(state, code))
+
+
 def physical_code_errors(
     spec: NoiseSpec,
     qubits: Sequence[int],
@@ -313,8 +432,9 @@ def physical_code_errors(
 
     Each data qubit is treated as logically encoded across ``code.n``
     physical qubits, each of which suffers an independent channel draw.
-    The X component of the draws runs through the real encode/syndrome/
-    correct/decode path; a surviving majority becomes a logical X.  Z
+    The X component of the draws runs through the circuit-level
+    encode/syndrome/correct/decode path of ``circuit_corrected_flip``; a
+    surviving majority becomes a logical X.  Z
     components combine by parity (the bit-flip code offers no phase
     protection).  Both surviving -> Y (= XZ up to global phase).
     """
@@ -322,7 +442,7 @@ def physical_code_errors(
     for q in qubits:
         draws = [draw_pauli(spec, rng) for _ in range(code.n)]
         flips = [1 if d in ("X", "Y") else 0 for d in draws]
-        logical_x = code_corrected_flip(flips, code) if any(flips) else 0
+        logical_x = circuit_corrected_flip(flips, code) if any(flips) else 0
         logical_z = sum(1 for d in draws if d in ("Z", "Y")) % 2
         if logical_x and logical_z:
             errors.append((int(q), "Y"))

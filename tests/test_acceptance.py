@@ -16,15 +16,7 @@ from qknn.bench import BenchConfig, report_to_json, run_benchmark, run_noise_swe
 from qknn.data import chi_square_select, chi_square_sf
 from qknn.encoding import EncodingConfig, encode_point
 from qknn.noise import NoiseKind, NoiseSpec
-from qknn.qec import (
-    RepetitionCode,
-    code_corrected_flip,
-    correct,
-    encode_logical,
-    majority_decode,
-    measure_syndrome,
-    readout_bits,
-)
+from qknn.qec import RepetitionCode, code_corrected_flip
 from qknn.qnn import TrainConfig, batch_loss, gradient, init_architecture, predict_proba, train
 from qknn.sim import (
     Gate,
@@ -40,10 +32,15 @@ from conftest import BANKNOTE_PATH, BANKNOTE_REASON, DATA_DIR
 from oracles import (
     apply_dense,
     chi2_bruteforce,
+    correct,
+    encode_logical,
     expected_density_effect,
     finite_difference_gradient,
+    majority_decode,
+    measure_syndrome,
     quantum_distance,
     random_state,
+    readout_bits,
     run_trajectory_batch,
 )
 

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,10 +30,10 @@ from qknn.bench import (
     write_report,
     write_sweep_csv,
 )
-from qknn.classifier import classify, fit
+from qknn.classifier import classify, fit, fit_predict
 from qknn.data import _FORMATS, stratified_indices
 from qknn.encoding import apply_feature_map, encode_point
-from qknn.noise import NoiseKind
+from qknn.noise import NoiseKind, NoiseSpec
 from qknn.sim import ResourceLimitError
 
 from conftest import BANKNOTE_PATH, DATA_DIR, REPO_ROOT
@@ -369,6 +370,26 @@ class TestNoiseSweep:
         a = run_noise_sweep(cfg, [0.2], trials=2)
         b = run_noise_sweep(cfg, [0.2], trials=2)
         np.testing.assert_array_equal(a.trial_accuracies, b.trial_accuracies)
+
+    def test_physical_code_stream_is_pinned(self):
+        # Recorded with the circuit-level decoder, before code blocks were
+        # decoded in closed form: the same draws must give the same labels.
+        cfg = iris_config()
+        sweep = run_noise_sweep(
+            cfg, [0.1, 0.3], 2, "physical-code", NoiseKind.MIXED_PAULI
+        )
+        assert sweep.trial_accuracies.tolist() == [
+            [0.7333333333333333, 0.6333333333333333],
+            [0.36666666666666664, 0.4666666666666667],
+        ]
+        prepared = prepare_experiment(cfg)
+        qcfg = _qknn_config(cfg, NoiseSpec(NoiseKind.MIXED_PAULI, 0.3), "physical-code")
+        labels, _ = fit_predict(prepared.train, prepared.test, qcfg)
+        assert "".join(map(str, labels)) == "000001002011112111001222222211"
+        labels, _ = fit_predict(
+            prepared.train, prepared.test, replace(qcfg, code_length=5)
+        )
+        assert "".join(map(str, labels)) == "000110110001002021212210021221"
 
     def test_validation(self):
         cfg = iris_config(**SMALL_SWEEP)

@@ -25,13 +25,14 @@ from qknn.classifier import (
 )
 from qknn.encoding import EncodingConfig, apply_feature_map, encode_point
 from qknn.noise import NoiseKind, NoiseSpec
-from qknn.qec import RepetitionCode, code_corrected_flip
+from qknn.qec import RepetitionCode
 from qknn.sim import Gate, GateOp, ResourceLimitError, StateVector, apply_gate, new_zero_state
 
 from oracles import (
     ancilla_zero_probability,
     apply_dense,
     choice_sample_basis,
+    circuit_corrected_flip,
     cknn_classify,
     cknn_find_neighbors,
     encode_rows,
@@ -558,8 +559,9 @@ class TestNoiseAndMitigation:
     @pytest.mark.parametrize("kind", list(NoiseKind), ids=lambda k: k.value)
     def test_physical_code_draws_match_the_enumerated_code_channel(self, kind, p, n):
         # Every one of the 4^n physical Pauli patterns, with its probability:
-        # the X parts decode through the qec state path, the Z parts combine
-        # by parity, and the pair names the logical Pauli.
+        # the X parts decode through the circuit-level code path of
+        # ``oracles``, the Z parts combine by parity, and the pair names
+        # the logical Pauli.
         single = {
             NoiseKind.BIT_FLIP: {"X": p},
             NoiseKind.PHASE_FLIP: {"Z": p},
@@ -572,7 +574,7 @@ class TestNoiseAndMitigation:
         names = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
         for pattern in itertools.product(single, repeat=n):
             weight = math.prod(single[pauli] for pauli in pattern)
-            flip = code_corrected_flip([int(pauli in "XY") for pauli in pattern], code)
+            flip = circuit_corrected_flip([int(pauli in "XY") for pauli in pattern], code)
             parity = sum(pauli in "ZY" for pauli in pattern) % 2
             logical[names[flip, parity]] += weight
         assert math.isclose(sum(logical.values()), 1.0, rel_tol=1e-12)

@@ -35,6 +35,13 @@ class TestSpec:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             NoiseSpec(NoiseKind.BIT_FLIP, -0.01)
 
+    @pytest.mark.parametrize("kind", ["mixed_pauli", "X", None, 0])
+    def test_rejects_a_kind_that_is_not_a_noise_kind(self, kind):
+        # A string kind used to construct, then fail with a KeyError on the
+        # first drawn error (or draw nothing at all while nothing hit).
+        with pytest.raises(TypeError, match="must be a NoiseKind"):
+            NoiseSpec(kind, 0.2)
+
     def test_enum_values_are_the_wire_names(self):
         assert NoiseKind.BIT_FLIP.value == "bit_flip"
         assert NoiseKind.MIXED_PAULI.value == "mixed_pauli"

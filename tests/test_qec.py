@@ -1,15 +1,19 @@
-"""Repetition-code tests: syndromes, decoding, correction, logical errors."""
+"""Repetition-code tests: the closed-form decoder, and the circuit-level
+syndrome/decode/correct path in ``oracles`` that it must match."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from qknn.qec import (
+from qknn.classifier import QknnConfig
+from qknn.qec import RepetitionCode, code_corrected_flip
+from qknn.sim import Gate, GateOp, apply_gate, basis_state
+
+from oracles import (
     BasisStateError,
-    RepetitionCode,
     Syndrome,
-    code_corrected_flip,
+    circuit_corrected_flip,
     correct,
     decode_flips,
     encode_logical,
@@ -17,7 +21,6 @@ from qknn.qec import (
     measure_syndrome,
     readout_bits,
 )
-from qknn.sim import Gate, GateOp, StateVector, apply_gate, basis_state
 
 
 def flip(state, qubits):
@@ -31,6 +34,15 @@ class TestCode:
         for n in (0, 1, 2, 4):
             with pytest.raises(ValueError, match="odd"):
                 RepetitionCode(n)
+
+    @pytest.mark.parametrize("n", [3.0, 5.0, "3", True, None])
+    def test_rejects_a_non_int_length(self, n):
+        with pytest.raises(TypeError, match="must be an int"):
+            RepetitionCode(n)
+        # The config's code length is checked by the code it builds, so a
+        # run fails at construction instead of mid-encoding.
+        with pytest.raises(TypeError, match="must be an int"):
+            QknnConfig(code_length=n)
 
     def test_syndrome_entries_validated(self):
         with pytest.raises(ValueError, match=r"\+/-1"):
@@ -181,3 +193,29 @@ class TestEndToEnd:
     def test_length_check(self):
         with pytest.raises(ValueError, match="3 flip bits"):
             code_corrected_flip([0, 1], RepetitionCode(3))
+
+    @pytest.mark.parametrize(
+        "pattern", [[2, 0, 0], [-1, 0, -1], [0.5, 0, 1], [0, None, 1], ["1", 0, 0]]
+    )
+    def test_rejects_entries_other_than_zero_and_one(self, pattern):
+        # The closed form counts flips, so a truthy non-bit must not count.
+        with pytest.raises(ValueError, match="0 or 1"):
+            code_corrected_flip(pattern, RepetitionCode(3))
+
+    def test_bools_and_numpy_bits_are_flips(self):
+        code = RepetitionCode(3)
+        assert code_corrected_flip([True, False, True], code) == 1
+        assert code_corrected_flip([False, True, False], code) == 0
+        assert code_corrected_flip(np.array([1, 1, 0]), code) == 1
+
+
+class TestClosedFormMatchesTheCircuit:
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_every_flip_pattern(self, n):
+        # The circuit encodes |0>, flips, reads the syndrome, corrects and
+        # majority-decodes; the closed form must agree on all 2^n patterns.
+        code = RepetitionCode(n)
+        for pattern in itertools.product((0, 1), repeat=n):
+            assert code_corrected_flip(pattern, code) == circuit_corrected_flip(
+                pattern, code
+            ), pattern

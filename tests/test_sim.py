@@ -428,11 +428,14 @@ class TestImmutableOps:
         point = encoding.apply_feature_map(encoding.encode_point(x))
         classifier.swap_test_state(point.state, point.state)
         noise.apply_pauli_errors(point.state, [(0, "X"), (1, "Y"), (2, "Z")])
-        qec.code_corrected_flip([1, 0, 1], qec.RepetitionCode(3))
         # Lookups: 3 H + 2 IsingXY + 2 CNOT; the swap test's H (applied
         # twice) and per qubit pair one CNOT (applied twice) and one Toffoli;
-        # 3 Paulis; the qec X gates, 2 to flip and 1 to correct.
-        assert lookups() - before == 7 + 7 + 3 + 3
+        # 3 Paulis.
+        assert lookups() - before == 7 + 7 + 3
+        # The repetition code decodes in closed form and builds no gate.
+        before = lookups()
+        assert qec.code_corrected_flip([1, 0, 1], qec.RepetitionCode(3)) == 1
+        assert lookups() == before
         # The swap test builds its gates once per width.
         before = lookups()
         classifier.swap_test_state(point.state, point.state)
