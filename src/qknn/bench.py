@@ -26,9 +26,11 @@ from pathlib import Path
 import numpy as np
 
 from . import cknn, qnn
-from .classifier import QknnConfig, check_register, fit_predict
+from .classifier import DEFAULT_SHOTS, QknnConfig, check_register, fit_predict
 from .data import (
     _FORMATS,
+    DEFAULT_BINS,
+    DEFAULT_TOP_K,
     Dataset,
     chi_square_select,
     load_dataset,
@@ -36,8 +38,8 @@ from .data import (
     split_test_count,
     stratified_indices,
 )
-from .encoding import EncodingConfig
-from .metrics import EvalReport, compute_metrics
+from .encoding import DEFAULT_ANGLE_SCALE, DEFAULT_FEATURE_MAP_ANGLE, EncodingConfig
+from .metrics import compute_metrics
 from .noise import NoiseKind, NoiseSpec
 
 MODELS = ("qknn", "cknn", "qnn")
@@ -68,25 +70,29 @@ def _check_type(name: str, type_name: str, value) -> None:
 
 @dataclass(frozen=True)
 class BenchConfig:
-    """One benchmark run, fully specified (mirrors the CLI flags)."""
+    """One benchmark run, fully specified (mirrors the CLI flags).
+
+    A setting that a library config or function also takes defaults to
+    that owner's default (a dataclass's class attribute is its default).
+    """
 
     dataset: str = "iris"
     model: str = "qknn"
-    k: int = 3
+    k: int = cknn.DEFAULT_K
     seed: int = 21
-    features: int = 4
-    bins: int = 10
-    angle_scale: float = 2.0 * math.pi
-    feature_map_angle: float = math.pi / 2.0
-    use_feature_map: bool = True
-    distance: str = "exact"
-    shots: int = 4096
+    features: int = DEFAULT_TOP_K
+    bins: int = DEFAULT_BINS
+    angle_scale: float = DEFAULT_ANGLE_SCALE
+    feature_map_angle: float = DEFAULT_FEATURE_MAP_ANGLE
+    use_feature_map: bool = QknnConfig.use_feature_map
+    distance: str = QknnConfig.distance_mode
+    shots: int = DEFAULT_SHOTS
     test_fraction: float = 0.2
     data_dir: str = "data"
     qnn_layers: int = 4
-    qnn_epochs: int = 100
-    qnn_learning_rate: float = 0.3
-    qnn_init_scale: float = 0.01
+    qnn_epochs: int = qnn.TrainConfig.epochs
+    qnn_learning_rate: float = qnn.TrainConfig.learning_rate
+    qnn_init_scale: float = qnn.DEFAULT_INIT_SCALE
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -174,7 +180,7 @@ def prepare_experiment(config: BenchConfig) -> PreparedExperiment:
     train_idx, test_idx = _stage(
         "split", stratified_indices, dataset.labels, config.test_fraction, config.seed
     )
-    normalized, norm_params = _stage(
+    normalized, normalization = _stage(
         "normalize", min_max_normalize, dataset, train_idx
     )
     train_view = normalized.subset_rows(train_idx)
@@ -198,7 +204,7 @@ def prepare_experiment(config: BenchConfig) -> PreparedExperiment:
             "train_indices": [int(i) for i in train_idx],
             "test_indices": [int(i) for i in test_idx],
         },
-        "normalization": norm_params.to_dict(),
+        "normalization": normalization,
         "selection": {
             "kept_indices": [int(i) for i in selection.kept_indices],
             "chi2_scores": [float(v) for v in selection.chi2_scores],
@@ -232,28 +238,9 @@ def _qknn_config(config: BenchConfig, noise: NoiseSpec | None = None,
     )
 
 
-def _check_run(
-    config: BenchConfig, mitigation: str = "none",
-    noise_kind: NoiseKind = NoiseKind.BIT_FLIP, p_values: Sequence[float] = (0.0,),
-    trials: int = 1,
-) -> None:
-    """Reject bad sweep settings, and registers over the qubit limit (for
-    qknn the mitigation decides which register is built), before loading."""
-    _check_type("trials", "int", trials)
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
-    if not p_values:
-        raise ValueError("need at least one noise level")
-    if len(p_values) * trials > MAX_SWEEP_RUNS:
-        raise ValueError(
-            f"{len(p_values)} noise levels x {trials} trials is more than "
-            f"{MAX_SWEEP_RUNS} sweep runs"
-        )
-    for p in p_values:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"noise level must lie in [0, 1], got {p}")
-    if not isinstance(noise_kind, NoiseKind):
-        raise TypeError(f"noise_kind must be a NoiseKind, got {noise_kind!r}")
+def _check_run(config: BenchConfig, mitigation: str = "none") -> None:
+    """Reject a register over the qubit limit (for qknn the mitigation
+    decides which register is built) before loading."""
     dataset = _FORMATS[config.dataset]
     width = min(config.features, len(dataset.feature_names))
     if config.model == "qknn":
@@ -292,7 +279,7 @@ def run_benchmark(config: BenchConfig) -> dict:
     _check_run(config)
     prepared = prepare_experiment(config)
     predictions, scores = _stage("model", _run_model, config, prepared)
-    report: EvalReport = _stage(
+    metrics = _stage(
         "metrics", compute_metrics, prepared.test.labels, predictions, scores
     )
     return {
@@ -301,7 +288,7 @@ def run_benchmark(config: BenchConfig) -> dict:
         "predictions": [int(v) for v in predictions],
         "true_labels": [int(v) for v in prepared.test.labels],
         "scores": [[float(v) for v in row] for row in scores],
-        "metrics": report.to_dict(),
+        "metrics": metrics,
     }
 
 
@@ -370,7 +357,7 @@ def _trial_seed(base_seed: int, level_index: int, trial: int) -> int:
 
 def run_noise_sweep(
     config: BenchConfig,
-    p_values: list[float],
+    p_values: Sequence[float],
     trials: int,
     mitigation: str = "none",
     noise_kind: NoiseKind = NoiseKind.BIT_FLIP,
@@ -385,14 +372,27 @@ def run_noise_sweep(
         raise ValueError(
             f"noise sweeps are defined for the qknn model, got {config.model!r}"
         )
-    _check_run(config, mitigation, noise_kind, p_values, trials)
+    _check_type("trials", "int", trials)
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
+    if len(p_values) == 0:
+        raise ValueError("need at least one noise level")
+    if len(p_values) * trials > MAX_SWEEP_RUNS:
+        raise ValueError(
+            f"{len(p_values)} noise levels x {trials} trials is more than "
+            f"{MAX_SWEEP_RUNS} sweep runs"
+        )
+    # Building each level's NoiseSpec, which owns the kind and [0, 1] rules,
+    # checks every level before loading.
+    specs = [NoiseSpec(noise_kind, p) for p in p_values]
+    _check_run(config, mitigation)
     prepared = prepare_experiment(config)
     y_test = prepared.test.labels
-    accuracies = np.zeros((len(p_values), trials))
-    for i, p in enumerate(p_values):
+    accuracies = np.zeros((len(specs), trials))
+    for i, spec in enumerate(specs):
         for t in range(trials):
             predictions, _ = _stage(
-                "model", _run_model, config, prepared, noise=NoiseSpec(noise_kind, p),
+                "model", _run_model, config, prepared, noise=spec,
                 mitigation=mitigation, seed=_trial_seed(config.seed, i, t),
             )
             accuracies[i, t] = float(np.mean(predictions == y_test))

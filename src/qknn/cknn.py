@@ -19,6 +19,9 @@ import numpy as np
 
 from .data import Dataset
 
+#: Neighbours voting per query, for both classifiers and the bench runs.
+DEFAULT_K = 3
+
 
 def _check_training(labels: np.ndarray, rows: int, n_classes: int, k: int) -> None:
     """Reject an empty training set, a label per row missing, k outside
@@ -85,7 +88,7 @@ class CknnModel:
     train_features: np.ndarray
     labels: np.ndarray
     n_classes: int
-    k: int = 3
+    k: int = DEFAULT_K
 
     def __post_init__(self) -> None:
         self.train_features = np.asarray(self.train_features, dtype=float)
@@ -118,7 +121,7 @@ def classify(model: CknnModel, x: np.ndarray) -> tuple[int, np.ndarray]:
 
 
 def fit_predict(
-    train: Dataset, test: Dataset, k: int = 3
+    train: Dataset, test: Dataset, k: int = DEFAULT_K
 ) -> tuple[np.ndarray, np.ndarray]:
     """Classify every test row against the training rows."""
     _check_schema(train, test)

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cknn import _check_schema, _check_training, _nearest, _predict_rows, _vote
+from .cknn import DEFAULT_K, _check_schema, _check_training, _nearest, _predict_rows, _vote
 from .data import Dataset
 from .encoding import EncodedPoint, EncodingConfig, apply_feature_map, encode_point
 from .noise import NoiseSpec, apply_pauli_errors, draw_pauli
@@ -61,7 +61,6 @@ from .sim import (
     sample_basis,
 )
 
-DEFAULT_K = 3
 DEFAULT_SHOTS = 4096
 DISTANCE_MODES = ("exact", "sampled")
 MITIGATION_MODES = ("none", "repeat-vote", "physical-code")
@@ -140,15 +139,6 @@ class QknnModel:
         self._train_amplitudes = np.stack(
             [p.state.amplitudes for p in self.encoded_train]
         )
-
-
-@dataclass(frozen=True)
-class NeighborSet:
-    """k neighbours sorted by descending fidelity (ties: ascending index)."""
-
-    indices: np.ndarray
-    fidelities: np.ndarray
-    distances: np.ndarray
 
 
 @functools.cache
@@ -237,8 +227,9 @@ def _pair_fidelities(model: QknnModel, test: EncodedPoint) -> np.ndarray:
     return np.clip(fids, 0.0, 1.0)
 
 
-def find_neighbors(model: QknnModel, test: EncodedPoint) -> NeighborSet:
-    """The k highest-fidelity training points; ties broken by lower index."""
+def find_neighbors(model: QknnModel, test: EncodedPoint) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and fidelities of the k highest-fidelity training points,
+    by descending fidelity; ties broken by lower index."""
     if test.state.num_qubits != model.encoded_train[0].state.num_qubits:
         raise ValueError(
             f"test point has {test.state.num_qubits} qubits, "
@@ -246,10 +237,7 @@ def find_neighbors(model: QknnModel, test: EncodedPoint) -> NeighborSet:
         )
     fids = _pair_fidelities(model, test)
     chosen = _nearest(fids, model.config.k)
-    kept = fids[chosen]
-    return NeighborSet(
-        indices=chosen, fidelities=kept, distances=0.5 * (1.0 + kept)
-    )
+    return chosen, fids[chosen]
 
 
 def classify(model: QknnModel, test: EncodedPoint) -> tuple[int, np.ndarray]:
@@ -260,17 +248,13 @@ def classify(model: QknnModel, test: EncodedPoint) -> tuple[int, np.ndarray]:
     the fidelity-weighted vote share per class (sums to 1); when every
     neighbour fidelity is ~0 the plain count share is used instead.
     """
-    neighbors = find_neighbors(model, test)
-    neighbor_labels = model.labels[neighbors.indices]
-    label, votes = _vote(neighbor_labels, neighbors.fidelities, model.n_classes)
-    total = neighbors.fidelities.sum()
+    indices, fidelities = find_neighbors(model, test)
+    neighbor_labels = model.labels[indices]
+    label, votes = _vote(neighbor_labels, fidelities, model.n_classes)
+    total = fidelities.sum()
     if total > 1e-12:
         scores = (
-            np.bincount(
-                neighbor_labels,
-                weights=neighbors.fidelities,
-                minlength=model.n_classes,
-            )
+            np.bincount(neighbor_labels, weights=fidelities, minlength=model.n_classes)
             / total
         )
     else:

@@ -30,8 +30,8 @@ from .bench import (
     write_report,
     write_sweep_csv,
 )
-from .classifier import MITIGATION_MODES
-from .data import _FORMATS, chi_square_select, parse_selection_policy
+from .classifier import DISTANCE_MODES, MITIGATION_MODES
+from .data import _FORMATS, DEFAULT_TOP_K, chi_square_select, parse_selection_policy
 from .noise import NoiseKind
 
 _CONFIG_KEYS = {f.name for f in fields(BenchConfig)}
@@ -45,7 +45,7 @@ _SWEEP_DEFAULTS = {
     "noise_kind": "bit_flip",
 }
 
-_SELECT_DEFAULTS = {"policy": "topk=4"}
+_SELECT_DEFAULTS = {"policy": f"topk={DEFAULT_TOP_K}"}
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--k", type=int)
     run.add_argument("--features", type=int, help="how many top chi-square features to keep")
     run.add_argument("--angle-scale", dest="angle_scale", type=float)
-    run.add_argument("--distance", choices=("exact", "sampled"))
+    run.add_argument("--distance", choices=DISTANCE_MODES)
     run.add_argument("--shots", type=int)
     run.add_argument("--out", help="JSON report path")
 

@@ -1,8 +1,9 @@
 """Dataset loading, normalization, chi-square feature selection, splitting.
 
 One table holds the facts of the three UCI benchmark datasets (iris,
-wdbc, banknote): file name, layout and rows per class.  One loader reads
-them through it and rejects malformed rows with their line number.
+wdbc, banknote): file name, layout, class tokens and rows per class.  One
+loader reads them through it and rejects malformed rows, and any label
+token the table does not list, with their line number.
 Normalization is min-max fitted on a caller-chosen row subset (the
 training rows) and applied everywhere else with clamping to [0, 1].
 Feature selection ranks features by the chi-square independence
@@ -46,8 +47,8 @@ class _Format:
     columns: slice  # feature columns
     label: int  # label column
     feature_names: tuple[str, ...]
-    classes: tuple[str, ...] | None  # in class order; None: sorted file tokens
-    bad_label: str  # message for a bad label token, formatted with the token
+    classes: tuple[str, ...]  # label tokens, in class order
+    bad_label: str  # message for a token not in ``classes``, formatted with it
     field_hint: str  # appended to the field count in the field-count error
     #: Rows per class in the file.  With ``feature_names`` these fix the qnn
     #: register and the training-set size that bounds k before any loading.
@@ -57,8 +58,10 @@ class _Format:
 #: Dataset name -> its format; the name is also the loader format.
 _FORMATS = {
     "iris": _Format(
-        "iris.data", 5, slice(0, 4), 4, _IRIS_FEATURES, None, "empty class field", "",
-        (50, 50, 50),
+        "iris.data", 5, slice(0, 4), 4, _IRIS_FEATURES,
+        ("Iris-setosa", "Iris-versicolor", "Iris-virginica"),
+        "unknown class {!r} (expected 'Iris-setosa', 'Iris-versicolor' or "
+        "'Iris-virginica')", "", (50, 50, 50),
     ),
     "wdbc": _Format(
         "wdbc.data", 32, slice(2, 32), 1, _WDBC_FEATURES, ("B", "M"),
@@ -175,7 +178,7 @@ def load_dataset(path: str | Path, fmt: str) -> Dataset:
         raise ValueError(f"unknown dataset format {fmt!r}; expected one of {sorted(_FORMATS)}")
     spec = _FORMATS[fmt]
     path = Path(path)
-    features, raw_labels = [], []
+    features, labels = [], []
     for line_no, row in _read_rows(path):
         if len(row) != spec.fields:
             raise DataFormatError(
@@ -183,53 +186,31 @@ def load_dataset(path: str | Path, fmt: str) -> Dataset:
                 f"{spec.field_hint}, got {len(row)}"
             )
         token = row[spec.label]
-        if not token or (spec.classes and token not in spec.classes):
+        if token not in spec.classes:
             raise DataFormatError(
                 f"{path}: line {line_no}: " + spec.bad_label.format(token)
             )
-        raw_labels.append(token)
+        labels.append(spec.classes.index(token))
         features.append([_parse_float(t, line_no, str(path)) for t in row[spec.columns]])
-    class_names = spec.classes or tuple(sorted(set(raw_labels)))
-    index = {c: i for i, c in enumerate(class_names)}
     return Dataset(
         name=fmt,
         features=np.array(features),
-        labels=np.array([index[c] for c in raw_labels]),
+        labels=np.array(labels),
         feature_names=spec.feature_names,
-        class_names=class_names,
+        class_names=spec.classes,
     )
-
-
-@dataclass(frozen=True)
-class NormalizationParams:
-    """Per-feature min/max fitted on the training rows.
-
-    ``kept_indices`` are original column indices that survived (constant
-    columns are dropped); mins/maxs align with the kept columns.
-    """
-
-    kept_indices: tuple[int, ...]
-    dropped_indices: tuple[int, ...]
-    mins: np.ndarray
-    maxs: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "kept_indices": list(self.kept_indices),
-            "dropped_indices": list(self.dropped_indices),
-            "mins": [float(v) for v in self.mins],
-            "maxs": [float(v) for v in self.maxs],
-        }
 
 
 def min_max_normalize(
     d: Dataset, fit_rows: Sequence[int]
-) -> tuple[Dataset, NormalizationParams]:
+) -> tuple[Dataset, dict]:
     """Map features to [0, 1] using min/max fitted on ``fit_rows`` only.
 
     Rows outside the fit set are transformed with the same parameters and
     clamped to [0, 1].  Features constant on the fit rows are dropped with
-    a warning.
+    a warning.  Returns the normalized dataset and the report's
+    ``normalization`` block: the original indices of the kept and dropped
+    columns, and the fitted mins and maxs of the kept ones, as plain lists.
     """
     fit_rows = np.asarray(fit_rows, dtype=int)
     if fit_rows.size == 0:
@@ -255,13 +236,12 @@ def min_max_normalize(
         feature_names=tuple(d.feature_names[i] for i in kept),
         class_names=d.class_names,
     )
-    params = NormalizationParams(
-        kept_indices=tuple(int(i) for i in kept),
-        dropped_indices=tuple(int(i) for i in dropped),
-        mins=mins[kept].copy(),
-        maxs=maxs[kept].copy(),
-    )
-    return out, params
+    return out, {
+        "kept_indices": kept.tolist(),
+        "dropped_indices": dropped.tolist(),
+        "mins": mins[kept].tolist(),
+        "maxs": maxs[kept].tolist(),
+    }
 
 
 # --- chi-square machinery -------------------------------------------------

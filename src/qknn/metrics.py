@@ -10,31 +10,8 @@ macro average.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass
-class EvalReport:
-    """Metric bundle for one prediction run (confusion rows = true class)."""
-
-    confusion: np.ndarray
-    accuracy: float
-    macro_precision: float
-    macro_recall: float
-    macro_f1: float
-    auc: float
-
-    def to_dict(self) -> dict:
-        return {
-            "confusion": [[int(v) for v in row] for row in self.confusion],
-            "accuracy": float(self.accuracy),
-            "macro_precision": float(self.macro_precision),
-            "macro_recall": float(self.macro_recall),
-            "macro_f1": float(self.macro_f1),
-            "auc": float(self.auc),
-        }
 
 
 def confusion_matrix(
@@ -81,8 +58,10 @@ def binary_auc(y_positive: np.ndarray, scores: np.ndarray) -> float:
 
 def compute_metrics(
     y_true: np.ndarray, y_pred: np.ndarray, scores: np.ndarray
-) -> EvalReport:
-    """Standard metrics with macro averaging.
+) -> dict:
+    """Standard metrics with macro averaging, as the report's ``metrics``
+    block: the confusion matrix (rows = true class) as nested int lists,
+    then accuracy, macro precision, recall and F1, and AUC as floats.
 
     ``scores`` is a [n, n_classes] probability-like matrix (used for AUC).
     A class absent from ``y_true`` contributes precision/recall 0 with a
@@ -140,14 +119,14 @@ def compute_metrics(
         auc = float(
             np.mean([_class_auc(y_true, scores, positive=c) for c in range(n_classes)])
         )
-    return EvalReport(
-        confusion=confusion,
-        accuracy=accuracy,
-        macro_precision=float(np.mean(precisions)),
-        macro_recall=float(np.mean(recalls)),
-        macro_f1=float(np.mean(f1s)),
-        auc=auc,
-    )
+    return {
+        "confusion": confusion.tolist(),
+        "accuracy": accuracy,
+        "macro_precision": float(np.mean(precisions)),
+        "macro_recall": float(np.mean(recalls)),
+        "macro_f1": float(np.mean(f1s)),
+        "auc": auc,
+    }
 
 
 def _class_auc(y_true: np.ndarray, scores: np.ndarray, positive: int) -> float:

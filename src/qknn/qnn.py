@@ -33,6 +33,9 @@ from .sim import Gate, _apply_matrix, _check_size, gate_matrix
 #: Probability clamp for the cross entropy.
 EPS = 1e-12
 
+#: Half-width of the uniform draw of fresh parameters.
+DEFAULT_INIT_SCALE = 0.01
+
 
 @dataclass
 class QnnArchitecture:
@@ -82,8 +85,8 @@ class QnnArchitecture:
 class TrainConfig:
     """Full-batch gradient descent settings."""
 
-    learning_rate: float = 0.1
-    epochs: int = 50
+    learning_rate: float = 0.3
+    epochs: int = 100
 
     def __post_init__(self) -> None:
         if not 0.0 < self.learning_rate < math.inf:
@@ -99,7 +102,7 @@ def init_architecture(
     n_layers: int,
     n_classes: int,
     seed: int = 0,
-    init_scale: float = 0.01,
+    init_scale: float = DEFAULT_INIT_SCALE,
 ) -> QnnArchitecture:
     """Fresh architecture with parameters ~ uniform(-init_scale, init_scale)."""
     if not 0.0 < init_scale < math.inf:

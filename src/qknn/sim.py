@@ -14,8 +14,8 @@ holds more than ``MAX_QUBITS`` qubits.
 Conventions used throughout the package:
 
 * Qubit 0 is the most significant bit of the computational basis index,
-  so for two qubits the amplitude order is |00>, |01>, |10>, |11> and
-  ``basis_state(2, 2)`` is the state with qubit 0 set to |1>.
+  so for two qubits the amplitude order is |00>, |01>, |10>, |11>, and X
+  on qubit 0 of |00> gives |10>, the amplitude at index 2.
 * Multi-qubit gate matrices are written in the same ordering: the first
   target supplies the high bit of the row/column index.  For CNOT the
   first target is the control.
@@ -231,21 +231,6 @@ def new_zero_state(num_qubits: int) -> StateVector:
     amps = np.zeros(2**num_qubits, dtype=complex)
     amps[0] = 1.0
     return _trusted_state(num_qubits, amps)
-
-
-def basis_state(num_qubits: int, index: int) -> StateVector:
-    """Return the computational basis state |index> (qubit 0 = MSB)."""
-    _check_size(num_qubits)
-    if not 0 <= index < 2**num_qubits:
-        raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
-    amps = np.zeros(2**num_qubits, dtype=complex)
-    amps[index] = 1.0
-    return _trusted_state(num_qubits, amps)
-
-
-def bit_value(index: int, qubit: int, num_qubits: int) -> int:
-    """Bit of ``qubit`` in basis ``index`` under the MSB-first convention."""
-    return (index >> (num_qubits - 1 - qubit)) & 1
 
 
 @functools.lru_cache(maxsize=4096)

@@ -15,6 +15,9 @@ the library once had and now only tests use:
 * ``tensor_product``, the simulator's earlier register join, which built
   the swap-test register as (|0> (x) a) (x) b before ``swap_test_state``
   wrote a (x) b into one zeroed vector;
+* ``basis_state`` and ``bit_value``, the simulator's basis-state
+  constructor and bit reader, which only the circuit-level repetition
+  code below and the tests still use;
 * ``qnn_forward``, the variational circuit run one instance at a time,
   gate by gate on the simulator from ``angle_embed`` to ``z_expectation``,
   which the batched ``qnn._forward_batch`` must match, and
@@ -72,9 +75,8 @@ from qknn.sim import (
     Gate,
     GateOp,
     StateVector,
+    _check_size,
     apply_gate,
-    basis_state,
-    bit_value,
     new_zero_state,
 )
 
@@ -155,6 +157,21 @@ def choice_sample_basis(
     rng = np.random.default_rng(seed)
     outcomes = rng.choice(probs.size, size=shots, p=probs / total)
     return np.bincount(outcomes, minlength=probs.size)
+
+
+def basis_state(num_qubits: int, index: int) -> StateVector:
+    """Return the computational basis state |index> (qubit 0 = MSB)."""
+    _check_size(num_qubits)
+    if not 0 <= index < 2**num_qubits:
+        raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
+    amps = np.zeros(2**num_qubits, dtype=complex)
+    amps[index] = 1.0
+    return StateVector(num_qubits, amps)
+
+
+def bit_value(index: int, qubit: int, num_qubits: int) -> int:
+    """Bit of ``qubit`` in basis ``index`` under the MSB-first convention."""
+    return (index >> (num_qubits - 1 - qubit)) & 1
 
 
 def tensor_product(a: StateVector, b: StateVector) -> StateVector:

@@ -2,6 +2,7 @@
 replayability, sweeps, and CSV/JSON writers."""
 
 import csv
+import inspect
 import json
 import math
 import os
@@ -12,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qknn import bench, qnn
+from qknn import bench, cknn, qnn
 from qknn.bench import (
     MAX_NOISE_LEVELS,
     MAX_SWEEP_RUNS,
@@ -30,8 +31,8 @@ from qknn.bench import (
     write_report,
     write_sweep_csv,
 )
-from qknn.classifier import classify, fit, fit_predict
-from qknn.data import _FORMATS, stratified_indices
+from qknn.classifier import QknnConfig, classify, fit, fit_predict
+from qknn.data import _FORMATS, chi_square_select, stratified_indices
 from qknn.encoding import apply_feature_map, encode_point
 from qknn.noise import NoiseKind, NoiseSpec
 from qknn.sim import ResourceLimitError
@@ -59,6 +60,24 @@ class TestConfig:
         assert cfg.k == 3
         assert cfg.distance == "exact"
         assert cfg.angle_scale == pytest.approx(2 * math.pi)
+
+    def test_defaults_are_the_library_owners_defaults(self):
+        cfg = BenchConfig()
+        qknn = QknnConfig()
+        train = qnn.TrainConfig()
+        assert (cfg.k, cfg.shots, cfg.distance, cfg.use_feature_map) == (
+            qknn.k, qknn.shots, qknn.distance_mode, qknn.use_feature_map
+        )
+        assert cfg.k == cknn.CknnModel(np.zeros((3, 1)), np.zeros(3), 1).k
+        assert (cfg.angle_scale, cfg.feature_map_angle) == (
+            qknn.encoding.angle_scale, qknn.encoding.feature_map_angle
+        )
+        assert (cfg.qnn_learning_rate, cfg.qnn_epochs) == (train.learning_rate, train.epochs)
+        defaults = inspect.signature(qnn.init_architecture).parameters
+        assert cfg.qnn_init_scale == defaults["init_scale"].default
+        defaults = inspect.signature(chi_square_select).parameters
+        assert cfg.bins == defaults["bins"].default
+        assert f"topk={cfg.features}" == defaults["policy"].default
 
     def test_dict_round_trip(self):
         cfg = iris_config(model="cknn", k=5, features=3)
@@ -365,6 +384,16 @@ class TestNoiseSweep:
         assert sweep.noise_kind == "phase_flip"
         assert len(sweep.rows()) == 2
 
+    def test_levels_may_be_an_array(self):
+        # ``not p_values`` on an array of two levels used to raise NumPy's
+        # "truth value of an array is ambiguous".
+        cfg = iris_config(**SMALL_SWEEP)
+        sweep = run_noise_sweep(cfg, np.array([0.0, 0.3]), trials=2)
+        assert sweep.noise_levels == [0.0, 0.3]
+        np.testing.assert_array_equal(
+            sweep.trial_accuracies, run_noise_sweep(cfg, [0.0, 0.3], 2).trial_accuracies
+        )
+
     def test_deterministic(self):
         cfg = iris_config(**SMALL_SWEEP)
         a = run_noise_sweep(cfg, [0.2], trials=2)
@@ -395,7 +424,7 @@ class TestNoiseSweep:
         cfg = iris_config(**SMALL_SWEEP)
         with pytest.raises(ValueError, match="trials"):
             run_noise_sweep(cfg, [0.1], trials=0)
-        with pytest.raises(ValueError, match="noise level"):
+        with pytest.raises(ValueError, match="noise probability must lie in"):
             run_noise_sweep(cfg, [1.2], trials=1)
         with pytest.raises(ValueError, match="qknn"):
             run_noise_sweep(iris_config(model="cknn", **SMALL_SWEEP), [0.1], trials=1)
@@ -412,10 +441,10 @@ class TestNoiseSweep:
         [
             # On a string kind the sweep used to load the data, then fail
             # with a bare KeyError in the first noisy trial.
-            (dict(noise_kind="bit_flip"), TypeError, "noise_kind must be a NoiseKind"),
+            (dict(noise_kind="bit_flip"), TypeError, "noise kind must be a NoiseKind"),
             (dict(mitigation="bogus"), ValueError, "mitigation must be one of"),
             (dict(trials=1.5), TypeError, "trials must be int"),
-            (dict(p_values=[math.nan]), ValueError, "noise level must lie in"),
+            (dict(p_values=[math.nan]), ValueError, "noise probability must lie in"),
         ],
         ids=["string-kind", "mitigation", "trials-type", "nan-level"],
     )

@@ -10,7 +10,6 @@ import pytest
 
 from qknn import cknn, classifier
 from qknn.classifier import (
-    NeighborSet,
     QknnConfig,
     QknnModel,
     _code_pauli,
@@ -158,23 +157,14 @@ class TestNeighbors:
         # are exactly 0.9, 0.5, 0.2
         xs = [feature_for_fidelity(f) for f in (0.5, 0.9, 0.2)]
         model = build_model([[x] for x in xs], [0, 0, 0], k=3)
-        neighbors = find_neighbors(model, point([0.0]))
-        np.testing.assert_array_equal(neighbors.indices, [1, 0, 2])
-        np.testing.assert_allclose(neighbors.fidelities, [0.9, 0.5, 0.2], atol=1e-10)
-
-    def test_distances_are_affine_in_fidelity(self):
-        xs = [feature_for_fidelity(f) for f in (0.8, 0.3)]
-        model = build_model([[x] for x in xs], [0, 0], k=2)
-        neighbors = find_neighbors(model, point([0.0]))
-        np.testing.assert_allclose(
-            neighbors.distances, 0.5 * (1.0 + neighbors.fidelities), atol=1e-12
-        )
-        assert np.all(np.diff(neighbors.fidelities) <= 1e-12)
+        indices, fidelities = find_neighbors(model, point([0.0]))
+        np.testing.assert_array_equal(indices, [1, 0, 2])
+        np.testing.assert_allclose(fidelities, [0.9, 0.5, 0.2], atol=1e-10)
 
     def test_fidelity_ties_break_by_lower_index(self):
         model = build_model([[0.4], [0.4], [0.4]], [0, 1, 2], k=2)
-        neighbors = find_neighbors(model, point([0.4]))
-        np.testing.assert_array_equal(neighbors.indices, [0, 1])
+        indices, _ = find_neighbors(model, point([0.4]))
+        np.testing.assert_array_equal(indices, [0, 1])
 
     def test_qubit_count_mismatch(self):
         model = build_model([[0.1, 0.2]], [0])
@@ -752,7 +742,7 @@ class TestSharedKnnRule:
             assert chosen.tolist() == ref_indices.tolist()
             assert label == ref_label
 
-            assert find_neighbors(model, test_point).indices.tolist() == ref_indices.tolist()
+            assert find_neighbors(model, test_point)[0].tolist() == ref_indices.tolist()
             label, scores = classify(model, test_point)
             assert label == ref_label
             assert scores.tobytes() == ref_scores.tobytes()

@@ -10,7 +10,6 @@ import pytest
 from qknn.data import (
     DataFormatError,
     Dataset,
-    NormalizationParams,
     chi_square_select,
     chi_square_sf,
     load_dataset,
@@ -31,6 +30,7 @@ IRIS_ROWS = """\
 6.3,3.3,6.0,2.5,Iris-virginica
 5.8,2.7,5.1,1.9,Iris-virginica
 """
+IRIS_EXPECTED = "expected 'Iris-setosa', 'Iris-versicolor' or 'Iris-virginica'"
 
 WDBC_ROWS = (
     "842302,M," + ",".join(str(1.0 + 0.1 * i) for i in range(30)) + "\n"
@@ -62,8 +62,16 @@ class TestLoaders:
             "1,1,1,1,Iris-virginica\n2,2,2,2,Iris-setosa\n"
         )
         d = load_dataset(path, "iris")
-        assert d.class_names == ("Iris-setosa", "Iris-virginica")
-        np.testing.assert_array_equal(d.labels, [1, 0])
+        assert d.class_names == ("Iris-setosa", "Iris-versicolor", "Iris-virginica")
+        np.testing.assert_array_equal(d.labels, [2, 0])
+
+    def test_misspelled_iris_class_is_rejected_with_its_line(self, tmp_path):
+        # A misspelled token used to become a fourth class, and the run then
+        # failed at the split stage instead of at the line that holds it.
+        path = tmp_path / "iris.data"
+        path.write_text(IRIS_ROWS.replace("3.0,1.4,0.2,Iris-setosa", "3.0,1.4,0.2,Iris-setosaa"))
+        with pytest.raises(DataFormatError, match="line 2: unknown class 'Iris-setosaa'"):
+            load_dataset(path, "iris")
 
     def test_wdbc_format(self, tmp_path):
         path = tmp_path / "wdbc.data"
@@ -133,8 +141,8 @@ class TestLoaders:
         [
             ("iris", "\n", "file contains no data rows"),
             ("iris", "\n  \n\n", "file contains no data rows"),
-            ("iris", "1,2,3,4,a\n\n1,2,3,a\n", "line 3: expected 5 fields, got 4"),
-            ("iris", "1,2,3,4,\n", "line 1: empty class field"),
+            ("iris", "1,2,3,4,Iris-setosa\n\n1,2,3,a\n", "line 3: expected 5 fields, got 4"),
+            ("iris", "1,2,3,4,\n", f"line 1: unknown class '' ({IRIS_EXPECTED})"),
             ("banknote", "1,2,3,4,0\n1,two,3,4,1\n", "line 2: 'two' is not a number"),
             ("banknote", "1,nan,3,4,0\n", "line 1: non-finite value 'nan'"),
             ("banknote", "1,2,3,4,0\n1,2,3,4,2\n", "line 2: class must be 0 or 1, got '2'"),
@@ -154,7 +162,7 @@ class TestLoaders:
     @pytest.mark.parametrize(
         "fmt,text,message",
         [
-            ("iris", "1,two,3,4,\n", "line 1: empty class field"),
+            ("iris", "1,two,3,4,\n", f"line 1: unknown class '' ({IRIS_EXPECTED})"),
             ("banknote", "1,two,3,4,2\n", "line 1: class must be 0 or 1, got '2'"),
             ("wdbc", "1,X,two," + ",".join(["1"] * 29) + "\n",
              "line 1: unknown diagnosis 'X' (expected 'B' or 'M')"),
@@ -244,8 +252,8 @@ class TestNormalization:
         d = make_dataset(np.array([[2.0], [4.0], [6.0]]), [0, 1, 0])
         out, params = min_max_normalize(d, [0, 1, 2])
         np.testing.assert_allclose(out.features[:, 0], [0.0, 0.5, 1.0], atol=1e-15)
-        assert params.kept_indices == (0,)
-        assert params.mins[0] == 2.0 and params.maxs[0] == 6.0
+        assert params["kept_indices"] == [0]
+        assert params["mins"][0] == 2.0 and params["maxs"][0] == 6.0
 
     def test_rows_outside_fit_are_clamped(self, make_dataset):
         d = make_dataset(np.array([[0.0], [10.0], [-5.0], [20.0]]), [0, 1, 0, 1])
@@ -258,7 +266,7 @@ class TestNormalization:
             out, params = min_max_normalize(d, [0, 1])
         assert out.n_features == 1
         assert out.feature_names == ("f1",)
-        assert params.dropped_indices == (0,)
+        assert params["dropped_indices"] == [0]
 
     def test_all_constant_rejected(self, make_dataset):
         d = make_dataset(np.array([[1.0], [1.0]]), [0, 1])
@@ -273,8 +281,7 @@ class TestNormalization:
 
     def test_params_serialize(self, make_dataset):
         d = make_dataset(np.array([[1.0, 2.0], [3.0, 4.0]]), [0, 1])
-        _, params = min_max_normalize(d, [0, 1])
-        doc = params.to_dict()
+        _, doc = min_max_normalize(d, [0, 1])
         assert doc["kept_indices"] == [0, 1]
         assert doc["mins"] == [1.0, 2.0]
         assert doc["maxs"] == [3.0, 4.0]

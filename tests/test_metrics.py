@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from qknn.metrics import (
-    EvalReport,
     binary_auc,
     compute_metrics,
     confusion_matrix,
@@ -72,11 +71,11 @@ class TestComputeMetrics:
     def test_perfect_predictions(self):
         y = np.array([0, 1, 0, 1])
         report = compute_metrics(y, y, binary_scores(y))
-        assert report.accuracy == 1.0
-        assert report.macro_precision == 1.0
-        assert report.macro_recall == 1.0
-        assert report.macro_f1 == 1.0
-        assert report.auc == 1.0
+        assert report["accuracy"] == 1.0
+        assert report["macro_precision"] == 1.0
+        assert report["macro_recall"] == 1.0
+        assert report["macro_f1"] == 1.0
+        assert report["auc"] == 1.0
 
     def test_known_binary_confusion(self):
         # 50 true 0 all correct; 50 true 1 with 10 misses:
@@ -84,14 +83,14 @@ class TestComputeMetrics:
         y_true = np.array([0] * 50 + [1] * 50)
         y_pred = np.array([0] * 50 + [0] * 10 + [1] * 40)
         report = compute_metrics(y_true, y_pred, binary_scores(y_pred))
-        np.testing.assert_array_equal(report.confusion, [[50, 0], [10, 40]])
-        assert report.accuracy == pytest.approx(0.9)
+        np.testing.assert_array_equal(report["confusion"], [[50, 0], [10, 40]])
+        assert report["accuracy"] == pytest.approx(0.9)
         # class 0: precision 50/60, recall 1; class 1: precision 1, recall 0.8
-        assert report.macro_precision == pytest.approx((50 / 60 + 1.0) / 2)
-        assert report.macro_recall == pytest.approx((1.0 + 0.8) / 2)
+        assert report["macro_precision"] == pytest.approx((50 / 60 + 1.0) / 2)
+        assert report["macro_recall"] == pytest.approx((1.0 + 0.8) / 2)
         f1_0 = 2 * (50 / 60) / (50 / 60 + 1.0)
         f1_1 = 2 * 0.8 / 1.8
-        assert report.macro_f1 == pytest.approx((f1_0 + f1_1) / 2)
+        assert report["macro_f1"] == pytest.approx((f1_0 + f1_1) / 2)
 
     def test_binary_auc_uses_class_one_scores(self, rng):
         y_true = rng.integers(0, 2, 50)
@@ -99,7 +98,7 @@ class TestComputeMetrics:
         scores1 = rng.random(50)
         scores = np.stack([1 - scores1, scores1], axis=1)
         report = compute_metrics(y_true, y_true, scores)
-        assert report.auc == pytest.approx(
+        assert report["auc"] == pytest.approx(
             binary_auc(y_true.astype(bool), scores1), abs=1e-12
         )
 
@@ -112,7 +111,7 @@ class TestComputeMetrics:
         expected = np.mean(
             [binary_auc(y_true == c, scores[:, c]) for c in range(3)]
         )
-        assert report.auc == pytest.approx(float(expected), abs=1e-12)
+        assert report["auc"] == pytest.approx(float(expected), abs=1e-12)
 
     def test_absent_true_class_warns_and_scores_zero(self):
         y_true = np.array([0, 0, 1, 1])
@@ -122,27 +121,27 @@ class TestComputeMetrics:
         with pytest.warns(UserWarning, match="(absent|AUC)"):
             report = compute_metrics(y_true, y_pred, scores)
         # class 2 contributes zeros to every macro average
-        assert report.macro_recall == pytest.approx((0.5 + 1.0 + 0.0) / 3)
+        assert report["macro_recall"] == pytest.approx((0.5 + 1.0 + 0.0) / 3)
 
     def test_degenerate_auc_warns_and_reports_chance(self):
         y_true = np.array([1, 1, 1])
         with pytest.warns(UserWarning):
             report = compute_metrics(y_true, y_true, binary_scores(y_true))
-        assert report.auc == 0.5
+        assert report["auc"] == 0.5
 
     def test_unpredicted_class_has_zero_precision(self):
         y_true = np.array([0, 1, 0, 1])
         y_pred = np.array([0, 0, 0, 0])
         report = compute_metrics(y_true, y_pred, binary_scores(y_pred))
-        assert report.macro_precision == pytest.approx((4 / 8 + 0.0) / 2, abs=1e-12)
+        assert report["macro_precision"] == pytest.approx((4 / 8 + 0.0) / 2, abs=1e-12)
 
-    def test_to_dict_round_trips_values(self):
+    def test_values_are_plain_json_types(self):
         y = np.array([0, 1])
-        report = compute_metrics(y, y, binary_scores(y))
-        doc = report.to_dict()
+        doc = compute_metrics(y, y, binary_scores(y))
         assert doc["accuracy"] == 1.0
         assert doc["confusion"] == [[1, 0], [0, 1]]
         assert isinstance(doc["confusion"][0][0], int)
+        assert all(type(doc[key]) is float for key in doc if key != "confusion")
 
     def test_validation(self):
         y = np.array([0, 1])

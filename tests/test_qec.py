@@ -8,11 +8,12 @@ import pytest
 
 from qknn.classifier import QknnConfig
 from qknn.qec import RepetitionCode, code_corrected_flip
-from qknn.sim import Gate, GateOp, apply_gate, basis_state
+from qknn.sim import Gate, GateOp, apply_gate
 
 from oracles import (
     BasisStateError,
     Syndrome,
+    basis_state,
     circuit_corrected_flip,
     correct,
     decode_flips,

@@ -21,8 +21,6 @@ from qknn.sim import (
     ResourceLimitError,
     StateVector,
     apply_gate,
-    basis_state,
-    bit_value,
     gate_matrix,
     new_zero_state,
     sample_basis,
@@ -30,6 +28,8 @@ from qknn.sim import (
 
 from oracles import (
     apply_dense,
+    basis_state,
+    bit_value,
     choice_sample_basis,
     inner_product,
     kron_operator,
@@ -478,6 +478,8 @@ class TestStates:
     def test_basis_state_msb_convention(self):
         # index 2 on two qubits means qubit 0 (the MSB) is |1>
         state = basis_state(2, 2)
+        flipped = apply_gate(new_zero_state(2), GateOp(Gate.X, (0,)))
+        np.testing.assert_array_equal(flipped.amplitudes, state.amplitudes)
         assert z_expectation(state, 0) == -1.0
         assert z_expectation(state, 1) == 1.0
         assert bit_value(2, 0, 2) == 1
