@@ -111,14 +111,9 @@ class BenchConfig:
             raise ValueError(
                 f"test fraction must lie in (0, 1), got {self.test_fraction}"
             )
-        if self.qnn_layers < 1:
-            raise ValueError(f"need at least one layer, got {self.qnn_layers}")
-        if not 0.0 < self.qnn_init_scale < math.inf:
-            raise ValueError(
-                f"init scale must be positive and finite, got {self.qnn_init_scale}"
-            )
-        # The model configs own the rules for their other settings; building
-        # them rejects a bad value before any data is loaded.
+        # qnn and the model configs own the rules for the other settings;
+        # checking them rejects a bad value before any data is loaded.
+        qnn._check_init(self.qnn_layers, self.qnn_init_scale)
         _qknn_config(self)
         qnn.TrainConfig(learning_rate=self.qnn_learning_rate, epochs=self.qnn_epochs)
         class_rows = _FORMATS[self.dataset].class_rows

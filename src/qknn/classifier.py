@@ -24,7 +24,11 @@ Two evaluation modes are provided:
 
 Optional Pauli noise is injected per trajectory into every encoded
 state after the feature map, by one loop in ``_encode_rows`` that draws
-each qubit's Pauli in qubit order.  Two error-mitigation modes exist for
+each qubit's Pauli in qubit order.  A noisy call then encodes its rows
+as one [rows, 2**d] stack, block by block (``encoding._encode_stack``),
+and applies the drawn Paulis to the rows that drew them
+(``noise._apply_paulis``); every state is bitwise the one that encoding
+and hitting the row on its own gives.  Two error-mitigation modes exist for
 noisy runs: "repeat-vote" (each sampled ancilla measurement is repeated
 n times and majority voted, drawn from the exact ancilla marginal on
 the same per-row stream) and
@@ -45,8 +49,15 @@ import numpy as np
 
 from .cknn import DEFAULT_K, _check_schema, _check_training, _nearest, _predict_rows, _vote
 from .data import Dataset
-from .encoding import EncodedPoint, EncodingConfig, apply_feature_map, encode_point
-from .noise import NoiseSpec, apply_pauli_errors, draw_pauli
+from .encoding import (
+    EncodedPoint,
+    EncodingConfig,
+    _check_features,
+    _encode_stack,
+    apply_feature_map,
+    encode_point,
+)
+from .noise import NoiseSpec, _apply_paulis, draw_pauli
 from .qec import RepetitionCode, code_corrected_flip
 from .sim import (
     MAX_QUBITS,
@@ -81,7 +92,7 @@ class QknnConfig:
     #: Odd length n >= 3 of both error-mitigation modes: "repeat-vote" takes
     #: the majority of n repeated ancilla measurements per shot, and
     #: "physical-code" encodes each data qubit in an n-qubit repetition code.
-    code_length: int = 3
+    code_length: int = RepetitionCode.n
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -288,29 +299,50 @@ def _code_pauli(
     return _LOGICAL_PAULI[logical_x, z_parity]
 
 
+#: Amplitudes per block of a noisy ``_encode_rows`` stack: rows are
+#: encoded this many amplitudes at a time (at least one row per block).
+_BLOCK_AMPLITUDES = 2**14
+
+
 def _encode_rows(
     features: np.ndarray, cfg: QknnConfig, rng: np.random.Generator
 ) -> list[EncodedPoint]:
     """Encode rows; with noise, each point gets one trajectory after the map:
     per qubit, in qubit order, one channel draw from ``rng``, or with
-    "physical-code" the logical Pauli of the qubit's code block."""
+    "physical-code" the logical Pauli of the qubit's code block.
+
+    Without noise each row is encoded on its own.  With noise every row's
+    Paulis are drawn first, row by row, and the rows are then encoded and
+    hit as one [rows, 2**d] stack, ``_BLOCK_AMPLITUDES`` at a time, with
+    states bitwise equal to the row-by-row ones.
+    """
     noisy = cfg.noise is not None and cfg.noise.p > 0.0
-    coded = cfg.mitigation == "physical-code"
+    if not noisy:
+        points = []
+        for row_index, row in enumerate(features):
+            point = encode_point(row, cfg.encoding, source_row=row_index)
+            if cfg.use_feature_map:
+                point = apply_feature_map(point)
+            points.append(point)
+        return points
+    features = _check_features(features, ndim=2)
+    rows, d = features.shape
+    _check_size(d)
     code = RepetitionCode(cfg.code_length)
-    points = []
-    for row_index, row in enumerate(features):
-        point = encode_point(row, cfg.encoding, source_row=row_index)
-        if cfg.use_feature_map:
-            point = apply_feature_map(point)
-        if noisy:
-            paulis = [
-                _code_pauli(cfg.noise, rng, code) if coded else draw_pauli(cfg.noise, rng)
-                for _ in range(point.state.num_qubits)
-            ]
-            errors = [(q, pauli) for q, pauli in enumerate(paulis) if pauli is not None]
-            point.state = apply_pauli_errors(point.state, errors)
-        points.append(point)
-    return points
+    if cfg.mitigation == "physical-code":
+        paulis = [[_code_pauli(cfg.noise, rng, code) for _ in range(d)] for _ in range(rows)]
+    else:
+        paulis = [[draw_pauli(cfg.noise, rng) for _ in range(d)] for _ in range(rows)]
+    amplitudes = np.empty((rows, 2**d), dtype=complex)
+    step = max(1, _BLOCK_AMPLITUDES >> d)
+    for start in range(0, rows, step):
+        stop = start + step
+        block = _encode_stack(features[start:stop], cfg.encoding, cfg.use_feature_map)
+        amplitudes[start:stop] = _apply_paulis(block, paulis[start:stop])
+    return [
+        EncodedPoint(_trusted_state(d, state), row_index, cfg.encoding)
+        for row_index, state in enumerate(amplitudes)
+    ]
 
 
 def _fit(train: Dataset, cfg: QknnConfig, rng: np.random.Generator) -> QknnModel:

@@ -178,6 +178,7 @@ def load_dataset(path: str | Path, fmt: str) -> Dataset:
         raise ValueError(f"unknown dataset format {fmt!r}; expected one of {sorted(_FORMATS)}")
     spec = _FORMATS[fmt]
     path = Path(path)
+    name = str(path)
     features, labels = [], []
     for line_no, row in _read_rows(path):
         if len(row) != spec.fields:
@@ -191,7 +192,7 @@ def load_dataset(path: str | Path, fmt: str) -> Dataset:
                 f"{path}: line {line_no}: " + spec.bad_label.format(token)
             )
         labels.append(spec.classes.index(token))
-        features.append([_parse_float(t, line_no, str(path)) for t in row[spec.columns]])
+        features.append([_parse_float(t, line_no, name) for t in row[spec.columns]])
     return Dataset(
         name=fmt,
         features=np.array(features),

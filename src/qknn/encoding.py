@@ -11,6 +11,10 @@ RY angle embedding is built in closed form by ``qnn``.)
 
 An optional entangling feature map walks a linear chain of qubit pairs
 (0,1), (1,2), ... applying an XX+YY interaction followed by CNOT.
+
+``encode_point`` and ``apply_feature_map`` build one state at a time;
+``_encode_stack`` runs the same gates on a [rows, 2**d] stack of rows at
+once, with states bitwise equal to theirs.
 """
 
 from __future__ import annotations
@@ -20,7 +24,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sim import Gate, GateOp, StateVector, _shared_op, apply_gate, new_zero_state
+from .sim import (
+    Gate,
+    GateOp,
+    StateVector,
+    _apply_matrix,
+    _apply_to_rows,
+    _rz_kernels,
+    _shared_op,
+    apply_gate,
+    new_zero_state,
+)
 
 DEFAULT_ANGLE_SCALE = 2.0 * math.pi
 DEFAULT_FEATURE_MAP_ANGLE = math.pi / 2.0
@@ -55,13 +69,18 @@ class EncodedPoint:
     config: EncodingConfig = field(default_factory=EncodingConfig)
 
 
-def _check_features(x: np.ndarray) -> np.ndarray:
+def _check_features(x: np.ndarray, ndim: int = 1) -> np.ndarray:
+    """``x`` as floats: a feature vector (``ndim`` 1) or a [rows, d] matrix
+    of them (``ndim`` 2), with d >= 1 and every value finite and in [0, 1].
+    A matrix's errors read as those of its rows."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < 1:
-        raise ValueError(f"expected a non-empty 1-D feature vector, got shape {x.shape}")
+    if x.ndim != ndim or x.shape[-1] < 1:
+        raise ValueError(
+            f"expected a non-empty 1-D feature vector, got shape {x.shape[ndim - 1:]}"
+        )
     if not np.isfinite(x).all():
         raise ValueError("feature vector contains non-finite values")
-    if x.min() < 0.0 or x.max() > 1.0:
+    if x.size and (x.min() < 0.0 or x.max() > 1.0):
         bad = x[(x < 0.0) | (x > 1.0)]
         raise ValueError(f"features must lie in [0, 1]; offending values: {bad[:5]}")
     return x
@@ -93,3 +112,29 @@ def apply_feature_map(point: EncodedPoint) -> EncodedPoint:
         state = apply_gate(state, _shared_op(Gate.CNOT, (i, i + 1)))
     return EncodedPoint(state=state, source_row=point.source_row, config=point.config)
 
+
+def _encode_stack(
+    features: np.ndarray, config: EncodingConfig, use_feature_map: bool
+) -> np.ndarray:
+    """The states of ``encode_point`` and, with ``use_feature_map``,
+    ``apply_feature_map`` for each row of a checked [rows, d] feature
+    matrix, as one [rows, 2**d] stack.
+
+    Each gate of the single-state circuit, in the same order, acts on
+    every row at once through ``sim._apply_to_rows``, and each qubit's RZ
+    takes one kernel per row, so every row is bitwise equal to its state.
+    """
+    rows, d = features.shape
+    amplitudes = np.zeros((rows, 2**d), dtype=complex)
+    amplitudes[:, 0] = 1.0
+    # encode_point's angle, float(scale * value), as a Python float.
+    scale = float(config.angle_scale)
+    for i, column in enumerate(features.T.tolist()):
+        amplitudes = _apply_to_rows(amplitudes, _shared_op(Gate.H, (i,)))
+        amplitudes = _apply_matrix(amplitudes, _rz_kernels([scale * v for v in column]), (i,))
+    if use_feature_map:
+        angle = config.feature_map_angle
+        for i in range(d - 1):
+            amplitudes = _apply_to_rows(amplitudes, _shared_op(Gate.ISING_XY, (i, i + 1), angle))
+            amplitudes = _apply_to_rows(amplitudes, _shared_op(Gate.CNOT, (i, i + 1)))
+    return amplitudes

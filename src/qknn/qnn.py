@@ -97,6 +97,15 @@ class TrainConfig:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
 
 
+def _check_init(n_layers: int, init_scale: float) -> None:
+    """The rules for a fresh architecture's settings: at least one layer,
+    and a positive, finite init scale."""
+    if n_layers < 1:
+        raise ValueError(f"need at least one layer, got {n_layers}")
+    if not 0.0 < init_scale < math.inf:
+        raise ValueError(f"init scale must be positive and finite, got {init_scale}")
+
+
 def init_architecture(
     n_qubits: int,
     n_layers: int,
@@ -105,8 +114,7 @@ def init_architecture(
     init_scale: float = DEFAULT_INIT_SCALE,
 ) -> QnnArchitecture:
     """Fresh architecture with parameters ~ uniform(-init_scale, init_scale)."""
-    if not 0.0 < init_scale < math.inf:
-        raise ValueError(f"init scale must be positive and finite, got {init_scale}")
+    _check_init(n_layers, init_scale)
     rng = np.random.default_rng(seed)
     params = rng.uniform(-init_scale, init_scale, size=(n_layers, n_qubits))
     return QnnArchitecture(n_classes, params)

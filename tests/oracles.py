@@ -37,11 +37,13 @@ the library once had and now only tests use:
   qnn's two losses and its dLoss/dz before one readout map and one cross
   entropy replaced them, which ``qnn.batch_loss`` and ``qnn.gradient``
   must match bit for bit inside the probability clamp;
-* ``sample_errors``, ``physical_code_errors``, ``inject`` and
-  ``encode_rows``, the noisy trajectory as two per-qubit draw loops (one
-  per mitigation mode) joined by an injector that built a repetition code
-  per encoded point, before one loop in ``classifier._encode_rows`` drew
-  both; that loop must draw the same streams and give bitwise-equal
+* ``apply_pauli_errors``, ``sample_errors``, ``physical_code_errors``,
+  ``inject`` and ``encode_rows``, the noisy trajectory encoded row by row
+  with two per-qubit draw loops (one per mitigation mode), joined by an
+  injector that built a repetition code per encoded point and applied
+  each drawn error as a gate, before one loop in
+  ``classifier._encode_rows`` drew both and encoded the rows as one
+  stack; that stack must draw the same streams and give bitwise-equal
   states;
 * ``encode_logical``, ``measure_syndrome`` (with ``Syndrome`` and
   ``BasisStateError``), ``decode_flips``, ``correct``, ``readout_bits``
@@ -68,7 +70,7 @@ from qknn.classifier import (
     swap_test_state,
 )
 from qknn.encoding import EncodedPoint, apply_feature_map, encode_point
-from qknn.noise import NoiseKind, NoiseSpec, apply_pauli_errors, draw_pauli
+from qknn.noise import _PAULI_GATE, NoiseKind, NoiseSpec, draw_pauli
 from qknn.qec import RepetitionCode
 from qknn.qnn import EPS, QnnArchitecture, softmax
 from qknn.sim import (
@@ -76,6 +78,7 @@ from qknn.sim import (
     GateOp,
     StateVector,
     _check_size,
+    _shared_op,
     apply_gate,
     new_zero_state,
 )
@@ -322,6 +325,15 @@ def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
     """A Haar-ish random normalized amplitude vector."""
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     return amps / np.linalg.norm(amps)
+
+
+def apply_pauli_errors(
+    state: StateVector, errors: Sequence[tuple[int, str]]
+) -> StateVector:
+    """Apply sampled Pauli errors as gates."""
+    for qubit, pauli in errors:
+        state = apply_gate(state, _shared_op(_PAULI_GATE[pauli], (qubit,)))
+    return state
 
 
 def sample_errors(

@@ -486,12 +486,26 @@ class TestNoiseAndMitigation:
     )
     @pytest.mark.parametrize("kind", list(NoiseKind), ids=lambda k: k.value)
     def test_one_draw_loop_matches_the_two_loop_oracle(
-        self, separated_problem, kind, mitigation, n
+        self, separated_problem, kind, mitigation, n, monkeypatch
     ):
-        # The oracle draws each trajectory with a per-mode loop and builds a
-        # code per point; the fitted states must be bitwise equal, and both
-        # must leave the stream at the same place for the test rows.
+        # The oracle draws each trajectory with a per-mode loop, builds a
+        # code per point and encodes row by row; the stacked states must be
+        # bitwise equal, and both must leave the stream at the same place.
         train, test = separated_problem
+        rng = np.random.default_rng(3)
+        narrow = rng.uniform(0, 1, (20, 1)), rng.uniform(0, 1, (10, 1))
+        wide = rng.uniform(0, 1, (20, 6)), rng.uniform(0, 1, (10, 6))
+        rows = train.features, test.features
+        # (train rows, test rows, config changes, rows per block or None)
+        variants = [
+            (*rows, {}, None),
+            (*rows, {"use_feature_map": False}, None),
+            (*rows, {"encoding": replace(PI_SCALE, feature_map_angle=0.7)}, None),
+            (*narrow, {}, None),
+            (*wide, {}, None),
+            # 20 and 10 rows in blocks of 3: each call ends on a short block.
+            (*rows, {}, 3),
+        ]
         for p in (0.1, 0.5):
             for seed in (0, 5, 19):
                 cfg = QknnConfig(
@@ -501,13 +515,40 @@ class TestNoiseAndMitigation:
                 reference = encode_rows(train.features, cfg, np.random.default_rng(seed))
                 expected = np.stack([point.state.amplitudes for point in reference])
                 assert np.array_equal(fit(train, cfg)._train_amplitudes, expected)
-                ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-                for features in (train.features, test.features):
-                    got = _encode_rows(features, cfg, ours)
-                    want = encode_rows(features, cfg, theirs)
-                    for a, b in zip(got, want):
-                        assert np.array_equal(a.state.amplitudes, b.state.amplitudes)
-                    assert ours.bit_generator.state == theirs.bit_generator.state
+                for train_x, test_x, changes, block_rows in variants:
+                    variant = replace(cfg, **changes)
+                    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                    with monkeypatch.context() as patch:
+                        if block_rows is not None:
+                            size = block_rows * 2 ** train_x.shape[1]
+                            patch.setattr(classifier, "_BLOCK_AMPLITUDES", size)
+                        for features in (train_x, test_x):
+                            got = _encode_rows(features, variant, ours)
+                            want = encode_rows(features, variant, theirs)
+                            assert len(got) == len(want) == len(features)
+                            for a, b in zip(got, want):
+                                assert a.state.amplitudes.tobytes() == b.state.amplitudes.tobytes()
+                                assert a.source_row == b.source_row
+                                assert a.config == b.config
+                            assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("noise_p", [0.0, 0.3])
+    def test_rows_are_checked_with_encode_points_messages(self, noise_p):
+        # The noisy stack checks the whole matrix once, with the messages
+        # encode_point gives the noiseless rows.
+        cfg = QknnConfig(**NOISE_CFG, noise=NoiseSpec(NoiseKind.BIT_FLIP, noise_p))
+        rng = np.random.default_rng(0)
+        bad = np.full((3, 2), 0.5)
+        bad[1, 0] = 1.5
+        message = r"features must lie in \[0, 1\]; offending values: \[1.5\]"
+        with pytest.raises(ValueError, match=message):
+            _encode_rows(bad, cfg, rng)
+        bad[1, 0] = np.nan
+        with pytest.raises(ValueError, match="feature vector contains non-finite values"):
+            _encode_rows(bad, cfg, rng)
+        with pytest.raises(ValueError, match=r"non-empty 1-D feature vector, got shape \(0,\)"):
+            _encode_rows(np.zeros((3, 0)), cfg, rng)
+        assert _encode_rows(np.zeros((0, 2)), cfg, rng) == []
 
     def test_the_code_is_built_once_per_encoding_call(self, separated_problem, monkeypatch):
         train, _ = separated_problem

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qknn import data
 from qknn.data import (
     DataFormatError,
     Dataset,
@@ -215,6 +216,22 @@ class TestRealFiles:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_wdbc_load_builds_the_path_text_once(self, data_dir, monkeypatch):
+        # Every token's error context is the same string, not a fresh
+        # str(path) per token.
+        names = []
+        parse = data._parse_float
+
+        def recording(token, line_no, path):
+            names.append(path)
+            return parse(token, line_no, path)
+
+        monkeypatch.setattr(data, "_parse_float", recording)
+        load_dataset(data_dir / "wdbc.data", "wdbc")
+        assert len(names) == 569 * 30
+        assert names[0] == str(data_dir / "wdbc.data")
+        assert all(name is names[0] for name in names)
 
     @requires_banknote
     def test_banknote_file_when_present(self):

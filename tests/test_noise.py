@@ -7,15 +7,15 @@ import pytest
 
 from qknn.classifier import QknnConfig, _encode_rows
 from qknn.encoding import EncodingConfig, apply_feature_map, encode_point
-from qknn.noise import (
-    NoiseKind,
-    NoiseSpec,
-    apply_pauli_errors,
-    draw_pauli,
-)
+from qknn.noise import NoiseKind, NoiseSpec, _apply_paulis, draw_pauli
 from qknn.sim import StateVector, new_zero_state
 
-from oracles import expected_density_effect, random_state, run_trajectory_batch
+from oracles import (
+    apply_pauli_errors,
+    expected_density_effect,
+    random_state,
+    run_trajectory_batch,
+)
 
 ALL_KINDS = tuple(NoiseKind)
 
@@ -89,28 +89,44 @@ class TestDraws:
         np.testing.assert_array_equal(point.state.amplitudes, expected)
 
 
+def apply_to_one(state: StateVector, paulis: list[str | None]) -> np.ndarray:
+    """``_apply_paulis`` on a one-row stack holding ``state``."""
+    return _apply_paulis(state.amplitudes[None, :].copy(), [paulis])[0]
+
+
 class TestApply:
     def test_certain_bit_flip_flips_the_basis_state(self, rng):
         spec = NoiseSpec(NoiseKind.BIT_FLIP, 1.0)
-        errors = [(q, draw_pauli(spec, rng)) for q in (0, 1)]
-        state = apply_pauli_errors(new_zero_state(2), errors)
-        np.testing.assert_allclose(state.amplitudes, [0, 0, 0, 1], atol=1e-15)
+        paulis = [draw_pauli(spec, rng) for _ in (0, 1)]
+        out = apply_to_one(new_zero_state(2), paulis)
+        np.testing.assert_allclose(out, [0, 0, 0, 1], atol=1e-15)
 
     def test_phase_flip_leaves_zero_state_invariant(self, rng):
         spec = NoiseSpec(NoiseKind.PHASE_FLIP, 1.0)
-        state = apply_pauli_errors(new_zero_state(1), [(0, draw_pauli(spec, rng))])
-        np.testing.assert_allclose(state.amplitudes, [1, 0], atol=1e-15)
+        out = apply_to_one(new_zero_state(1), [draw_pauli(spec, rng)])
+        np.testing.assert_allclose(out, [1, 0], atol=1e-15)
 
     def test_errors_apply_as_gates(self):
-        state = apply_pauli_errors(plus_state(), [(0, "Z")])
-        np.testing.assert_allclose(
-            state.amplitudes, np.array([1, -1]) / math.sqrt(2), atol=1e-12
-        )
+        out = apply_to_one(plus_state(), ["Z"])
+        np.testing.assert_allclose(out, np.array([1, -1]) / math.sqrt(2), atol=1e-12)
 
     def test_norm_preserved(self, rng):
-        state = random_sv(3, rng)
-        out = apply_pauli_errors(state, [(0, "X"), (1, "Y"), (2, "Z")])
-        assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
+        out = apply_to_one(random_sv(3, rng), ["X", "Y", "Z"])
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+
+    def test_each_row_gets_its_own_errors_bitwise_as_gates(self, rng):
+        # Rows that drew nothing, one Pauli, or one on every qubit: each row
+        # must be bitwise what applying its errors gate by gate gives.
+        n, choices = 3, [None, "X", "Y", "Z"]
+        paulis = [[None] * n, ["Y"] * n, ["X", None, "Z"]]
+        paulis += [[choices[i] for i in rng.integers(4, size=n)] for _ in range(9)]
+        states = [random_sv(n, rng) for _ in paulis]
+        stack = np.stack([state.amplitudes for state in states])
+        assert _apply_paulis(stack, paulis) is stack
+        for row, state, drawn in zip(stack, states, paulis):
+            errors = [(q, pauli) for q, pauli in enumerate(drawn) if pauli is not None]
+            assert row.tobytes() == apply_pauli_errors(state, errors).amplitudes.tobytes()
+        assert stack[0].tobytes() == states[0].amplitudes.tobytes()
 
 
 class TestTrajectories:

@@ -45,6 +45,9 @@ class TestCode:
         with pytest.raises(TypeError, match="must be an int"):
             QknnConfig(code_length=n)
 
+    def test_the_config_default_length_is_the_codes(self):
+        assert QknnConfig().code_length == RepetitionCode.n == RepetitionCode().n
+
     def test_syndrome_entries_validated(self):
         with pytest.raises(ValueError, match=r"\+/-1"):
             Syndrome((1, 0))
