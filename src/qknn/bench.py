@@ -215,9 +215,6 @@ def prepare_experiment(config: BenchConfig) -> PreparedExperiment:
 
 def _qknn_config(config: BenchConfig, noise: NoiseSpec | None = None,
                  mitigation: str = "none", seed: int | None = None) -> QknnConfig:
-    distance = config.distance
-    if mitigation == "repeat-vote":
-        distance = "sampled"
     return QknnConfig(
         k=config.k,
         encoding=EncodingConfig(
@@ -225,7 +222,7 @@ def _qknn_config(config: BenchConfig, noise: NoiseSpec | None = None,
             feature_map_angle=config.feature_map_angle,
         ),
         use_feature_map=config.use_feature_map,
-        distance_mode=distance,
+        distance_mode=config.distance,
         shots=config.shots,
         seed=config.seed if seed is None else seed,
         noise=noise,
@@ -234,8 +231,8 @@ def _qknn_config(config: BenchConfig, noise: NoiseSpec | None = None,
 
 
 def _check_run(config: BenchConfig, mitigation: str = "none") -> None:
-    """Reject a register over the qubit limit (for qknn the mitigation
-    decides which register is built) before loading."""
+    """Reject a register over the qubit limit, and for qknn an unknown
+    mitigation mode, before loading."""
     dataset = _FORMATS[config.dataset]
     width = min(config.features, len(dataset.feature_names))
     if config.model == "qknn":

@@ -28,21 +28,17 @@ each qubit's Pauli in qubit order.  A noisy call then encodes its rows
 as one [rows, 2**d] stack, block by block (``encoding._encode_stack``),
 and applies the drawn Paulis to the rows that drew them
 (``noise._apply_paulis``); every state is bitwise the one that encoding
-and hitting the row on its own gives.  Two error-mitigation modes exist for
-noisy runs: "repeat-vote" (each sampled ancilla measurement is repeated
-n times and majority voted, drawn from the exact ancilla marginal on
-the same per-row stream) and
-"physical-code" (each data qubit's channel draw is passed through an
-n-qubit repetition code with syndrome correction before the surviving
-logical error touches the state; ``_code_pauli`` draws one qubit's
-block and decodes its flips in closed form, and the code is built once
-per ``_encode_rows`` call).
+and hitting the row on its own gives.  Noisy runs have one error-mitigation
+mode, the paper's repetition encoding, "physical-code": each data qubit's
+channel draw is passed through an n-qubit repetition code with syndrome
+correction before the surviving logical error touches the state
+(``_code_pauli`` draws one qubit's block and decodes its flips in closed
+form, and the code is built once per ``_encode_rows`` call).
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,7 +70,7 @@ from .sim import (
 
 DEFAULT_SHOTS = 4096
 DISTANCE_MODES = ("exact", "sampled")
-MITIGATION_MODES = ("none", "repeat-vote", "physical-code")
+MITIGATION_MODES = ("none", "physical-code")
 
 
 @dataclass(frozen=True)
@@ -89,9 +85,8 @@ class QknnConfig:
     seed: int = 0
     noise: NoiseSpec | None = None
     mitigation: str = "none"
-    #: Odd length n >= 3 of both error-mitigation modes: "repeat-vote" takes
-    #: the majority of n repeated ancilla measurements per shot, and
-    #: "physical-code" encodes each data qubit in an n-qubit repetition code.
+    #: Odd length n >= 3 of the repetition code that "physical-code" encodes
+    #: each data qubit in.
     code_length: int = RepetitionCode.n
 
     def __post_init__(self) -> None:
@@ -109,12 +104,7 @@ class QknnConfig:
             raise ValueError(
                 f"mitigation must be one of {MITIGATION_MODES}, got {self.mitigation!r}"
             )
-        if self.mitigation == "repeat-vote" and self.distance_mode != "sampled":
-            raise ValueError(
-                "repeat-vote mitigation repeats ancilla measurements and "
-                "therefore requires distance_mode='sampled'"
-            )
-        # RepetitionCode owns the odd, >= 3 rule for both modes.
+        # RepetitionCode owns the odd, >= 3 rule.
         RepetitionCode(self.code_length)
 
 
@@ -122,7 +112,7 @@ def check_register(cfg: QknnConfig, n_features: int) -> None:
     """Reject more features than the largest register ``cfg`` builds can
     hold: one qubit per feature, or, for sampled swap tests, an ancilla
     plus two ``n_features``-qubit states."""
-    if cfg.distance_mode == "exact" or cfg.mitigation == "repeat-vote":
+    if cfg.distance_mode == "exact":
         _check_size(n_features)
     elif 2 * n_features + 1 > MAX_QUBITS:
         raise ResourceLimitError(
@@ -198,43 +188,18 @@ def _sampled_ancilla_zero(
     return sample_basis(swap_state, shots, seed)[:half].sum() / shots
 
 
-def _voted_fidelities(
-    fids: np.ndarray, shots: int, repeats: int, seed: list[int] | np.random.Generator
-) -> np.ndarray:
-    """Swap-test fidelity estimates with per-shot repetition and majority
-    vote, given the exact fidelities ``fids``.
-
-    Each shot repeats the test ``repeats`` times and keeps the majority
-    bit.  A repeated ancilla bit is 1 with the exact marginal p = (1 - F)/2
-    (Buhrman et al. 2001), so a voted bit is 1 with the chance q that more
-    than half of them are, and a pair's voted ones are Binomial(shots, q).
-    """
-    p = np.clip((1.0 - fids) / 2.0, 0.0, 1.0)
-    q = sum(
-        math.comb(repeats, k) * p**k * (1.0 - p) ** (repeats - k)
-        for k in range(repeats // 2 + 1, repeats + 1)
-    )
-    voted_ones = np.random.default_rng(seed).binomial(shots, q)
-    return 1.0 - 2.0 * voted_ones / shots
-
-
 def _pair_fidelities(model: QknnModel, test: EncodedPoint) -> np.ndarray:
     """Fidelity estimates against every training point, clamped to [0, 1]."""
     cfg = model.config
-    if cfg.distance_mode == "exact" or cfg.mitigation == "repeat-vote":
+    if cfg.distance_mode == "exact":
         overlaps = model._train_amplitudes.conj() @ test.state.amplitudes
-        fids = np.abs(overlaps) ** 2
-        if cfg.distance_mode == "exact":
-            return fids
+        return np.abs(overlaps) ** 2
     # One stream per test row draws every pair's shots in training order.
     rng = np.random.default_rng([cfg.seed, test.source_row + 1])
-    if cfg.mitigation == "repeat-vote":
-        fids = _voted_fidelities(fids, cfg.shots, cfg.code_length, rng)
-    else:
-        fids = np.empty(len(model.encoded_train))
-        for j, point in enumerate(model.encoded_train):
-            swap_state = swap_test_state(point.state, test.state)
-            fids[j] = 2.0 * _sampled_ancilla_zero(swap_state, cfg.shots, rng) - 1.0
+    fids = np.empty(len(model.encoded_train))
+    for j, point in enumerate(model.encoded_train):
+        swap_state = swap_test_state(point.state, test.state)
+        fids[j] = 2.0 * _sampled_ancilla_zero(swap_state, cfg.shots, rng) - 1.0
     return np.clip(fids, 0.0, 1.0)
 
 

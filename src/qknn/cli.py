@@ -85,6 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[k.value for k in NoiseKind],
     )
     sweep.add_argument("--k", type=int)
+    sweep.add_argument("--features", type=int)
+    sweep.add_argument("--distance", choices=DISTANCE_MODES)
     sweep.add_argument("--shots", type=int)
     sweep.add_argument("--out", help="CSV path")
 

@@ -443,10 +443,12 @@ class TestNoiseSweep:
             # with a bare KeyError in the first noisy trial.
             (dict(noise_kind="bit_flip"), TypeError, "noise kind must be a NoiseKind"),
             (dict(mitigation="bogus"), ValueError, "mitigation must be one of"),
+            (dict(mitigation="repeat-vote"), ValueError,
+             r"mitigation must be one of \('none', 'physical-code'\), got 'repeat-vote'"),
             (dict(trials=1.5), TypeError, "trials must be int"),
             (dict(p_values=[math.nan]), ValueError, "noise probability must lie in"),
         ],
-        ids=["string-kind", "mitigation", "trials-type", "nan-level"],
+        ids=["string-kind", "mitigation", "repeat-vote", "trials-type", "nan-level"],
     )
     def test_bad_setting_is_rejected_before_loading(self, tmp_path, setting, error,
                                                     message):
@@ -467,14 +469,11 @@ class TestNoiseSweep:
         with pytest.raises(BenchStageError, match="stage 'load'"):
             run_noise_sweep(cfg, [0.1, 0.2], MAX_SWEEP_RUNS // 2)
 
-    def test_repeat_vote_checks_the_register_it_builds(self, tmp_path):
-        # Repeat-vote draws its votes from the exact ancilla marginal, so it
-        # encodes d features on d qubits and builds no swap-test register,
-        # whatever distance the config names.
+    def test_sampled_sweeps_check_the_swap_test_register(self, tmp_path):
+        # Sampled distances build a 2*d + 1 qubit swap-test register under
+        # every mitigation mode, so d = 7 is refused before loading.
         cfg = BenchConfig(dataset="wdbc", distance="sampled", features=7,
                           data_dir=str(tmp_path / "missing"))
-        with pytest.raises(BenchStageError, match="stage 'load'"):
-            run_noise_sweep(cfg, [0.1], 1, "repeat-vote")
         for mitigation in ("none", "physical-code"):
             with pytest.raises(ResourceLimitError, match="register of 15 qubits"):
                 run_noise_sweep(cfg, [0.1], 1, mitigation)

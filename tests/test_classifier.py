@@ -15,7 +15,6 @@ from qknn.classifier import (
     _code_pauli,
     _encode_rows,
     _pair_fidelities,
-    _voted_fidelities,
     classify,
     find_neighbors,
     fit,
@@ -383,9 +382,13 @@ class TestFitPredict:
 
 
 class TestConfigValidation:
-    def test_repeat_vote_requires_sampled_mode(self):
-        with pytest.raises(ValueError, match="sampled"):
-            QknnConfig(mitigation="repeat-vote", distance_mode="exact")
+    def test_repeat_vote_is_not_a_mitigation_mode(self):
+        # The paper mitigates by repetition encoding only, so a mode that
+        # regroups ancilla shots is refused, with sampled distances too.
+        with pytest.raises(
+            ValueError, match=r"one of \('none', 'physical-code'\), got 'repeat-vote'"
+        ):
+            QknnConfig(mitigation="repeat-vote", distance_mode="sampled")
 
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError, match="k must"):
@@ -620,43 +623,6 @@ class TestNoiseAndMitigation:
                 continue
             z = (counts[pauli] - draws * prob) / math.sqrt(draws * prob * (1.0 - prob))
             assert abs(z) < 4.0, (pauli, counts[pauli], draws * prob)
-
-    @pytest.mark.parametrize("repeats", [3, 5, 9])
-    def test_repeat_vote_draws_the_majority_of_the_exact_marginal(self, repeats):
-        # A voted shot reads 1 when most of its repeated ancilla bits, each 1
-        # with p = (1 - F)/2, are 1; q is enumerated over every bit pattern.
-        fids = np.linspace(0.0, 1.0, 11)
-        p = (1.0 - fids) / 2.0
-        q = np.zeros_like(p)
-        for bits in itertools.product((0, 1), repeat=repeats):
-            ones = sum(bits)
-            if 2 * ones > repeats:
-                q += p**ones * (1.0 - p) ** (repeats - ones)
-        shots = 100_000
-        estimates = _voted_fidelities(fids, shots, repeats, [0, 1])
-        # Each estimate is 1 - 2 * Binomial(shots, q) / shots.
-        sd = 2.0 * np.sqrt(q * (1.0 - q) / shots)
-        assert np.all(np.abs(estimates - (1.0 - 2.0 * q)) <= 5.0 * sd)
-        assert estimates[-1] == 1.0
-
-    def test_repeat_vote_sharpens_sampled_estimates(self, rng, make_dataset):
-        # per-pair ancilla draws at tiny shot counts are noisy; majority
-        # voting per shot pulls the estimate toward the true side
-        train = make_dataset(np.array([[0.0], [0.5]]), np.array([0, 1]))
-        test = make_dataset(np.array([[0.05]]), np.array([0]), n_classes=2)
-        base = dict(k=1, encoding=PI_SCALE, distance_mode="sampled", shots=9)
-        plain_hits = 0
-        voted_hits = 0
-        for seed in range(120):
-            plain, _ = fit_predict(train, test, QknnConfig(**base, seed=seed))
-            voted, _ = fit_predict(
-                train,
-                test,
-                QknnConfig(**base, seed=seed, mitigation="repeat-vote", code_length=9),
-            )
-            plain_hits += int(plain[0] == 0)
-            voted_hits += int(voted[0] == 0)
-        assert voted_hits >= plain_hits
 
 
 class TestCknn:

@@ -3,10 +3,13 @@ and output files."""
 
 import csv
 import json
+from dataclasses import replace
 
 import pytest
 
+from qknn.bench import BenchConfig, run_noise_sweep
 from qknn.cli import build_parser, main
+from qknn.noise import NoiseKind
 
 from conftest import DATA_DIR
 
@@ -264,6 +267,13 @@ class TestSwapRegister:
         assert "swap-test register of 15 qubits, over the limit of 14" in err
         assert "max_qubits" not in err
 
+    def test_sampled_sweep_flag_checks_the_register(self, tmp_path, capsys):
+        code = run_cli("sweep", "--dataset", "wdbc", "--features", "7",
+                       "--distance", "sampled", "--data-dir", str(tmp_path),
+                       "--out", str(tmp_path / "s.csv"))
+        assert code == 2
+        assert "swap-test register of 15 qubits" in capsys.readouterr().err
+
     def test_wdbc_with_six_features_passes_the_config(self, tmp_path, capsys):
         code = run_cli("run", "--dataset", "wdbc", "--features", "6",
                        "--distance", "sampled", "--data-dir", str(tmp_path),
@@ -284,8 +294,7 @@ class TestSwapRegister:
 
 
 class TestEncodingRegister:
-    """Exact distances and repeat-vote (which draws its votes from the exact
-    ancilla marginal) encode d features on d qubits, so only d above the
+    """Exact distances encode d features on d qubits, so only d above the
     limit is an argument error."""
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -306,11 +315,8 @@ class TestEncodingRegister:
         [
             ("run", {"features": 14}),
             ("sweep", {"features": 14}),
-            ("sweep", {"features": 7, "mitigate": "repeat-vote"}),
-            # repeat-vote builds no swap-test register whatever distance is set
-            ("sweep", {"features": 7, "mitigate": "repeat-vote", "distance": "sampled"}),
         ],
-        ids=["run-14", "sweep-14", "sweep-repeat-vote-7", "sweep-repeat-vote-sampled-7"],
+        ids=["run-14", "sweep-14"],
     )
     def test_wdbc_config_passes_to_the_load_stage(self, tmp_path, capsys, command, doc):
         # The data directory is empty, so a config that passes fails to load.
@@ -459,9 +465,13 @@ class TestSweep:
         "option, message",
         [
             ({"mitigate": "bogus"}, "mitigation must be one of"),
+            (
+                {"mitigate": "repeat-vote"},
+                "mitigation must be one of ('none', 'physical-code'), got 'repeat-vote'",
+            ),
             ({"noise_kind": "bogus"}, "'bogus' is not a valid NoiseKind"),
         ],
-        ids=["mitigation", "noise-kind"],
+        ids=["mitigation", "repeat-vote", "noise-kind"],
     )
     def test_unknown_mode_in_the_config_file_exits_two_before_loading(
         self, tmp_path, capsys, option, message
@@ -495,27 +505,39 @@ class TestSweep:
             assert [row["p"] for row in csv.DictReader(fh)] == ["0.0"]
         capsys.readouterr()
 
-    def test_repeat_vote_forces_sampled_mode(self, tmp_path, capsys):
-        # exact-mode configs must still work: the sweep switches to
-        # sampled distances internally when voting is requested
+    def test_repeat_vote_flag_exits_two(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("sweep", "--dataset", "iris", "--mitigate", "repeat-vote",
+                    "--data-dir", str(tmp_path), "--out", str(tmp_path / "s.csv"))
+        assert exc.value.code == 2
+        assert "invalid choice: 'repeat-vote'" in capsys.readouterr().err
+
+    def test_sampled_distance_flag_reaches_the_sweep(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         code = run_cli(
             "sweep",
             "--dataset", "iris",
+            "--distance", "sampled",
+            "--shots", "64",
+            "--seed", "5",
+            "--trials", "1",
             "--p-start", "0.1",
             "--p-stop", "0.1",
             "--p-step", "0.1",
-            "--trials", "1",
-            "--mitigate", "repeat-vote",
-            "--shots", "32",
             "--data-dir", str(DATA_DIR),
             "--out", str(out),
         )
         assert code == 0
+        capsys.readouterr()
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
-        assert rows[0]["mitigation"] == "repeat-vote"
-        capsys.readouterr()
+        config = BenchConfig(distance="sampled", shots=64, seed=5, data_dir=str(DATA_DIR))
+        sampled = run_noise_sweep(config, [0.1], 1, "none", NoiseKind.BIT_FLIP)
+        exact = run_noise_sweep(replace(config, distance="exact"), [0.1], 1, "none",
+                                NoiseKind.BIT_FLIP)
+        assert [row["mean_accuracy"] for row in rows] == [repr(sampled.mean_accuracy[0])]
+        # At this seed 64 shots per pair move the accuracy off the exact one.
+        assert sampled.mean_accuracy != exact.mean_accuracy
 
 
 class TestCompare:
