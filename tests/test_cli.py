@@ -274,6 +274,15 @@ class TestSwapRegister:
         assert code == 2
         assert "swap-test register of 15 qubits" in capsys.readouterr().err
 
+    def test_sampled_sweep_flag_with_six_features_reaches_the_load_stage(
+        self, tmp_path, capsys
+    ):
+        code = run_cli("sweep", "--dataset", "wdbc", "--features", "6",
+                       "--distance", "sampled", "--data-dir", str(tmp_path),
+                       "--out", str(tmp_path / "s.csv"))
+        assert code == 1
+        assert "stage 'load' failed" in capsys.readouterr().err
+
     def test_wdbc_with_six_features_passes_the_config(self, tmp_path, capsys):
         code = run_cli("run", "--dataset", "wdbc", "--features", "6",
                        "--distance", "sampled", "--data-dir", str(tmp_path),
@@ -310,13 +319,21 @@ class TestEncodingRegister:
         assert "15 qubits exceeds the limit of 14 (2**15 amplitudes)" in err
         assert "max_qubits" not in err
 
+    def test_sweep_features_flag_checks_the_register(self, tmp_path, capsys):
+        code = run_cli("sweep", "--dataset", "wdbc", "--features", "15",
+                       "--data-dir", str(tmp_path), "--out", str(tmp_path / "s.csv"))
+        assert code == 2
+        assert "15 qubits exceeds the limit of 14" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "command,doc",
         [
             ("run", {"features": 14}),
             ("sweep", {"features": 14}),
+            # the repetition code repeats each encoding, not its qubits
+            ("sweep", {"features": 7, "mitigate": "physical-code"}),
         ],
-        ids=["run-14", "sweep-14"],
+        ids=["run-14", "sweep-14", "sweep-physical-code-7"],
     )
     def test_wdbc_config_passes_to_the_load_stage(self, tmp_path, capsys, command, doc):
         # The data directory is empty, so a config that passes fails to load.
