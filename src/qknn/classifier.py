@@ -23,22 +23,33 @@ Two evaluation modes are provided:
   depend on the order in which rows are classified.
 
 Optional Pauli noise is injected per trajectory into every encoded
-state after the feature map, by one loop in ``_encode_rows`` that draws
-each qubit's Pauli in qubit order.  A noisy call then encodes its rows
-as one [rows, 2**d] stack, block by block (``encoding._encode_stack``),
-and applies the drawn Paulis to the rows that drew them
+state after the feature map; one loop, ``_draw_paulis``, draws each
+row's Paulis, qubit by qubit in qubit order.  Noisy runs have one
+error-mitigation mode, the paper's repetition encoding, "physical-code":
+each data qubit's channel draw is passed through an n-qubit repetition
+code with syndrome correction before the surviving logical error touches
+the state (``_code_pauli`` draws one qubit's block and decodes its flips
+in closed form, and the code is built once per ``_draw_paulis`` call).
+
+A noisy ``fit_predict`` with exact distances, with the map off or at a
+map angle where CNOT.IsingXY is Clifford (multiples of pi/2, the default
+included), builds no states.  The Pauli P drawn after the map U equals
+U times U^dag P U, a Pauli on the product encoding, so each row's draws
+are pulled back through one cached GF(2) matrix (``_pullback``) to
+angles theta' = (-1)**x * (theta + z * pi) (``_frame_angles``), and the
+fidelities are the product kernel of those angles (``_frame_fidelities``).
+Every other noisy encoding (sampled distances, whose swap tests need
+states, other map angles, and ``fit``) encodes its rows as one
+[rows, 2**d] stack, block by block (``encoding._encode_stack``), and
+applies the drawn Paulis to the rows that drew them
 (``noise._apply_paulis``); every state is bitwise the one that encoding
-and hitting the row on its own gives.  Noisy runs have one error-mitigation
-mode, the paper's repetition encoding, "physical-code": each data qubit's
-channel draw is passed through an n-qubit repetition code with syndrome
-correction before the surviving logical error touches the state
-(``_code_pauli`` draws one qubit's block and decodes its flips in closed
-form, and the code is built once per ``_encode_rows`` call).
+and hitting the row on its own gives.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,6 +76,7 @@ from .sim import (
     _shared_op,
     _trusted_state,
     apply_gate,
+    gate_matrix,
     sample_basis,
 )
 
@@ -90,6 +102,15 @@ class QknnConfig:
     code_length: int = RepetitionCode.n
 
     def __post_init__(self) -> None:
+        for name in ("k", "shots", "seed"):
+            value = getattr(self, name)
+            # bool subclasses int, but True is not a count or a seed.
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an int, got {value!r}")
+        if not isinstance(self.use_feature_map, bool):
+            raise TypeError(f"use_feature_map must be a bool, got {self.use_feature_map!r}")
+        if self.noise is not None and not isinstance(self.noise, NoiseSpec):
+            raise TypeError(f"noise must be None or a NoiseSpec, got {self.noise!r}")
         if self.k < 1:
             raise ValueError(f"k must be at least 1, got {self.k}")
         if self.distance_mode not in DISTANCE_MODES:
@@ -216,6 +237,21 @@ def find_neighbors(model: QknnModel, test: EncodedPoint) -> tuple[np.ndarray, np
     return chosen, fids[chosen]
 
 
+def _fidelity_vote(
+    neighbor_labels: np.ndarray, fidelities: np.ndarray, n_classes: int
+) -> tuple[int, np.ndarray]:
+    """``classify``'s rule on the neighbours' labels and fidelities: the
+    majority label and the fidelity-weighted vote share per class, or the
+    plain count share when every fidelity is ~0."""
+    label, votes = _vote(neighbor_labels, fidelities, n_classes)
+    total = fidelities.sum()
+    if total > 1e-12:
+        scores = np.bincount(neighbor_labels, weights=fidelities, minlength=n_classes) / total
+    else:
+        scores = votes / votes.sum()
+    return label, scores
+
+
 def classify(model: QknnModel, test: EncodedPoint) -> tuple[int, np.ndarray]:
     """Majority vote among the k neighbours.
 
@@ -225,17 +261,7 @@ def classify(model: QknnModel, test: EncodedPoint) -> tuple[int, np.ndarray]:
     neighbour fidelity is ~0 the plain count share is used instead.
     """
     indices, fidelities = find_neighbors(model, test)
-    neighbor_labels = model.labels[indices]
-    label, votes = _vote(neighbor_labels, fidelities, model.n_classes)
-    total = fidelities.sum()
-    if total > 1e-12:
-        scores = (
-            np.bincount(neighbor_labels, weights=fidelities, minlength=model.n_classes)
-            / total
-        )
-    else:
-        scores = votes / votes.sum()
-    return label, scores
+    return _fidelity_vote(model.labels[indices], fidelities, model.n_classes)
 
 
 #: The logical Pauli left by a code block's (logical X, logical Z) parts.
@@ -264,32 +290,17 @@ def _code_pauli(
     return _LOGICAL_PAULI[logical_x, z_parity]
 
 
-#: Amplitudes per block of a noisy ``_encode_rows`` stack: rows are
-#: encoded this many amplitudes at a time (at least one row per block).
-_BLOCK_AMPLITUDES = 2**14
+def _noisy(cfg: QknnConfig) -> bool:
+    """Whether ``cfg`` draws noise: a noise level of 0 draws nothing."""
+    return cfg.noise is not None and cfg.noise.p > 0.0
 
 
-def _encode_rows(
+def _draw_paulis(
     features: np.ndarray, cfg: QknnConfig, rng: np.random.Generator
-) -> list[EncodedPoint]:
-    """Encode rows; with noise, each point gets one trajectory after the map:
-    per qubit, in qubit order, one channel draw from ``rng``, or with
-    "physical-code" the logical Pauli of the qubit's code block.
-
-    Without noise each row is encoded on its own.  With noise every row's
-    Paulis are drawn first, row by row, and the rows are then encoded and
-    hit as one [rows, 2**d] stack, ``_BLOCK_AMPLITUDES`` at a time, with
-    states bitwise equal to the row-by-row ones.
-    """
-    noisy = cfg.noise is not None and cfg.noise.p > 0.0
-    if not noisy:
-        points = []
-        for row_index, row in enumerate(features):
-            point = encode_point(row, cfg.encoding, source_row=row_index)
-            if cfg.use_feature_map:
-                point = apply_feature_map(point)
-            points.append(point)
-        return points
+) -> tuple[np.ndarray, list[list[str | None]]]:
+    """The checked [rows, d] features and one noisy trajectory per row:
+    row by row, per qubit in qubit order, one channel draw from ``rng``, or
+    with "physical-code" the logical Pauli of the qubit's code block."""
     features = _check_features(features, ndim=2)
     rows, d = features.shape
     _check_size(d)
@@ -298,6 +309,35 @@ def _encode_rows(
         paulis = [[_code_pauli(cfg.noise, rng, code) for _ in range(d)] for _ in range(rows)]
     else:
         paulis = [[draw_pauli(cfg.noise, rng) for _ in range(d)] for _ in range(rows)]
+    return features, paulis
+
+
+#: Amplitudes per block of a noisy ``_encode_rows`` stack: rows are
+#: encoded this many amplitudes at a time (at least one row per block).
+_BLOCK_AMPLITUDES = 2**14
+
+
+def _encode_rows(
+    features: np.ndarray, cfg: QknnConfig, rng: np.random.Generator
+) -> list[EncodedPoint]:
+    """Encode rows; with noise, each point gets the trajectory
+    ``_draw_paulis`` draws for it, after the map.
+
+    Without noise each row is encoded on its own.  With noise every row's
+    Paulis are drawn first, row by row, and the rows are then encoded and
+    hit as one [rows, 2**d] stack, ``_BLOCK_AMPLITUDES`` at a time, with
+    states bitwise equal to the row-by-row ones.
+    """
+    if not _noisy(cfg):
+        points = []
+        for row_index, row in enumerate(features):
+            point = encode_point(row, cfg.encoding, source_row=row_index)
+            if cfg.use_feature_map:
+                point = apply_feature_map(point)
+            points.append(point)
+        return points
+    features, paulis = _draw_paulis(features, cfg, rng)
+    rows, d = features.shape
     amplitudes = np.empty((rows, 2**d), dtype=complex)
     step = max(1, _BLOCK_AMPLITUDES >> d)
     for start in range(0, rows, step):
@@ -308,6 +348,102 @@ def _encode_rows(
         EncodedPoint(_trusted_state(d, state), row_index, cfg.encoding)
         for row_index, state in enumerate(amplitudes)
     ]
+
+
+#: The (X, Z) bits of each drawn Pauli; Y is XZ up to a global phase.
+_PAULI_BITS = {None: (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
+
+
+@functools.lru_cache(maxsize=64)
+def _pullback(d: int, angle: float | None) -> np.ndarray | None:
+    """The 2d x 2d GF(2) matrix that pulls a Pauli drawn after the feature
+    map on d qubits back through it, or None when the map at ``angle`` is
+    not Clifford; ``angle`` None (the map off) gives the identity.
+
+    A Pauli is its bits (x_0..x_{d-1}, z_0..z_{d-1}), and the pulled-back
+    Pauli U^dag P U, up to a global phase, has bits ``pullback @ bits % 2``.
+    U applies g = CNOT . IsingXY(angle) to the pairs (0, 1), (1, 2), ... in
+    order, so the pair (0, 1) conjugates last.  Column j of g's 4 x 4 table
+    holds the bits of g^dag P g for the j-th generator P of a pair's bits
+    (x_a, x_b, z_a, z_b), which must be a Pauli times a phase within 1e-12.
+    Read-only.
+    """
+    pullback = np.eye(2 * d, dtype=np.int64)
+    if angle is not None and d > 1:
+        gate = gate_matrix(Gate.CNOT) @ gate_matrix(Gate.ISING_XY, angle)
+        x, z = gate_matrix(Gate.X), gate_matrix(Gate.Z)
+        single = np.array([[np.eye(2), z], [x, x @ z]])  # single[x, z] = X^x Z^z
+        # The 16 two-qubit Paulis, qubit a the high bit, in the order of
+        # their bits; the generators' bits are rows 8, 4, 2 and 1.
+        bits = np.array(list(itertools.product((0, 1), repeat=4)))
+        x_a, x_b, z_a, z_b = bits.T
+        paulis = np.einsum("pij,pkl->pikjl", single[x_a, z_a], single[x_b, z_b])
+        paulis = paulis.reshape(16, 4, 4)
+        conjugates = gate.conj().T @ paulis[[8, 4, 2, 1]] @ gate
+        # A Pauli's coefficient in a 4 x 4 matrix M is tr(P^dag M) / 4.
+        coefficients = np.einsum("pij,gij->gp", paulis.conj(), conjugates) / 4
+        match = np.abs(coefficients).argmax(axis=1)
+        fitted = coefficients[np.arange(4), match, np.newaxis, np.newaxis] * paulis[match]
+        if np.abs(conjugates - fitted).max() >= 1e-12:
+            return None
+        for i in range(d - 1):
+            pair, axes = np.eye(2 * d, dtype=np.int64), [i, i + 1, d + i, d + i + 1]
+            pair[np.ix_(axes, axes)] = bits[match].T
+            pullback = pullback @ pair % 2
+    pullback.setflags(write=False)
+    return pullback
+
+
+def _frame_angles(
+    features: np.ndarray, cfg: QknnConfig, rng: np.random.Generator, pullback: np.ndarray
+) -> np.ndarray:
+    """Each row's qubit angles once its ``_draw_paulis`` trajectory is
+    pulled back onto the product encoding, as a [rows, d] array.
+
+    On the phase-encoded qubit RZ(theta) H |0>, X maps theta to -theta and
+    Z maps theta to theta + pi, up to a global phase, so the pulled-back
+    bits (x, z) give theta' = (-1)**x * (theta + z * pi).
+    """
+    features, paulis = _draw_paulis(features, cfg, rng)
+    rows, d = features.shape
+    bits = np.array([[_PAULI_BITS[p] for p in row] for row in paulis], dtype=np.int64)
+    bits = bits.reshape(rows, d, 2).transpose(0, 2, 1).reshape(rows, 2 * d)
+    pulled = bits @ pullback.T % 2
+    x, z = pulled[:, :d], pulled[:, d:]
+    return np.where(x == 1, -1.0, 1.0) * (float(cfg.encoding.angle_scale) * features + np.pi * z)
+
+
+def _frame_fidelities(test_angles: np.ndarray, train_angles: np.ndarray) -> np.ndarray:
+    """The [test, train] fidelities of product encodings at the given
+    angles: prod_i cos^2((theta_a,i - theta_b,i) / 2) per pair."""
+    # One [test, train, d] buffer, worked in place.
+    factors = test_angles[:, np.newaxis, :] - train_angles[np.newaxis, :, :]
+    factors /= 2
+    np.cos(factors, out=factors)
+    factors *= factors
+    return factors.prod(axis=2)
+
+
+def _frame_predict(
+    train: Dataset, test: Dataset, cfg: QknnConfig, rng: np.random.Generator,
+    pullback: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``fit_predict`` from Pauli frames: the training rows' draws, the
+    checks ``QknnModel`` makes, the test rows' draws, then the k-NN rule
+    and ``classify``'s scores on each row of the [test, train] fidelities."""
+    train_angles = _frame_angles(train.features, cfg, rng, pullback)
+    n_classes, k = train.n_classes, cfg.k
+    _check_training(train.labels, len(train_angles), n_classes, k)
+    check_register(cfg, train.n_features)
+    fidelities = _frame_fidelities(
+        _frame_angles(test.features, cfg, rng, pullback), train_angles
+    )
+
+    def classify_row(labels: np.ndarray, fids: np.ndarray) -> tuple[int, np.ndarray]:
+        chosen = _nearest(fids, k)
+        return _fidelity_vote(labels[chosen], fids[chosen], n_classes)
+
+    return _predict_rows(classify_row, train.labels, fidelities, n_classes)
 
 
 def _fit(train: Dataset, cfg: QknnConfig, rng: np.random.Generator) -> QknnModel:
@@ -333,10 +469,21 @@ def fit_predict(
     noise spec each encoded state receives one trajectory draw, so one
     call is one trajectory; rerun with different seeds to average.
     Deterministic for a fixed config.
+
+    A noisy run with exact distances whose map is off or Clifford builds
+    no states: each row's trajectory is pulled back onto the product
+    encoding (``_frame_angles``), and every [test, train] fidelity is the
+    product kernel of the pulled-back angles (``_frame_fidelities``).
     """
     _check_schema(train, test)
     # The training rows, then the test rows, draw from one noise stream.
     rng = np.random.default_rng(cfg.seed)
+    pullback = None
+    if _noisy(cfg) and cfg.distance_mode == "exact":
+        angle = cfg.encoding.feature_map_angle if cfg.use_feature_map else None
+        pullback = _pullback(train.n_features, angle)
+    if pullback is not None:
+        return _frame_predict(train, test, cfg, rng, pullback)
     model = _fit(train, cfg, rng)
     encoded_test = _encode_rows(test.features, cfg, rng)
     return _predict_rows(classify, model, encoded_test, train.n_classes)

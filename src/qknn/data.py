@@ -334,11 +334,16 @@ def _feature_chi2(
         return 0.0, 1.0, 1  # constant feature carries no information
     width = (hi - lo) / bins
     idx = np.minimum(((column - lo) / width).astype(int), bins - 1)
-    table = np.zeros((bins, n_classes), dtype=float)
-    np.add.at(table, (idx, labels), 1.0)
     # Empty bins contribute nothing; merging them into a neighbour is the
-    # same as removing their all-zero row, but it changes the dof.
-    table = table[table.sum(axis=1) > 0]
+    # same as removing their all-zero row, but it changes the dof.  So the
+    # table has a row per occupied bin only, in bin order, and its size
+    # follows the rows, not ``bins``.  sorted(set(...)) rather than
+    # np.unique, whose sort adds about 0.4 MB of resident memory on first use.
+    row_bins = idx.tolist()
+    used = sorted(set(row_bins))
+    table_row = dict(zip(used, range(len(used))))
+    table = np.zeros((len(used), n_classes), dtype=float)
+    np.add.at(table, ([table_row[b] for b in row_bins], labels), 1.0)
     table = table[:, table.sum(axis=0) > 0]
     rows, cols = table.shape
     total = table.sum()

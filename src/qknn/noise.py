@@ -7,7 +7,7 @@ applies each of X, Z, Y with probability p/3.
 
 A trajectory realisation keeps the state pure: per qubit one Pauli is
 drawn (or none) by ``draw_pauli``.  The one loop that draws a whole
-trajectory, in qubit order, is ``classifier._encode_rows``, and
+trajectory, in qubit order, is ``classifier._draw_paulis``, and
 ``_apply_paulis`` applies the drawn Paulis of a [rows, 2**d] stack of
 states at once, each as the gate's index gather and phase multiply.
 Averaging the trajectory density matrices over many shots converges to
@@ -18,6 +18,7 @@ errors gate by gate, live in ``tests/oracles.py``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -61,6 +62,9 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, NoiseKind):
             raise TypeError(f"noise kind must be a NoiseKind, got {self.kind!r}")
+        # bool subclasses int, but True is not a probability.
+        if isinstance(self.p, bool) or not isinstance(self.p, numbers.Real):
+            raise TypeError(f"noise probability p must be a real number, got {self.p!r}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"noise probability must lie in [0, 1], got {self.p}")
 

@@ -400,6 +400,30 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="distance mode"):
             QknnConfig(distance_mode="fuzzy")
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("k", 2.5), ("k", True), ("k", "3"),
+            ("shots", 2.5), ("shots", True),
+            ("seed", 1.5), ("seed", False), ("seed", None),
+        ],
+    )
+    def test_counts_and_seeds_must_be_ints(self, field, value):
+        # k=2.5 used to fail inside the neighbour ranking, shots=2.5 and
+        # seed=1.5 mid-run; each is refused here, naming the field.
+        with pytest.raises(TypeError, match=rf"{field} must be an int, got {value!r}"):
+            QknnConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", ["x", "bit_flip", NoiseKind.BIT_FLIP, 0.1])
+    def test_noise_must_be_a_noise_spec(self, value):
+        with pytest.raises(TypeError, match="noise must be None or a NoiseSpec"):
+            QknnConfig(noise=value)
+
+    @pytest.mark.parametrize("value", [1, 0, "yes", None])
+    def test_use_feature_map_must_be_a_bool(self, value):
+        with pytest.raises(TypeError, match="use_feature_map must be a bool"):
+            QknnConfig(use_feature_map=value)
+
 
 NOISE_CFG = dict(k=3, encoding=PI_SCALE, seed=5)
 
@@ -625,6 +649,103 @@ class TestNoiseAndMitigation:
             assert abs(z) < 4.0, (pauli, counts[pauli], draws * prob)
 
 
+#: Map angles at which CNOT . IsingXY is Clifford, and None for the map off.
+FRAME_ANGLES = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2, -math.pi / 2, None]
+
+
+class TestPauliFrames:
+    """A noisy exact run at a Clifford map angle, or with the map off,
+    pulls each trajectory back onto the product encoding; its fidelities
+    must be those of the ``_encode_rows`` states on the same draws."""
+
+    @staticmethod
+    def config(d, angle, scale, mitigation="none"):
+        encoding = EncodingConfig(angle_scale=scale, feature_map_angle=angle or 0.0)
+        return QknnConfig(
+            k=1, encoding=encoding, use_feature_map=angle is not None, seed=d,
+            noise=NoiseSpec(NoiseKind.MIXED_PAULI, 0.5), mitigation=mitigation,
+        )
+
+    @staticmethod
+    def both_fidelities(train_x, test_x, cfg, angle):
+        """(frame fidelities, state fidelities) with each path drawing from
+        its own generator at the config seed, and both generators after."""
+        d = train_x.shape[1]
+        ours, theirs = np.random.default_rng(cfg.seed), np.random.default_rng(cfg.seed)
+        pullback = classifier._pullback(d, angle)
+        train_angles = classifier._frame_angles(train_x, cfg, ours, pullback)
+        test_angles = classifier._frame_angles(test_x, cfg, ours, pullback)
+        frames = classifier._frame_fidelities(test_angles, train_angles)
+        model = QknnModel(
+            classifier._encode_rows(train_x, cfg, theirs), np.zeros(len(train_x), int), 1, cfg
+        )
+        states = np.array(
+            [_pair_fidelities(model, t) for t in classifier._encode_rows(test_x, cfg, theirs)]
+        )
+        return frames, states, ours, theirs
+
+    @pytest.mark.parametrize("scale", [2 * math.pi, math.pi, 0.7])
+    @pytest.mark.parametrize("angle", FRAME_ANGLES)
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_every_single_qubit_pauli_matches_the_states(self, d, angle, scale, monkeypatch):
+        # Training row 3q + j carries Pauli "XYZ"[j] on qubit q alone; the
+        # test rows carry none, then random patterns.
+        rng = np.random.default_rng(100 + d)
+        single = [
+            [pauli if qubit == q else None for qubit in range(d)]
+            for q in range(d) for pauli in "XYZ"
+        ]
+        random_rows = [list(rng.choice(["X", "Y", "Z", None], size=d)) for _ in range(4)]
+        train_x, test_x = rng.uniform(0, 1, (3 * d, d)), rng.uniform(0, 1, (5, d))
+        fixed = {len(train_x): single, len(test_x): [[None] * d] + random_rows}
+        monkeypatch.setattr(
+            classifier, "_draw_paulis", lambda x, cfg, rng: (x, fixed[len(x)])
+        )
+        frames, states, _, _ = self.both_fidelities(
+            train_x, test_x, self.config(d, angle, scale), angle
+        )
+        np.testing.assert_allclose(frames, states, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mitigation", ["none", "physical-code"])
+    @pytest.mark.parametrize("scale", [2 * math.pi, math.pi, 0.7])
+    @pytest.mark.parametrize("angle", FRAME_ANGLES)
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_drawn_trajectories_match_the_states(self, d, angle, scale, mitigation):
+        rng = np.random.default_rng(200 + d)
+        train_x, test_x = rng.uniform(0, 1, (12, d)), rng.uniform(0, 1, (6, d))
+        cfg = self.config(d, angle, scale, mitigation)
+        frames, states, ours, theirs = self.both_fidelities(train_x, test_x, cfg, angle)
+        np.testing.assert_allclose(frames, states, rtol=0, atol=1e-12)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_the_builder_refuses_a_non_clifford_angle(self, d):
+        assert classifier._pullback(d, 0.7) is None
+        assert classifier._pullback(d, math.pi / 2) is not None
+        np.testing.assert_array_equal(classifier._pullback(d, None), np.eye(2 * d))
+
+    @pytest.mark.parametrize("mitigation", ["none", "physical-code"])
+    @pytest.mark.parametrize("kind", list(NoiseKind), ids=lambda k: k.value)
+    def test_fit_predict_matches_the_state_path(
+        self, kind, mitigation, make_dataset, monkeypatch
+    ):
+        # The same run with the pull-back withheld encodes states; labels
+        # agree and scores to rounding.
+        rng = np.random.default_rng(7)
+        train = toy_dataset(rng.uniform(0, 1, (30, 4)), rng.integers(0, 3, 30), make_dataset, 3)
+        test = toy_dataset(rng.uniform(0, 1, (12, 4)), rng.integers(0, 3, 12), make_dataset, 3)
+        for seed in range(4):
+            cfg = QknnConfig(
+                seed=seed, noise=NoiseSpec(kind, 0.3), mitigation=mitigation
+            )
+            frames = fit_predict(train, test, cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(classifier, "_pullback", lambda d, angle: None)
+                states = fit_predict(train, test, cfg)
+            np.testing.assert_array_equal(frames[0], states[0])
+            np.testing.assert_allclose(frames[1], states[1], rtol=0, atol=1e-12)
+
+
 class TestCknn:
     def test_neighbors_sorted_ascending_with_index_ties(self):
         model = cknn.CknnModel(
@@ -683,6 +804,13 @@ class TestCknn:
             cknn.CknnModel(np.zeros((3, 2)), np.zeros(2, dtype=int), 2)
         with pytest.raises(ValueError, match="k must"):
             cknn.CknnModel(np.zeros((3, 2)), np.zeros(3, dtype=int), 2, k=4)
+
+    @pytest.mark.parametrize("k", [True, 2.5, "2"])
+    def test_k_must_be_an_int(self, k, make_dataset):
+        # k=True used to run as k=1.
+        train = toy_dataset([[0.0], [0.5], [1.0]], [0, 1, 1], make_dataset)
+        with pytest.raises(TypeError, match=rf"k must be an int, got {k!r}"):
+            cknn.fit_predict(train, train, k=k)
 
 
 class TestSharedKnnRule:

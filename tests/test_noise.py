@@ -42,6 +42,17 @@ class TestSpec:
         with pytest.raises(TypeError, match="must be a NoiseKind"):
             NoiseSpec(kind, 0.2)
 
+    @pytest.mark.parametrize("p", [True, False, "0.1", None, 0.1j])
+    def test_rejects_a_probability_that_is_not_a_real_number(self, p):
+        # True used to construct as p = 1, and "0.1" failed with a bare
+        # comparison error.
+        with pytest.raises(TypeError, match="noise probability p must be a real number"):
+            NoiseSpec(NoiseKind.BIT_FLIP, p)
+
+    @pytest.mark.parametrize("p", [0, 1, 0.25, np.float64(0.5), np.float32(0.5)])
+    def test_accepts_real_probabilities(self, p):
+        assert NoiseSpec(NoiseKind.BIT_FLIP, p).p == p
+
     def test_enum_values_are_the_wire_names(self):
         assert NoiseKind.BIT_FLIP.value == "bit_flip"
         assert NoiseKind.MIXED_PAULI.value == "mixed_pauli"
