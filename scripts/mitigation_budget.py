@@ -72,23 +72,21 @@ def _voted_accuracies(config: BenchConfig, trials: int) -> np.ndarray:
             cfg = _qknn_config(config, NoiseSpec(KIND, p), seed=seed)
             # Training rows, then test rows, draw from one noise stream.
             rng = np.random.default_rng(seed)
-            train_amplitudes = np.stack(
-                [point.state.amplitudes for point in _encode_rows(train.features, cfg, rng)]
-            )
+            train_states = _encode_rows(train.features, cfg, rng)
             hits = 0
-            for point in _encode_rows(test.features, cfg, rng):
-                fids = np.abs(train_amplitudes.conj() @ point.state.amplitudes) ** 2
+            for row, state in enumerate(_encode_rows(test.features, cfg, rng)):
+                fids = np.abs(train_states @ state.conj()) ** 2
                 ones = np.clip((1.0 - fids) / 2.0, 0.0, 1.0)
                 q = sum(
                     math.comb(REPEATS, j) * ones**j * (1.0 - ones) ** (REPEATS - j)
                     for j in range(REPEATS // 2 + 1, REPEATS + 1)
                 )
-                stream = np.random.default_rng([seed, point.source_row + 1])
+                stream = np.random.default_rng([seed, row + 1])
                 voted = 1.0 - 2.0 * stream.binomial(config.shots, q) / config.shots
                 fids = np.clip(voted, 0.0, 1.0)
                 chosen = _nearest(fids, config.k)
                 label, _ = _vote(train.labels[chosen], fids[chosen], train.n_classes)
-                hits += label == test.labels[point.source_row]
+                hits += label == test.labels[row]
             accuracies[i, t] = hits / test.n_instances
     return accuracies
 

@@ -12,8 +12,10 @@ similarity.
 
 Two evaluation modes are provided:
 
-* exact: F computed directly from the stored amplitudes.  This is the
-  default for benchmarks since the simulator has amplitude access.
+* exact: F computed directly from the stored amplitudes, per test row
+  one product of the [rows, 2**d] training matrix with the conjugated
+  test state.  This is the default for benchmarks since the simulator
+  has amplitude access.
 * sampled: the explicit swap-test circuit (ancilla + H + controlled
   SWAPs + H) is built and measured for a configured number of shots;
   the empirical ancilla-zero frequency estimates D.  Controlled-SWAP is
@@ -145,22 +147,29 @@ def check_register(cfg: QknnConfig, n_features: int) -> None:
 
 @dataclass
 class QknnModel:
-    """Encoded training set plus the config it was fitted with."""
+    """Encoded training set plus the config it was fitted with.
 
-    encoded_train: list[EncodedPoint]
+    ``train_states`` holds the training rows' states as one complex
+    [rows, 2**d] matrix, row i the state of training row i; it is the
+    only copy the model keeps.
+    """
+
+    train_states: np.ndarray
     labels: np.ndarray
     n_classes: int
     config: QknnConfig
 
     def __post_init__(self) -> None:
+        shape = np.shape(self.train_states)
+        if len(shape) != 2 or shape[1] != 2**self.num_qubits:
+            raise ValueError(f"training states must form a [rows, 2**d] matrix, got {shape}")
         self.labels = np.asarray(self.labels, dtype=int)
-        _check_training(self.labels, len(self.encoded_train), self.n_classes, self.config.k)
-        check_register(self.config, self.encoded_train[0].state.num_qubits)
-        # Exact mode computes all train fidelities against one test state
-        # as a single matrix-vector product over this stack.
-        self._train_amplitudes = np.stack(
-            [p.state.amplitudes for p in self.encoded_train]
-        )
+        _check_training(self.labels, len(self.train_states), self.n_classes, self.config.k)
+        check_register(self.config, self.num_qubits)
+
+    @property
+    def num_qubits(self) -> int:
+        return self.train_states.shape[1].bit_length() - 1
 
 
 @functools.cache
@@ -209,17 +218,18 @@ def _sampled_ancilla_zero(
     return sample_basis(swap_state, shots, seed)[:half].sum() / shots
 
 
-def _pair_fidelities(model: QknnModel, test: EncodedPoint) -> np.ndarray:
-    """Fidelity estimates against every training point, clamped to [0, 1]."""
+def _pair_fidelities(model: QknnModel, amplitudes: np.ndarray, source_row: int) -> np.ndarray:
+    """Fidelity estimates of the test state ``amplitudes`` of row
+    ``source_row`` against every training state, clamped to [0, 1]."""
     cfg = model.config
     if cfg.distance_mode == "exact":
-        overlaps = model._train_amplitudes.conj() @ test.state.amplitudes
-        return np.abs(overlaps) ** 2
+        return np.abs(model.train_states @ amplitudes.conj()) ** 2
     # One stream per test row draws every pair's shots in training order.
-    rng = np.random.default_rng([cfg.seed, test.source_row + 1])
-    fids = np.empty(len(model.encoded_train))
-    for j, point in enumerate(model.encoded_train):
-        swap_state = swap_test_state(point.state, test.state)
+    rng = np.random.default_rng([cfg.seed, source_row + 1])
+    test = _trusted_state(model.num_qubits, amplitudes)
+    fids = np.empty(len(model.train_states))
+    for j, train in enumerate(model.train_states):
+        swap_state = swap_test_state(_trusted_state(test.num_qubits, train), test)
         fids[j] = 2.0 * _sampled_ancilla_zero(swap_state, cfg.shots, rng) - 1.0
     return np.clip(fids, 0.0, 1.0)
 
@@ -227,12 +237,12 @@ def _pair_fidelities(model: QknnModel, test: EncodedPoint) -> np.ndarray:
 def find_neighbors(model: QknnModel, test: EncodedPoint) -> tuple[np.ndarray, np.ndarray]:
     """Indices and fidelities of the k highest-fidelity training points,
     by descending fidelity; ties broken by lower index."""
-    if test.state.num_qubits != model.encoded_train[0].state.num_qubits:
+    if test.state.num_qubits != model.num_qubits:
         raise ValueError(
             f"test point has {test.state.num_qubits} qubits, "
-            f"training set has {model.encoded_train[0].state.num_qubits}"
+            f"training set has {model.num_qubits}"
         )
-    fids = _pair_fidelities(model, test)
+    fids = _pair_fidelities(model, test.state.amplitudes, test.source_row)
     chosen = _nearest(fids, model.config.k)
     return chosen, fids[chosen]
 
@@ -319,23 +329,26 @@ _BLOCK_AMPLITUDES = 2**14
 
 def _encode_rows(
     features: np.ndarray, cfg: QknnConfig, rng: np.random.Generator
-) -> list[EncodedPoint]:
-    """Encode rows; with noise, each point gets the trajectory
-    ``_draw_paulis`` draws for it, after the map.
+) -> np.ndarray:
+    """The encoded rows' states as one [rows, 2**d] matrix; with noise,
+    each row gets the trajectory ``_draw_paulis`` draws for it, after the map.
 
     Without noise each row is encoded on its own.  With noise every row's
     Paulis are drawn first, row by row, and the rows are then encoded and
-    hit as one [rows, 2**d] stack, ``_BLOCK_AMPLITUDES`` at a time, with
-    states bitwise equal to the row-by-row ones.
+    hit as one stack, ``_BLOCK_AMPLITUDES`` at a time, with states bitwise
+    equal to the row-by-row ones.
     """
     if not _noisy(cfg):
-        points = []
+        features = _check_features(features, ndim=2)
+        rows, d = features.shape
+        _check_size(d)
+        amplitudes = np.empty((rows, 2**d), dtype=complex)
         for row_index, row in enumerate(features):
-            point = encode_point(row, cfg.encoding, source_row=row_index)
+            point = encode_point(row, cfg.encoding)
             if cfg.use_feature_map:
                 point = apply_feature_map(point)
-            points.append(point)
-        return points
+            amplitudes[row_index] = point.state.amplitudes
+        return amplitudes
     features, paulis = _draw_paulis(features, cfg, rng)
     rows, d = features.shape
     amplitudes = np.empty((rows, 2**d), dtype=complex)
@@ -344,10 +357,7 @@ def _encode_rows(
         stop = start + step
         block = _encode_stack(features[start:stop], cfg.encoding, cfg.use_feature_map)
         amplitudes[start:stop] = _apply_paulis(block, paulis[start:stop])
-    return [
-        EncodedPoint(_trusted_state(d, state), row_index, cfg.encoding)
-        for row_index, state in enumerate(amplitudes)
-    ]
+    return amplitudes
 
 
 #: The (X, Z) bits of each drawn Pauli; Y is XZ up to a global phase.
@@ -424,35 +434,8 @@ def _frame_fidelities(test_angles: np.ndarray, train_angles: np.ndarray) -> np.n
     return factors.prod(axis=2)
 
 
-def _frame_predict(
-    train: Dataset, test: Dataset, cfg: QknnConfig, rng: np.random.Generator,
-    pullback: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``fit_predict`` from Pauli frames: the training rows' draws, the
-    checks ``QknnModel`` makes, the test rows' draws, then the k-NN rule
-    and ``classify``'s scores on each row of the [test, train] fidelities."""
-    train_angles = _frame_angles(train.features, cfg, rng, pullback)
-    n_classes, k = train.n_classes, cfg.k
-    _check_training(train.labels, len(train_angles), n_classes, k)
-    check_register(cfg, train.n_features)
-    fidelities = _frame_fidelities(
-        _frame_angles(test.features, cfg, rng, pullback), train_angles
-    )
-
-    def classify_row(labels: np.ndarray, fids: np.ndarray) -> tuple[int, np.ndarray]:
-        chosen = _nearest(fids, k)
-        return _fidelity_vote(labels[chosen], fids[chosen], n_classes)
-
-    return _predict_rows(classify_row, train.labels, fidelities, n_classes)
-
-
 def _fit(train: Dataset, cfg: QknnConfig, rng: np.random.Generator) -> QknnModel:
-    return QknnModel(
-        encoded_train=_encode_rows(train.features, cfg, rng),
-        labels=train.labels,
-        n_classes=train.n_classes,
-        config=cfg,
-    )
+    return QknnModel(_encode_rows(train.features, cfg, rng), train.labels, train.n_classes, cfg)
 
 
 def fit(train: Dataset, cfg: QknnConfig) -> QknnModel:
@@ -470,10 +453,13 @@ def fit_predict(
     call is one trajectory; rerun with different seeds to average.
     Deterministic for a fixed config.
 
-    A noisy run with exact distances whose map is off or Clifford builds
-    no states: each row's trajectory is pulled back onto the product
-    encoding (``_frame_angles``), and every [test, train] fidelity is the
-    product kernel of the pulled-back angles (``_frame_fidelities``).
+    Each test row's fidelities to the training rows go through the k-NN
+    rule and ``classify``'s scores.  They come from ``_pair_fidelities`` on
+    the encoded states, except in a noisy run with exact distances whose
+    map is off or Clifford, which builds no states: each row's trajectory
+    is pulled back onto the product encoding (``_frame_angles``), and every
+    [test, train] fidelity is the product kernel of the pulled-back angles
+    (``_frame_fidelities``).
     """
     _check_schema(train, test)
     # The training rows, then the test rows, draw from one noise stream.
@@ -483,7 +469,21 @@ def fit_predict(
         angle = cfg.encoding.feature_map_angle if cfg.use_feature_map else None
         pullback = _pullback(train.n_features, angle)
     if pullback is not None:
-        return _frame_predict(train, test, cfg, rng, pullback)
-    model = _fit(train, cfg, rng)
-    encoded_test = _encode_rows(test.features, cfg, rng)
-    return _predict_rows(classify, model, encoded_test, train.n_classes)
+        # The training rows' draws, QknnModel's checks, the test rows' draws.
+        train_angles = _frame_angles(train.features, cfg, rng, pullback)
+        _check_training(train.labels, len(train_angles), train.n_classes, cfg.k)
+        check_register(cfg, train.n_features)
+        fidelities = _frame_fidelities(
+            _frame_angles(test.features, cfg, rng, pullback), train_angles
+        )
+    else:
+        model = _fit(train, cfg, rng)
+        states = _encode_rows(test.features, cfg, rng)
+        fidelities = [_pair_fidelities(model, state, row) for row, state in enumerate(states)]
+    k, n_classes = cfg.k, train.n_classes
+
+    def classify_row(labels: np.ndarray, fids: np.ndarray) -> tuple[int, np.ndarray]:
+        chosen = _nearest(fids, k)
+        return _fidelity_vote(labels[chosen], fids[chosen], n_classes)
+
+    return _predict_rows(classify_row, train.labels, fidelities, n_classes)

@@ -256,10 +256,16 @@ class TestRunBenchmark:
         replayed = report_to_json(run_benchmark(BenchConfig.from_dict(json.loads(first)["config"])))
         assert first == replayed
 
-    def test_sampled_rows_classify_the_same_in_reverse_order(self):
+    @pytest.mark.parametrize(
+        "settings", [{"distance": "sampled", "shots": 256}, {"distance": "exact"}],
+        ids=["sampled", "exact"],
+    )
+    def test_sampled_rows_classify_the_same_in_reverse_order(self, settings):
         # Each test row draws its shots from its own stream, seeded by the
         # config seed and the row, so no row depends on the rows before it.
-        cfg = iris_config(distance="sampled", shots=256)
+        # In exact mode, classify on a fitted model and fit_predict's own
+        # vote over its fidelity rows give the same labels and scores.
+        cfg = iris_config(**settings)
         report = run_benchmark(cfg)
         prepared = prepare_experiment(cfg)
         qcfg = _qknn_config(cfg)

@@ -3,6 +3,7 @@ noise mitigation, and the classical baseline."""
 
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -141,9 +142,9 @@ class TestSwapTestCircuit:
 
 
 def build_model(features, labels, k=1, config=PI_SCALE):
-    encoded = [point(row, config, row=i) for i, row in enumerate(features)]
+    states = np.stack([point(row, config).state.amplitudes for row in features])
     return QknnModel(
-        encoded_train=encoded,
+        train_states=states,
         labels=np.asarray(labels),
         n_classes=int(np.max(labels)) + 1,
         config=QknnConfig(k=k, encoding=config),
@@ -169,6 +170,11 @@ class TestNeighbors:
         model = build_model([[0.1, 0.2]], [0])
         with pytest.raises(ValueError, match="qubits"):
             find_neighbors(model, point([0.1]))
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3), (2, 0), (2, 2, 4)])
+    def test_training_states_must_form_a_state_matrix(self, shape):
+        with pytest.raises(ValueError, match=r"\[rows, 2\*\*d\] matrix"):
+            QknnModel(np.zeros(shape, dtype=complex), [0, 0], 1, QknnConfig(k=1))
 
 
 class TestClassify:
@@ -285,8 +291,8 @@ class TestFitPredict:
         separated = 0
         for i, row in enumerate(test.features):
             test_point = apply_feature_map(point(row, row=i))
-            fids = _pair_fidelities(exact_model, test_point)
-            estimates = _pair_fidelities(sampled_model, test_point)
+            fids = _pair_fidelities(exact_model, test_point.state.amplitudes, i)
+            estimates = _pair_fidelities(sampled_model, test_point.state.amplitudes, i)
             p0 = (1.0 + fids) / 2.0
             sd = 2.0 * np.sqrt(p0 * (1.0 - p0) / shots)
             assert np.all(np.abs(estimates - fids) <= 5.0 * sd)
@@ -308,12 +314,12 @@ class TestFitPredict:
         test_point = apply_feature_map(point(rng.uniform(0, 1, size=2), row=row))
         stream = np.random.default_rng([cfg.seed, row + 1])
         expected = []
-        for train_point in model.encoded_train:
-            swap = swap_test_state(train_point.state, test_point.state)
+        for train_state in model.train_states:
+            swap = swap_test_state(StateVector(2, train_state), test_point.state)
             counts = choice_sample_basis(swap, cfg.shots, stream)
             p_zero = counts[: counts.size // 2].sum() / cfg.shots
             expected.append(min(max(2.0 * p_zero - 1.0, 0.0), 1.0))
-        assert _pair_fidelities(model, test_point).tolist() == expected
+        assert _pair_fidelities(model, test_point.state.amplitudes, row).tolist() == expected
 
     def test_schema_mismatches_rejected(self, make_dataset):
         train = toy_dataset([[0.1, 0.2]], [0], make_dataset)
@@ -379,6 +385,31 @@ class TestFitPredict:
             label, row_scores = classify(model, apply_feature_map(point(row, row=i)))
             assert label == labels[i]
             np.testing.assert_array_equal(row_scores, scores[i])
+
+    def test_encoded_states_are_held_once(self, make_dataset):
+        # At d = 10 on a wdbc-sized split, the traced peak of fit stays near
+        # its one [rows, 2**d] matrix, and that of fit_predict near the
+        # train and test matrices: no stacked second copy of either.
+        rng = np.random.default_rng(5)
+        d, n_train, n_test = 10, 455, 114
+        train = toy_dataset(rng.uniform(0, 1, (n_train, d)), rng.integers(0, 2, n_train),
+                            make_dataset)
+        test = toy_dataset(rng.uniform(0, 1, (n_test, d)), rng.integers(0, 2, n_test),
+                           make_dataset, n_classes=2)
+        state_bytes = 2**d * np.dtype(complex).itemsize
+        cfg = QknnConfig()
+        tracemalloc.start()
+        try:
+            model = fit(train, cfg)
+            fit_peak = tracemalloc.get_traced_memory()[1]
+            del model
+            tracemalloc.reset_peak()
+            fit_predict(train, test, cfg)
+            pipeline_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fit_peak < 1.25 * n_train * state_bytes
+        assert pipeline_peak < 1.25 * (n_train + n_test) * state_bytes
 
 
 class TestConfigValidation:
@@ -504,7 +535,7 @@ class TestNoiseAndMitigation:
             after = flip_all(apply_feature_map(clean).state.amplitudes)
             flipped = StateVector(n, flip_all(clean.state.amplitudes))
             before = apply_feature_map(replace(clean, state=flipped)).state.amplitudes
-            got = model.encoded_train[i].state.amplitudes
+            got = model.train_states[i]
             np.testing.assert_allclose(got, after, atol=1e-12)
             assert abs(np.vdot(before, got)) ** 2 < 1e-12
 
@@ -541,7 +572,7 @@ class TestNoiseAndMitigation:
                 )
                 reference = encode_rows(train.features, cfg, np.random.default_rng(seed))
                 expected = np.stack([point.state.amplitudes for point in reference])
-                assert np.array_equal(fit(train, cfg)._train_amplitudes, expected)
+                assert np.array_equal(fit(train, cfg).train_states, expected)
                 for train_x, test_x, changes, block_rows in variants:
                     variant = replace(cfg, **changes)
                     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -552,11 +583,12 @@ class TestNoiseAndMitigation:
                         for features in (train_x, test_x):
                             got = _encode_rows(features, variant, ours)
                             want = encode_rows(features, variant, theirs)
+                            assert got.dtype == complex
                             assert len(got) == len(want) == len(features)
-                            for a, b in zip(got, want):
-                                assert a.state.amplitudes.tobytes() == b.state.amplitudes.tobytes()
-                                assert a.source_row == b.source_row
-                                assert a.config == b.config
+                            # Row i of the matrix is the state of source row i.
+                            for row, b in enumerate(want):
+                                assert got[row].tobytes() == b.state.amplitudes.tobytes()
+                                assert b.source_row == row
                             assert ours.bit_generator.state == theirs.bit_generator.state
 
     @pytest.mark.parametrize("noise_p", [0.0, 0.3])
@@ -575,7 +607,7 @@ class TestNoiseAndMitigation:
             _encode_rows(bad, cfg, rng)
         with pytest.raises(ValueError, match=r"non-empty 1-D feature vector, got shape \(0,\)"):
             _encode_rows(np.zeros((3, 0)), cfg, rng)
-        assert _encode_rows(np.zeros((0, 2)), cfg, rng) == []
+        assert _encode_rows(np.zeros((0, 2)), cfg, rng).shape == (0, 4)
 
     def test_the_code_is_built_once_per_encoding_call(self, separated_problem, monkeypatch):
         train, _ = separated_problem
@@ -679,8 +711,9 @@ class TestPauliFrames:
         model = QknnModel(
             classifier._encode_rows(train_x, cfg, theirs), np.zeros(len(train_x), int), 1, cfg
         )
+        test_states = classifier._encode_rows(test_x, cfg, theirs)
         states = np.array(
-            [_pair_fidelities(model, t) for t in classifier._encode_rows(test_x, cfg, theirs)]
+            [_pair_fidelities(model, t, row) for row, t in enumerate(test_states)]
         )
         return frames, states, ours, theirs
 
@@ -857,7 +890,7 @@ class TestSharedKnnRule:
 
     def test_fidelity_rule_matches_the_reference(self, rng, monkeypatch):
         current = {}
-        monkeypatch.setattr(classifier, "_pair_fidelities", lambda m, t: current["fids"])
+        monkeypatch.setattr(classifier, "_pair_fidelities", lambda m, a, r: current["fids"])
         test_point = point([0.0])
         fallbacks = 0
         for case in range(self.CASES):
@@ -867,7 +900,8 @@ class TestSharedKnnRule:
                 fids[:] = 0.0  # every neighbour orthogonal: count shares
             current["fids"] = fids
             model = QknnModel(
-                [test_point] * n_train, labels, n_classes, QknnConfig(k=k)
+                np.tile(test_point.state.amplitudes, (n_train, 1)), labels, n_classes,
+                QknnConfig(k=k),
             )
             ref_indices, ref_label, ref_scores = qknn_classify(model, fids)
             fallbacks += fids[ref_indices].sum() <= 1e-12

@@ -91,13 +91,13 @@ class TestDraws:
         spec = NoiseSpec(NoiseKind.MIXED_PAULI, 1.0)
         cfg = QknnConfig(encoding=EncodingConfig(angle_scale=math.pi), noise=spec)
         row = rng.uniform(0, 1, size=4)
-        [point] = _encode_rows(row[None, :], cfg, np.random.default_rng(0))
+        [state] = _encode_rows(row[None, :], cfg, np.random.default_rng(0))
         stream = np.random.default_rng(0)
         errors = [(q, draw_pauli(spec, stream)) for q in range(4)]
         assert [pauli for _, pauli in errors] == ["Z", "X", "X", "Y"]
         clean = apply_feature_map(encode_point(row, cfg.encoding, source_row=0)).state
         expected = apply_pauli_errors(clean, errors).amplitudes
-        np.testing.assert_array_equal(point.state.amplitudes, expected)
+        np.testing.assert_array_equal(state, expected)
 
 
 def apply_to_one(state: StateVector, paulis: list[str | None]) -> np.ndarray:
