@@ -44,6 +44,9 @@ from .noise import NoiseKind, NoiseSpec
 
 MODELS = ("qknn", "cknn", "qnn")
 
+#: The channel a noise sweep draws when none is named.
+DEFAULT_NOISE_KIND = NoiseKind.BIT_FLIP
+
 #: Most levels a noise grid may hold: a 0.001 step over [0, 1].
 MAX_NOISE_LEVELS = 1001
 
@@ -214,7 +217,8 @@ def prepare_experiment(config: BenchConfig) -> PreparedExperiment:
 
 
 def _qknn_config(config: BenchConfig, noise: NoiseSpec | None = None,
-                 mitigation: str = "none", seed: int | None = None) -> QknnConfig:
+                 mitigation: str = QknnConfig.mitigation,
+                 seed: int | None = None) -> QknnConfig:
     return QknnConfig(
         k=config.k,
         encoding=EncodingConfig(
@@ -230,7 +234,7 @@ def _qknn_config(config: BenchConfig, noise: NoiseSpec | None = None,
     )
 
 
-def _check_run(config: BenchConfig, mitigation: str = "none") -> None:
+def _check_run(config: BenchConfig, mitigation: str = QknnConfig.mitigation) -> None:
     """Reject a register over the qubit limit, and for qknn an unknown
     mitigation mode, before loading."""
     dataset = _FORMATS[config.dataset]
@@ -243,7 +247,7 @@ def _check_run(config: BenchConfig, mitigation: str = "none") -> None:
 
 def _run_model(
     config: BenchConfig, prepared: PreparedExperiment,
-    noise: NoiseSpec | None = None, mitigation: str = "none",
+    noise: NoiseSpec | None = None, mitigation: str = QknnConfig.mitigation,
     seed: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     train, test = prepared.train, prepared.test
@@ -303,7 +307,7 @@ class SweepResult:
     trials: int
     mitigation_mode: str
     noise_kind: str
-    trial_accuracies: np.ndarray | None = field(repr=False, default=None)
+    trial_accuracies: np.ndarray = field(repr=False)
 
     def rows(self) -> list[dict]:
         return [
@@ -351,8 +355,8 @@ def run_noise_sweep(
     config: BenchConfig,
     p_values: Sequence[float],
     trials: int,
-    mitigation: str = "none",
-    noise_kind: NoiseKind = NoiseKind.BIT_FLIP,
+    mitigation: str = QknnConfig.mitigation,
+    noise_kind: NoiseKind = DEFAULT_NOISE_KIND,
 ) -> SweepResult:
     """Nearest-neighbour accuracy vs noise level, averaged over trials.
 

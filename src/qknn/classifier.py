@@ -25,25 +25,26 @@ Two evaluation modes are provided:
   depend on the order in which rows are classified.
 
 Optional Pauli noise is injected per trajectory into every encoded
-state after the feature map; one loop, ``_draw_paulis``, draws each
-row's Paulis, qubit by qubit in qubit order.  Noisy runs have one
-error-mitigation mode, the paper's repetition encoding, "physical-code":
-each data qubit's channel draw is passed through an n-qubit repetition
-code with syndrome correction before the surviving logical error touches
-the state (``_code_pauli`` draws one qubit's block and decodes its flips
-in closed form, and the code is built once per ``_draw_paulis`` call).
+state after the feature map; one loop, ``_draw_paulis``, draws each row's
+Paulis, in qubit order, into the one form a drawn trajectory takes, a
+[rows, 2d] Pauli frame (see ``noise``).  Noisy runs have one mitigation
+mode, the paper's repetition encoding, "physical-code": each data qubit's
+channel draw is passed through an n-qubit repetition code with syndrome
+correction before the surviving logical error touches the state
+(``_code_pauli`` draws one qubit's block and decodes its flips in closed
+form, and the code is built once per physical-code ``_draw_paulis`` call).
 
 A noisy ``fit_predict`` with exact distances, with the map off or at a
 map angle where CNOT.IsingXY is Clifford (multiples of pi/2, the default
 included), builds no states.  The Pauli P drawn after the map U equals
-U times U^dag P U, a Pauli on the product encoding, so each row's draws
-are pulled back through one cached GF(2) matrix (``_pullback``) to
+U times U^dag P U, a Pauli on the product encoding, so each row's frame
+is pulled back through one cached GF(2) matrix (``_pullback``) to
 angles theta' = (-1)**x * (theta + z * pi) (``_frame_angles``), and the
 fidelities are the product kernel of those angles (``_frame_fidelities``).
 Every other noisy encoding (sampled distances, whose swap tests need
 states, other map angles, and ``fit``) encodes its rows as one
 [rows, 2**d] stack, block by block (``encoding._encode_stack``), and
-applies the drawn Paulis to the rows that drew them
+applies the frame's Paulis to the rows that drew them
 (``noise._apply_paulis``); every state is bitwise the one that encoding
 and hitting the row on its own gives.
 """
@@ -66,7 +67,7 @@ from .encoding import (
     apply_feature_map,
     encode_point,
 )
-from .noise import NoiseSpec, _apply_paulis, draw_pauli
+from .noise import _PAULI_BITS, NoiseSpec, _apply_paulis, draw_pauli
 from .qec import RepetitionCode, code_corrected_flip
 from .sim import (
     MAX_QUBITS,
@@ -274,15 +275,11 @@ def classify(model: QknnModel, test: EncodedPoint) -> tuple[int, np.ndarray]:
     return _fidelity_vote(model.labels[indices], fidelities, model.n_classes)
 
 
-#: The logical Pauli left by a code block's (logical X, logical Z) parts.
-_LOGICAL_PAULI = {(0, 0): None, (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
-
-
 def _code_pauli(
     spec: NoiseSpec, rng: np.random.Generator, code: RepetitionCode
-) -> str | None:
+) -> tuple[int, int]:
     """One data qubit's channel draw filtered through a repetition code:
-    the surviving logical Pauli, or None.
+    the (x, z) bits of the surviving logical Pauli.
 
     The qubit is treated as logically encoded across ``code.n`` physical
     qubits, each of which suffers an independent channel draw, in order.
@@ -293,11 +290,11 @@ def _code_pauli(
     """
     flips, z_parity = [], 0
     for _ in range(code.n):
-        pauli = draw_pauli(spec, rng)
-        flips.append(pauli in ("X", "Y"))
-        z_parity ^= pauli in ("Z", "Y")
+        x, z = _PAULI_BITS[draw_pauli(spec, rng)]
+        flips.append(x)
+        z_parity ^= z
     logical_x = code_corrected_flip(flips, code) if any(flips) else 0
-    return _LOGICAL_PAULI[logical_x, z_parity]
+    return logical_x, z_parity
 
 
 def _noisy(cfg: QknnConfig) -> bool:
@@ -306,20 +303,21 @@ def _noisy(cfg: QknnConfig) -> bool:
 
 
 def _draw_paulis(
-    features: np.ndarray, cfg: QknnConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, list[list[str | None]]]:
-    """The checked [rows, d] features and one noisy trajectory per row:
-    row by row, per qubit in qubit order, one channel draw from ``rng``, or
-    with "physical-code" the logical Pauli of the qubit's code block."""
-    features = _check_features(features, ndim=2)
-    rows, d = features.shape
-    _check_size(d)
-    code = RepetitionCode(cfg.code_length)
-    if cfg.mitigation == "physical-code":
-        paulis = [[_code_pauli(cfg.noise, rng, code) for _ in range(d)] for _ in range(rows)]
-    else:
-        paulis = [[draw_pauli(cfg.noise, rng) for _ in range(d)] for _ in range(rows)]
-    return features, paulis
+    rows: int, d: int, cfg: QknnConfig, rng: np.random.Generator
+) -> np.ndarray:
+    """One noisy trajectory per row as a [rows, 2d] Pauli frame: row by
+    row, per qubit in qubit order, one channel draw from ``rng``, or with
+    "physical-code" the logical Pauli of the qubit's code block."""
+    code = RepetitionCode(cfg.code_length) if cfg.mitigation == "physical-code" else None
+    frame = np.empty((rows, 2 * d), dtype=np.int64)
+    for bits in frame:
+        drawn = [
+            _PAULI_BITS[draw_pauli(cfg.noise, rng)] if code is None
+            else _code_pauli(cfg.noise, rng, code)
+            for _ in range(d)
+        ]
+        bits[:d], bits[d:] = zip(*drawn)
+    return frame
 
 
 #: Amplitudes per block of a noisy ``_encode_rows`` stack: rows are
@@ -338,30 +336,24 @@ def _encode_rows(
     hit as one stack, ``_BLOCK_AMPLITUDES`` at a time, with states bitwise
     equal to the row-by-row ones.
     """
+    features = _check_features(features, ndim=2)
+    rows, d = features.shape
+    _check_size(d)
+    amplitudes = np.empty((rows, 2**d), dtype=complex)
     if not _noisy(cfg):
-        features = _check_features(features, ndim=2)
-        rows, d = features.shape
-        _check_size(d)
-        amplitudes = np.empty((rows, 2**d), dtype=complex)
         for row_index, row in enumerate(features):
             point = encode_point(row, cfg.encoding)
             if cfg.use_feature_map:
                 point = apply_feature_map(point)
             amplitudes[row_index] = point.state.amplitudes
         return amplitudes
-    features, paulis = _draw_paulis(features, cfg, rng)
-    rows, d = features.shape
-    amplitudes = np.empty((rows, 2**d), dtype=complex)
+    frame = _draw_paulis(rows, d, cfg, rng)
     step = max(1, _BLOCK_AMPLITUDES >> d)
     for start in range(0, rows, step):
         stop = start + step
         block = _encode_stack(features[start:stop], cfg.encoding, cfg.use_feature_map)
-        amplitudes[start:stop] = _apply_paulis(block, paulis[start:stop])
+        amplitudes[start:stop] = _apply_paulis(block, frame[start:stop])
     return amplitudes
-
-
-#: The (X, Z) bits of each drawn Pauli; Y is XZ up to a global phase.
-_PAULI_BITS = {None: (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 
 
 @functools.lru_cache(maxsize=64)
@@ -370,8 +362,8 @@ def _pullback(d: int, angle: float | None) -> np.ndarray | None:
     map on d qubits back through it, or None when the map at ``angle`` is
     not Clifford; ``angle`` None (the map off) gives the identity.
 
-    A Pauli is its bits (x_0..x_{d-1}, z_0..z_{d-1}), and the pulled-back
-    Pauli U^dag P U, up to a global phase, has bits ``pullback @ bits % 2``.
+    A Pauli is its frame (x_0..x_{d-1}, z_0..z_{d-1}), and the pulled-back
+    Pauli U^dag P U, up to a global phase, has frame ``pullback @ frame % 2``.
     U applies g = CNOT . IsingXY(angle) to the pairs (0, 1), (1, 2), ... in
     order, so the pair (0, 1) conjugates last.  Column j of g's 4 x 4 table
     holds the bits of g^dag P g for the j-th generator P of a pair's bits
@@ -407,18 +399,17 @@ def _pullback(d: int, angle: float | None) -> np.ndarray | None:
 def _frame_angles(
     features: np.ndarray, cfg: QknnConfig, rng: np.random.Generator, pullback: np.ndarray
 ) -> np.ndarray:
-    """Each row's qubit angles once its ``_draw_paulis`` trajectory is
-    pulled back onto the product encoding, as a [rows, d] array.
+    """Each row's qubit angles once its ``_draw_paulis`` frame is pulled
+    back onto the product encoding, as a [rows, d] array.
 
     On the phase-encoded qubit RZ(theta) H |0>, X maps theta to -theta and
     Z maps theta to theta + pi, up to a global phase, so the pulled-back
     bits (x, z) give theta' = (-1)**x * (theta + z * pi).
     """
-    features, paulis = _draw_paulis(features, cfg, rng)
+    features = _check_features(features, ndim=2)
     rows, d = features.shape
-    bits = np.array([[_PAULI_BITS[p] for p in row] for row in paulis], dtype=np.int64)
-    bits = bits.reshape(rows, d, 2).transpose(0, 2, 1).reshape(rows, 2 * d)
-    pulled = bits @ pullback.T % 2
+    _check_size(d)
+    pulled = _draw_paulis(rows, d, cfg, rng) @ pullback.T % 2
     x, z = pulled[:, :d], pulled[:, d:]
     return np.where(x == 1, -1.0, 1.0) * (float(cfg.encoding.angle_scale) * features + np.pi * z)
 
@@ -469,10 +460,9 @@ def fit_predict(
         angle = cfg.encoding.feature_map_angle if cfg.use_feature_map else None
         pullback = _pullback(train.n_features, angle)
     if pullback is not None:
-        # The training rows' draws, QknnModel's checks, the test rows' draws.
+        # Training draws (after their width check), QknnModel's label checks, test draws.
         train_angles = _frame_angles(train.features, cfg, rng, pullback)
         _check_training(train.labels, len(train_angles), train.n_classes, cfg.k)
-        check_register(cfg, train.n_features)
         fidelities = _frame_fidelities(
             _frame_angles(test.features, cfg, rng, pullback), train_angles
         )

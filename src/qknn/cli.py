@@ -18,6 +18,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .bench import (
+    DEFAULT_NOISE_KIND,
     MODELS,
     BenchConfig,
     BenchStageError,
@@ -30,7 +31,7 @@ from .bench import (
     write_report,
     write_sweep_csv,
 )
-from .classifier import DISTANCE_MODES, MITIGATION_MODES
+from .classifier import DISTANCE_MODES, MITIGATION_MODES, QknnConfig
 from .data import _FORMATS, DEFAULT_TOP_K, chi_square_select, parse_selection_policy
 from .noise import NoiseKind
 
@@ -41,8 +42,8 @@ _SWEEP_DEFAULTS = {
     "p_stop": 0.6,
     "p_step": 0.1,
     "trials": 20,
-    "mitigate": "none",
-    "noise_kind": "bit_flip",
+    "mitigate": QknnConfig.mitigation,
+    "noise_kind": DEFAULT_NOISE_KIND.value,
 }
 
 _SELECT_DEFAULTS = {"policy": f"topk={DEFAULT_TOP_K}"}

@@ -6,14 +6,15 @@ single-Pauli channels map rho -> (1-p) rho + p K rho K with K in
 applies each of X, Z, Y with probability p/3.
 
 A trajectory realisation keeps the state pure: per qubit one Pauli is
-drawn (or none) by ``draw_pauli``.  The one loop that draws a whole
-trajectory, in qubit order, is ``classifier._draw_paulis``, and
-``_apply_paulis`` applies the drawn Paulis of a [rows, 2**d] stack of
-states at once, each as the gate's index gather and phase multiply.
-Averaging the trajectory density matrices over many shots converges to
-the channel output; the trajectory average, the exact one-qubit channel
-used to check it and ``apply_pauli_errors``, which applied one state's
-errors gate by gate, live in ``tests/oracles.py``.
+drawn (or none) by ``draw_pauli``.  The one loop that draws whole
+trajectories, ``classifier._draw_paulis``, writes them through
+``_PAULI_BITS`` as a Pauli frame: a [rows, 2d] array whose row holds the x
+bits of qubits 0..d-1, then their z bits.  ``_apply_paulis`` applies a
+frame to a [rows, 2**d] stack of states, each Pauli as the gate's index
+gather and phase multiply.  Averaging the trajectory density matrices over
+many shots converges to the channel output; the trajectory average, the
+exact one-qubit channel used to check it and ``apply_pauli_errors``, which
+applied one state's errors gate by gate, live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -49,7 +49,11 @@ _CHANNEL_PAULI: dict[NoiseKind, str] = {
 #: Draw order for the mixed channel (equal weight, order fixes the rng stream).
 _MIXED_PAULIS = ("X", "Z", "Y")
 
-_PAULI_GATE = {"X": Gate.X, "Y": Gate.Y, "Z": Gate.Z}
+#: The (x, z) bits of each drawn Pauli X^x Z^z (Y up to a global phase), None the identity.
+_PAULI_BITS = {None: (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
+
+#: The gate of each Pauli by its frame code x + 2z; the identity, 0, has none.
+_PAULI_GATE = {1: Gate.X, 2: Gate.Z, 3: Gate.Y}
 
 
 @dataclass(frozen=True)
@@ -78,19 +82,19 @@ def draw_pauli(spec: NoiseSpec, rng: np.random.Generator) -> str | None:
     return _CHANNEL_PAULI[spec.kind]
 
 
-def _apply_paulis(
-    amplitudes: np.ndarray, paulis: Sequence[Sequence[str | None]]
-) -> np.ndarray:
-    """Apply each row's drawn Paulis, ``paulis[row][qubit]`` (None for the
-    identity), to a [rows, 2**d] stack in place, and return it.
+def _apply_paulis(amplitudes: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """Apply each row's Pauli frame, row i of the [rows, 2d] ``frame``, to
+    row i of a [rows, 2**d] stack in place, and return it.
 
     Qubit by qubit, each Pauli acts on the rows that drew it at once, so
     every row gets its errors in qubit order, bitwise as ``apply_gate``
     applying them one by one would give.
     """
-    for qubit, drawn in enumerate(zip(*paulis)):
-        for pauli, kind in _PAULI_GATE.items():
-            hit = [row for row, p in enumerate(drawn) if p == pauli]
-            if hit:
+    d = frame.shape[1] // 2
+    codes = frame[:, :d] + 2 * frame[:, d:]
+    for qubit in range(d):
+        for code, kind in _PAULI_GATE.items():
+            hit = codes[:, qubit] == code
+            if hit.any():
                 amplitudes[hit] = _apply_to_rows(amplitudes[hit], _shared_op(kind, (qubit,)))
     return amplitudes

@@ -149,9 +149,9 @@ def _forward_batch(arch: QnnArchitecture, X: np.ndarray) -> np.ndarray:
     amps = _embed_batch(X, n)
     cnot = gate_matrix(Gate.CNOT).real
     for layer in range(arch.n_layers):
-        for qubit in range(n):
-            matrix = gate_matrix(Gate.RY, float(arch.params[layer, qubit])).real
-            amps = _apply_matrix(amps, matrix, (qubit,))
+        for qubit, half in enumerate(arch.params[layer] / 2.0):
+            c, s = math.cos(half), math.sin(half)
+            amps = _apply_matrix(amps, np.array([[c, -s], [s, c]]), (qubit,))
         for pair in _entangle_pairs(n):
             amps = _apply_matrix(amps, cnot, pair)
     probs = amps**2

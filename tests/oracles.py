@@ -45,7 +45,8 @@ the library once had and now only tests use:
   drew both and ``classifier._encode_rows`` encoded the rows as one
   stack; that stack must draw the same streams and give bitwise-equal
   states, and the Pauli frames of ``classifier._frame_angles`` the same
-  streams and fidelities within 1e-12;
+  streams and fidelities within 1e-12; ``pauli_frame`` writes such
+  drawn names as the [rows, 2d] Pauli frame the library draws into;
 * ``encode_logical``, ``measure_syndrome`` (with ``Syndrome`` and
   ``BasisStateError``), ``decode_flips``, ``correct``, ``readout_bits``
   and ``majority_decode``, the repetition code run as a circuit on basis
@@ -71,7 +72,7 @@ from qknn.classifier import (
     swap_test_state,
 )
 from qknn.encoding import EncodedPoint, apply_feature_map, encode_point
-from qknn.noise import _PAULI_GATE, NoiseKind, NoiseSpec, draw_pauli
+from qknn.noise import NoiseKind, NoiseSpec, draw_pauli
 from qknn.qec import RepetitionCode
 from qknn.qnn import EPS, QnnArchitecture, softmax
 from qknn.sim import (
@@ -89,6 +90,9 @@ _PAULI = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+
+#: The gate of each drawn Pauli name.
+_PAULI_KIND = {"X": Gate.X, "Y": Gate.Y, "Z": Gate.Z}
 
 #: Kraus weights of each channel, per applied Pauli; the rest stays rho.
 _CHANNEL_WEIGHTS = {
@@ -333,8 +337,18 @@ def apply_pauli_errors(
 ) -> StateVector:
     """Apply sampled Pauli errors as gates."""
     for qubit, pauli in errors:
-        state = apply_gate(state, _shared_op(_PAULI_GATE[pauli], (qubit,)))
+        state = apply_gate(state, _shared_op(_PAULI_KIND[pauli], (qubit,)))
     return state
+
+
+def pauli_frame(paulis: Sequence[Sequence[str | None]]) -> np.ndarray:
+    """Per-row Pauli names, ``paulis[row][qubit]`` (None for the identity),
+    as a [rows, 2d] frame: the x bits of qubits 0..d-1, then their z bits."""
+    return np.array(
+        [[int(p in ("X", "Y")) for p in row] + [int(p in ("Z", "Y")) for p in row]
+         for row in paulis],
+        dtype=np.int64,
+    )
 
 
 def sample_errors(

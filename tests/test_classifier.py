@@ -35,6 +35,7 @@ from oracles import (
     cknn_classify,
     cknn_find_neighbors,
     encode_rows,
+    pauli_frame,
     qknn_classify,
     quantum_distance,
     random_state,
@@ -638,7 +639,7 @@ class TestNoiseAndMitigation:
         draws = 20_000
         spec, rng, code = NoiseSpec(kind, p), np.random.default_rng(7), RepetitionCode(n)
         paulis = [_code_pauli(spec, rng, code) for _ in range(draws)]
-        rate = sum(1 for pauli in paulis if pauli in ("Z", "Y")) / draws
+        rate = sum(z for _, z in paulis) / draws
         expected = (1.0 - (1.0 - 2.0 * z_share * p) ** n) / 2.0
         assert expected > z_share * p
         z = (rate - expected) / math.sqrt(expected * (1.0 - expected) / draws)
@@ -672,7 +673,7 @@ class TestNoiseAndMitigation:
         spec, rng = NoiseSpec(kind, p), np.random.default_rng(11)
         counts = {pauli: 0 for pauli in logical}
         for _ in range(draws):
-            counts[_code_pauli(spec, rng, code) or "I"] += 1
+            counts[names[_code_pauli(spec, rng, code)]] += 1
         for pauli, prob in logical.items():
             if prob == 0.0:
                 assert counts[pauli] == 0, pauli
@@ -732,7 +733,7 @@ class TestPauliFrames:
         train_x, test_x = rng.uniform(0, 1, (3 * d, d)), rng.uniform(0, 1, (5, d))
         fixed = {len(train_x): single, len(test_x): [[None] * d] + random_rows}
         monkeypatch.setattr(
-            classifier, "_draw_paulis", lambda x, cfg, rng: (x, fixed[len(x)])
+            classifier, "_draw_paulis", lambda rows, d, cfg, rng: pauli_frame(fixed[rows])
         )
         frames, states, _, _ = self.both_fidelities(
             train_x, test_x, self.config(d, angle, scale), angle

@@ -13,6 +13,7 @@ from qknn.sim import StateVector, new_zero_state
 from oracles import (
     apply_pauli_errors,
     expected_density_effect,
+    pauli_frame,
     random_state,
     run_trajectory_batch,
 )
@@ -102,7 +103,7 @@ class TestDraws:
 
 def apply_to_one(state: StateVector, paulis: list[str | None]) -> np.ndarray:
     """``_apply_paulis`` on a one-row stack holding ``state``."""
-    return _apply_paulis(state.amplitudes[None, :].copy(), [paulis])[0]
+    return _apply_paulis(state.amplitudes[None, :].copy(), pauli_frame([paulis]))[0]
 
 
 class TestApply:
@@ -133,7 +134,7 @@ class TestApply:
         paulis += [[choices[i] for i in rng.integers(4, size=n)] for _ in range(9)]
         states = [random_sv(n, rng) for _ in paulis]
         stack = np.stack([state.amplitudes for state in states])
-        assert _apply_paulis(stack, paulis) is stack
+        assert _apply_paulis(stack, pauli_frame(paulis)) is stack
         for row, state, drawn in zip(stack, states, paulis):
             errors = [(q, pauli) for q, pauli in enumerate(drawn) if pauli is not None]
             assert row.tobytes() == apply_pauli_errors(state, errors).amplitudes.tobytes()

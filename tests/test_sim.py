@@ -35,6 +35,7 @@ from oracles import (
     inner_product,
     kron_operator,
     moveaxis_apply_matrix,
+    pauli_frame,
     random_state,
     tensor_product,
     z_expectation,
@@ -465,7 +466,8 @@ class TestImmutableOps:
         before = lookups()
         point = encoding.apply_feature_map(encoding.encode_point(x))
         classifier.swap_test_state(point.state, point.state)
-        noise._apply_paulis(point.state.amplitudes[None, :].copy(), [["X", "Y", "Z"]])
+        frame = pauli_frame([["X", "Y", "Z"]])
+        noise._apply_paulis(point.state.amplitudes[None, :].copy(), frame)
         # Lookups: 3 H + 2 IsingXY + 2 CNOT; the swap test's H (applied
         # twice) and per qubit pair one CNOT (applied twice) and one Toffoli;
         # 3 Paulis.
