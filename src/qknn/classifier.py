@@ -42,11 +42,8 @@ is pulled back through one cached GF(2) matrix (``_pullback``) to
 angles theta' = (-1)**x * (theta + z * pi) (``_frame_angles``), and the
 fidelities are the product kernel of those angles (``_frame_fidelities``).
 Every other noisy encoding (sampled distances, whose swap tests need
-states, other map angles, and ``fit``) encodes its rows as one
-[rows, 2**d] stack, block by block (``encoding._encode_stack``), and
-applies the frame's Paulis to the rows that drew them
-(``noise._apply_paulis``); every state is bitwise the one that encoding
-and hitting the row on its own gives.
+states, other map angles, and ``fit``) encodes each row as a noiseless
+run does and applies the row's frame to its state (``noise._apply_paulis``).
 """
 
 from __future__ import annotations
@@ -63,7 +60,6 @@ from .encoding import (
     EncodedPoint,
     EncodingConfig,
     _check_features,
-    _encode_stack,
     apply_feature_map,
     encode_point,
 )
@@ -112,6 +108,8 @@ class QknnConfig:
                 raise TypeError(f"{name} must be an int, got {value!r}")
         if not isinstance(self.use_feature_map, bool):
             raise TypeError(f"use_feature_map must be a bool, got {self.use_feature_map!r}")
+        if not isinstance(self.encoding, EncodingConfig):
+            raise TypeError(f"encoding must be an EncodingConfig, got {self.encoding!r}")
         if self.noise is not None and not isinstance(self.noise, NoiseSpec):
             raise TypeError(f"noise must be None or a NoiseSpec, got {self.noise!r}")
         if self.k < 1:
@@ -320,39 +318,23 @@ def _draw_paulis(
     return frame
 
 
-#: Amplitudes per block of a noisy ``_encode_rows`` stack: rows are
-#: encoded this many amplitudes at a time (at least one row per block).
-_BLOCK_AMPLITUDES = 2**14
-
-
 def _encode_rows(
     features: np.ndarray, cfg: QknnConfig, rng: np.random.Generator
 ) -> np.ndarray:
     """The encoded rows' states as one [rows, 2**d] matrix; with noise,
-    each row gets the trajectory ``_draw_paulis`` draws for it, after the map.
-
-    Without noise each row is encoded on its own.  With noise every row's
-    Paulis are drawn first, row by row, and the rows are then encoded and
-    hit as one stack, ``_BLOCK_AMPLITUDES`` at a time, with states bitwise
-    equal to the row-by-row ones.
-    """
+    each row's state then takes the trajectory ``_draw_paulis`` draws for
+    it, every row's drawn before any row is encoded."""
     features = _check_features(features, ndim=2)
     rows, d = features.shape
     _check_size(d)
+    frame = _draw_paulis(rows, d, cfg, rng) if _noisy(cfg) else None
     amplitudes = np.empty((rows, 2**d), dtype=complex)
-    if not _noisy(cfg):
-        for row_index, row in enumerate(features):
-            point = encode_point(row, cfg.encoding)
-            if cfg.use_feature_map:
-                point = apply_feature_map(point)
-            amplitudes[row_index] = point.state.amplitudes
-        return amplitudes
-    frame = _draw_paulis(rows, d, cfg, rng)
-    step = max(1, _BLOCK_AMPLITUDES >> d)
-    for start in range(0, rows, step):
-        stop = start + step
-        block = _encode_stack(features[start:stop], cfg.encoding, cfg.use_feature_map)
-        amplitudes[start:stop] = _apply_paulis(block, frame[start:stop])
+    for row_index, row in enumerate(features):
+        point = encode_point(row, cfg.encoding)
+        if cfg.use_feature_map:
+            point = apply_feature_map(point)
+        state = point.state if frame is None else _apply_paulis(point.state, frame[row_index])
+        amplitudes[row_index] = state.amplitudes
     return amplitudes
 
 

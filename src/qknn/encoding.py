@@ -11,30 +11,17 @@ RY angle embedding is built in closed form by ``qnn``.)
 
 An optional entangling feature map walks a linear chain of qubit pairs
 (0,1), (1,2), ... applying an XX+YY interaction followed by CNOT.
-
-``encode_point`` and ``apply_feature_map`` build one state at a time;
-``_encode_stack`` runs the same gates on a [rows, 2**d] stack of rows at
-once, with states bitwise equal to theirs.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sim import (
-    Gate,
-    GateOp,
-    StateVector,
-    _apply_matrix,
-    _apply_to_rows,
-    _rz_kernels,
-    _shared_op,
-    apply_gate,
-    new_zero_state,
-)
+from .sim import Gate, GateOp, StateVector, _shared_op, apply_gate, new_zero_state
 
 DEFAULT_ANGLE_SCALE = 2.0 * math.pi
 DEFAULT_FEATURE_MAP_ANGLE = math.pi / 2.0
@@ -48,12 +35,13 @@ class EncodingConfig:
     feature_map_angle: float = DEFAULT_FEATURE_MAP_ANGLE
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.angle_scale):
-            raise ValueError(f"angle_scale must be finite, got {self.angle_scale}")
-        if not math.isfinite(self.feature_map_angle):
-            raise ValueError(
-                f"feature_map_angle must be finite, got {self.feature_map_angle}"
-            )
+        for name in ("angle_scale", "feature_map_angle"):
+            value = getattr(self, name)
+            # bool subclasses int, but True is not an angle.
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass
@@ -112,29 +100,3 @@ def apply_feature_map(point: EncodedPoint) -> EncodedPoint:
         state = apply_gate(state, _shared_op(Gate.CNOT, (i, i + 1)))
     return EncodedPoint(state=state, source_row=point.source_row, config=point.config)
 
-
-def _encode_stack(
-    features: np.ndarray, config: EncodingConfig, use_feature_map: bool
-) -> np.ndarray:
-    """The states of ``encode_point`` and, with ``use_feature_map``,
-    ``apply_feature_map`` for each row of a checked [rows, d] feature
-    matrix, as one [rows, 2**d] stack.
-
-    Each gate of the single-state circuit, in the same order, acts on
-    every row at once through ``sim._apply_to_rows``, and each qubit's RZ
-    takes one kernel per row, so every row is bitwise equal to its state.
-    """
-    rows, d = features.shape
-    amplitudes = np.zeros((rows, 2**d), dtype=complex)
-    amplitudes[:, 0] = 1.0
-    # encode_point's angle, float(scale * value), as a Python float.
-    scale = float(config.angle_scale)
-    for i, column in enumerate(features.T.tolist()):
-        amplitudes = _apply_to_rows(amplitudes, _shared_op(Gate.H, (i,)))
-        amplitudes = _apply_matrix(amplitudes, _rz_kernels([scale * v for v in column]), (i,))
-    if use_feature_map:
-        angle = config.feature_map_angle
-        for i in range(d - 1):
-            amplitudes = _apply_to_rows(amplitudes, _shared_op(Gate.ISING_XY, (i, i + 1), angle))
-            amplitudes = _apply_to_rows(amplitudes, _shared_op(Gate.CNOT, (i, i + 1)))
-    return amplitudes

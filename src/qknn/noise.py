@@ -9,12 +9,12 @@ A trajectory realisation keeps the state pure: per qubit one Pauli is
 drawn (or none) by ``draw_pauli``.  The one loop that draws whole
 trajectories, ``classifier._draw_paulis``, writes them through
 ``_PAULI_BITS`` as a Pauli frame: a [rows, 2d] array whose row holds the x
-bits of qubits 0..d-1, then their z bits.  ``_apply_paulis`` applies a
-frame to a [rows, 2**d] stack of states, each Pauli as the gate's index
-gather and phase multiply.  Averaging the trajectory density matrices over
-many shots converges to the channel output; the trajectory average, the
-exact one-qubit channel used to check it and ``apply_pauli_errors``, which
-applied one state's errors gate by gate, live in ``tests/oracles.py``.
+bits of qubits 0..d-1, then their z bits.  ``_apply_paulis`` applies one
+row of a frame to one state, each Pauli a gate through ``apply_gate``.
+Averaging the trajectory density matrices over many shots converges to
+the channel output; the trajectory average, the exact one-qubit channel
+used to check it and ``apply_pauli_errors``, which applies one state's
+errors from their names, live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -25,11 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .sim import Gate, _apply_to_rows, _shared_op
-
-# Not used here: the benchmark's wrapper test (perfbench/tests) still
-# checks ``noise.apply_gate`` as one of the places ``apply_gate`` is bound.
-from .sim import apply_gate  # noqa: F401
+from .sim import Gate, StateVector, _shared_op, apply_gate
 
 
 class NoiseKind(Enum):
@@ -82,19 +78,11 @@ def draw_pauli(spec: NoiseSpec, rng: np.random.Generator) -> str | None:
     return _CHANNEL_PAULI[spec.kind]
 
 
-def _apply_paulis(amplitudes: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    """Apply each row's Pauli frame, row i of the [rows, 2d] ``frame``, to
-    row i of a [rows, 2**d] stack in place, and return it.
-
-    Qubit by qubit, each Pauli acts on the rows that drew it at once, so
-    every row gets its errors in qubit order, bitwise as ``apply_gate``
-    applying them one by one would give.
-    """
-    d = frame.shape[1] // 2
-    codes = frame[:, :d] + 2 * frame[:, d:]
-    for qubit in range(d):
-        for code, kind in _PAULI_GATE.items():
-            hit = codes[:, qubit] == code
-            if hit.any():
-                amplitudes[hit] = _apply_to_rows(amplitudes[hit], _shared_op(kind, (qubit,)))
-    return amplitudes
+def _apply_paulis(state: StateVector, bits: np.ndarray) -> StateVector:
+    """Apply one row ``bits`` of a Pauli frame to ``state``: each qubit's
+    Pauli, in qubit order, as a gate; the input is not modified."""
+    d = len(bits) // 2
+    for qubit, code in enumerate((bits[:d] + 2 * bits[d:]).tolist()):
+        if code:
+            state = apply_gate(state, _shared_op(_PAULI_GATE[code], (qubit,)))
+    return state

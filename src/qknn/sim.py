@@ -3,16 +3,14 @@
 The simulator stores the full complex amplitude vector of an n-qubit
 register (length 2**n) and applies gates by reshaping that vector into a
 rank-n tensor, transposing the targeted axes to the front and contracting
-them with a small gate matrix in one matmul, to one state or to each row
-of a [batch, 2**n] stack.  A stack takes one matrix shared by every row
-or one kernel per row; per-row kernels (and ``_apply_to_rows``, which
-runs one gate op on every row) give each row bitwise the state that
-``apply_gate`` gives it alone.  A fixed gate whose matrix has one nonzero
-entry per row (X, Y, Z, CNOT, Toffoli, selected from the matrices at
-import) maps each amplitude to one other times a phase, so ``apply_gate``
-runs it as one cached index gather and, where a phase is not 1, one
-multiply.  No 2**n x 2**n operator is ever materialised, and no register
-holds more than ``MAX_QUBITS`` qubits.
+them with a small gate matrix in one matmul, to one state or, with one
+matrix shared by every row, to each row of a [batch, 2**n] stack.  A
+fixed gate whose matrix has one nonzero entry per row (X, Y, Z, CNOT,
+Toffoli, selected from the matrices at import) maps each amplitude to
+one other times a phase, so ``apply_gate`` runs it as one cached index
+gather and, where a phase is not 1, one multiply.  No 2**n x 2**n
+operator is ever materialised, and no register holds more than
+``MAX_QUBITS`` qubits.
 
 Conventions used throughout the package:
 
@@ -106,14 +104,6 @@ def _rz_phases(theta: float) -> tuple[complex, complex]:
     """The diagonal of RZ(theta); cmath.exp gives the same bits as np.exp
     on a Python complex."""
     return cmath.exp(-0.5j * theta), cmath.exp(0.5j * theta)
-
-
-def _rz_kernels(thetas: list[float]) -> np.ndarray:
-    """One RZ matrix per angle, as a [len(thetas), 2, 2] stack, each bitwise
-    equal to the matrix of ``GateOp(Gate.RZ, ..., theta)``."""
-    kernels = np.zeros((len(thetas), 2, 2), dtype=complex)
-    kernels[:, 0, 0], kernels[:, 1, 1] = zip(*map(_rz_phases, thetas))
-    return kernels
 
 
 def _parametric_matrix(kind: Gate, theta: float) -> np.ndarray:
@@ -250,24 +240,22 @@ def new_zero_state(num_qubits: int) -> StateVector:
 
 @functools.lru_cache(maxsize=4096)
 def _axis_orders(
-    targets: tuple[int, ...], shape: tuple[int, ...], per_row: bool
+    targets: tuple[int, ...], shape: tuple[int, ...]
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Shapes and axis orders of a gate on ``targets`` of amplitudes shaped
     ``shape`` = (*batch, 2**n).
 
     Returns the tensor shape (*batch, 2, ..., 2); the order that puts the
     batch axes first, then the targets, then the other qubits; the block
-    shape (*batch, 2**k, -1); the shape of the product, whose axes are
-    (targets, batch, others) for a shared matrix's ``matrix.dot(block)``
-    and (batch, targets, others) for ``per_row`` kernels'
-    ``np.matmul(matrix, block)``; and the order that undoes it.
+    shape (*batch, 2**k, -1); the shape of ``matrix.dot(block)``, whose
+    axes are (targets, batch, others); and the order that undoes it.
     """
     *batch, size = shape
     b, n, k = len(batch), size.bit_length() - 1, len(targets)
     tensor = (*batch, *(2,) * n)
     qubits = targets + tuple(q for q in range(n) if q not in targets)
     order = tuple(range(b)) + tuple(b + q for q in qubits)
-    product = order if per_row else order[b : b + k] + order[:b] + order[b + k :]
+    product = order[b : b + k] + order[:b] + order[b + k :]
     inverse = tuple(sorted(range(b + n), key=product.__getitem__))
     return tensor, order, (*batch, 2**k, -1), tuple(tensor[a] for a in product), inverse
 
@@ -275,26 +263,20 @@ def _axis_orders(
 def _apply_matrix(
     amplitudes: np.ndarray, matrix: np.ndarray, targets: tuple[int, ...]
 ) -> np.ndarray:
-    """Contract ``matrix`` onto the target qubits of a state, or of each row
-    of a stack, with amplitudes shaped [*batch, 2**n].
+    """Contract the [2**k, 2**k] ``matrix`` onto the target qubits of a
+    state, or of each row of a stack, with amplitudes shaped [*batch, 2**n].
 
-    ``matrix`` is one [2**k, 2**k] matrix shared by every row, or one
-    kernel per row, shaped [*batch, 2**k, 2**k] or broadcastable to it.
-    Bringing the target axes forward costs at most one copy, one matrix
-    product applies the gate, and at most one more copy restores the axis
-    order; the result is a new C-contiguous array of the input's shape,
-    whose dtype follows the inputs' (float64 for a real stack and matrix).
-    A shared matrix multiplies the whole stack in one ``dot``, whose rows
-    may differ from the single states' results in the last bit; per-row
-    kernels go through ``np.matmul``, which multiplies each row as the
-    single state's ``dot`` does, so each row is bitwise that state's.
+    Bringing the target axes forward costs at most one copy, one ``dot``
+    applies the gate to every row at once, and at most one more copy
+    restores the axis order; the result is a new C-contiguous array of the
+    input's shape, whose dtype follows the inputs' (float64 for a real
+    stack and matrix).  A stack's rows may differ from the single states'
+    results in the last bit.
     """
     shape = amplitudes.shape
-    per_row = matrix.ndim > 2
-    tensor, order, block, product, inverse = _axis_orders(targets, shape, per_row)
+    tensor, order, block, product, inverse = _axis_orders(targets, shape)
     block = amplitudes.reshape(tensor).transpose(order).reshape(block)
-    out = np.matmul(matrix, block) if per_row else matrix.dot(block)
-    out = out.reshape(product).transpose(inverse)
+    out = matrix.dot(block).reshape(product).transpose(inverse)
     # When a gate spans every qubit of a stack, the reshape alone would
     # return a strided view (batch strides inside the product's layout).
     return np.ascontiguousarray(out.reshape(shape))
@@ -347,22 +329,6 @@ def apply_gate(state: StateVector, op: GateOp) -> StateVector:
             out *= phases
         return _trusted_state(n, out)
     return _trusted_state(n, _apply_matrix(state.amplitudes, op._kernel, op.targets))
-
-
-def _apply_to_rows(amplitudes: np.ndarray, op: GateOp) -> np.ndarray:
-    """``apply_gate`` of ``op`` on every row of a [rows, 2**n] stack, as a
-    new stack whose rows are bitwise equal to ``apply_gate``'s states: a
-    permutation kind as one gather and at most one phase multiply, any
-    other kind as a per-row kernel, the op's matrix broadcast over the rows."""
-    n = amplitudes.shape[1].bit_length() - 1
-    if op.kind in _PERMUTATION_KINDS:
-        source, phases = _gather(op.kind, op.targets, n)
-        # take copies rows of many amplitudes faster than amplitudes[:, source].
-        out = amplitudes.take(source, axis=1)
-        if phases is not None:
-            out *= phases
-        return out
-    return _apply_matrix(amplitudes, op._kernel[np.newaxis], op.targets)
 
 
 def sample_basis(

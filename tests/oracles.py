@@ -42,11 +42,12 @@ the library once had and now only tests use:
   with two per-qubit draw loops (one per mitigation mode), joined by an
   injector that built a repetition code per encoded point and applied
   each drawn error as a gate, before one loop (``classifier._draw_paulis``)
-  drew both and ``classifier._encode_rows`` encoded the rows as one
-  stack; that stack must draw the same streams and give bitwise-equal
-  states, and the Pauli frames of ``classifier._frame_angles`` the same
-  streams and fidelities within 1e-12; ``pauli_frame`` writes such
-  drawn names as the [rows, 2d] Pauli frame the library draws into;
+  drew both into a Pauli frame and ``noise._apply_paulis`` applied each
+  row of it; ``classifier._encode_rows`` must draw the same streams and
+  give bitwise-equal states, and the Pauli frames of
+  ``classifier._frame_angles`` the same streams and fidelities within
+  1e-12; ``pauli_frame`` writes such drawn names as the [rows, 2d] Pauli
+  frame the library draws into;
 * ``encode_logical``, ``measure_syndrome`` (with ``Syndrome`` and
   ``BasisStateError``), ``decode_flips``, ``correct``, ``readout_bits``
   and ``majority_decode``, the repetition code run as a circuit on basis

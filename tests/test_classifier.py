@@ -451,6 +451,13 @@ class TestConfigValidation:
         with pytest.raises(TypeError, match="noise must be None or a NoiseSpec"):
             QknnConfig(noise=value)
 
+    @pytest.mark.parametrize("value", [None, {"angle_scale": 1.0}, math.pi])
+    def test_encoding_must_be_an_encoding_config(self, value):
+        # None used to run noiseless with the default encoding but fail in
+        # fit_predict once noise was on, and a dict failed mid-run.
+        with pytest.raises(TypeError, match="encoding must be an EncodingConfig"):
+            QknnConfig(encoding=value)
+
     @pytest.mark.parametrize("value", [1, 0, "yes", None])
     def test_use_feature_map_must_be_a_bool(self, value):
         with pytest.raises(TypeError, match="use_feature_map must be a bool"):
@@ -545,25 +552,24 @@ class TestNoiseAndMitigation:
     )
     @pytest.mark.parametrize("kind", list(NoiseKind), ids=lambda k: k.value)
     def test_one_draw_loop_matches_the_two_loop_oracle(
-        self, separated_problem, kind, mitigation, n, monkeypatch
+        self, separated_problem, kind, mitigation, n
     ):
         # The oracle draws each trajectory with a per-mode loop, builds a
-        # code per point and encodes row by row; the stacked states must be
-        # bitwise equal, and both must leave the stream at the same place.
+        # code per point and injects each drawn error as a gate; the states
+        # must be bitwise equal, and both must leave the stream at the same
+        # place.
         train, test = separated_problem
         rng = np.random.default_rng(3)
         narrow = rng.uniform(0, 1, (20, 1)), rng.uniform(0, 1, (10, 1))
         wide = rng.uniform(0, 1, (20, 6)), rng.uniform(0, 1, (10, 6))
         rows = train.features, test.features
-        # (train rows, test rows, config changes, rows per block or None)
+        # (train rows, test rows, config changes)
         variants = [
-            (*rows, {}, None),
-            (*rows, {"use_feature_map": False}, None),
-            (*rows, {"encoding": replace(PI_SCALE, feature_map_angle=0.7)}, None),
-            (*narrow, {}, None),
-            (*wide, {}, None),
-            # 20 and 10 rows in blocks of 3: each call ends on a short block.
-            (*rows, {}, 3),
+            (*rows, {}),
+            (*rows, {"use_feature_map": False}),
+            (*rows, {"encoding": replace(PI_SCALE, feature_map_angle=0.7)}),
+            (*narrow, {}),
+            (*wide, {}),
         ]
         for p in (0.1, 0.5):
             for seed in (0, 5, 19):
@@ -574,28 +580,24 @@ class TestNoiseAndMitigation:
                 reference = encode_rows(train.features, cfg, np.random.default_rng(seed))
                 expected = np.stack([point.state.amplitudes for point in reference])
                 assert np.array_equal(fit(train, cfg).train_states, expected)
-                for train_x, test_x, changes, block_rows in variants:
+                for train_x, test_x, changes in variants:
                     variant = replace(cfg, **changes)
                     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-                    with monkeypatch.context() as patch:
-                        if block_rows is not None:
-                            size = block_rows * 2 ** train_x.shape[1]
-                            patch.setattr(classifier, "_BLOCK_AMPLITUDES", size)
-                        for features in (train_x, test_x):
-                            got = _encode_rows(features, variant, ours)
-                            want = encode_rows(features, variant, theirs)
-                            assert got.dtype == complex
-                            assert len(got) == len(want) == len(features)
-                            # Row i of the matrix is the state of source row i.
-                            for row, b in enumerate(want):
-                                assert got[row].tobytes() == b.state.amplitudes.tobytes()
-                                assert b.source_row == row
-                            assert ours.bit_generator.state == theirs.bit_generator.state
+                    for features in (train_x, test_x):
+                        got = _encode_rows(features, variant, ours)
+                        want = encode_rows(features, variant, theirs)
+                        assert got.dtype == complex
+                        assert len(got) == len(want) == len(features)
+                        # Row i of the matrix is the state of source row i.
+                        for row, b in enumerate(want):
+                            assert got[row].tobytes() == b.state.amplitudes.tobytes()
+                            assert b.source_row == row
+                        assert ours.bit_generator.state == theirs.bit_generator.state
 
     @pytest.mark.parametrize("noise_p", [0.0, 0.3])
     def test_rows_are_checked_with_encode_points_messages(self, noise_p):
-        # The noisy stack checks the whole matrix once, with the messages
-        # encode_point gives the noiseless rows.
+        # The whole matrix is checked once, before any draw, with the
+        # messages encode_point gives a single row.
         cfg = QknnConfig(**NOISE_CFG, noise=NoiseSpec(NoiseKind.BIT_FLIP, noise_p))
         rng = np.random.default_rng(0)
         bad = np.full((3, 2), 0.5)

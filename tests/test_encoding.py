@@ -149,3 +149,15 @@ class TestConfig:
     def test_rejects_non_finite_angles(self):
         with pytest.raises(ValueError, match="finite"):
             EncodingConfig(angle_scale=float("inf"))
+
+    @pytest.mark.parametrize("field", ["angle_scale", "feature_map_angle"])
+    @pytest.mark.parametrize("value", [True, False, "1.0", None, 1j])
+    def test_rejects_angles_that_are_not_real_numbers(self, field, value):
+        # angle_scale=True used to encode as a scale of 1.0.
+        with pytest.raises(TypeError, match=f"{field} must be a real number"):
+            EncodingConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["angle_scale", "feature_map_angle"])
+    @pytest.mark.parametrize("value", [2, np.float32(0.5), np.int64(3)])
+    def test_accepts_real_angles(self, field, value):
+        assert getattr(EncodingConfig(**{field: value}), field) == value

@@ -102,8 +102,8 @@ class TestDraws:
 
 
 def apply_to_one(state: StateVector, paulis: list[str | None]) -> np.ndarray:
-    """``_apply_paulis`` on a one-row stack holding ``state``."""
-    return _apply_paulis(state.amplitudes[None, :].copy(), pauli_frame([paulis]))[0]
+    """``_apply_paulis`` of the frame row of ``paulis`` on ``state``."""
+    return _apply_paulis(state, pauli_frame([paulis])[0]).amplitudes
 
 
 class TestApply:
@@ -127,18 +127,20 @@ class TestApply:
         assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
     def test_each_row_gets_its_own_errors_bitwise_as_gates(self, rng):
-        # Rows that drew nothing, one Pauli, or one on every qubit: each row
-        # must be bitwise what applying its errors gate by gate gives.
+        # Frame rows that drew nothing, one Pauli, or one on every qubit:
+        # each row's state must be bitwise what applying its errors gate by
+        # gate gives, and the input state must be left as it was.
         n, choices = 3, [None, "X", "Y", "Z"]
         paulis = [[None] * n, ["Y"] * n, ["X", None, "Z"]]
         paulis += [[choices[i] for i in rng.integers(4, size=n)] for _ in range(9)]
-        states = [random_sv(n, rng) for _ in paulis]
-        stack = np.stack([state.amplitudes for state in states])
-        assert _apply_paulis(stack, pauli_frame(paulis)) is stack
-        for row, state, drawn in zip(stack, states, paulis):
+        for drawn, bits in zip(paulis, pauli_frame(paulis)):
+            state = random_sv(n, rng)
+            before = state.amplitudes.copy()
+            out = _apply_paulis(state, bits).amplitudes
             errors = [(q, pauli) for q, pauli in enumerate(drawn) if pauli is not None]
-            assert row.tobytes() == apply_pauli_errors(state, errors).amplitudes.tobytes()
-        assert stack[0].tobytes() == states[0].amplitudes.tobytes()
+            assert out.tobytes() == apply_pauli_errors(state, errors).amplitudes.tobytes()
+            assert state.amplitudes.tobytes() == before.tobytes()
+        assert _apply_paulis(state, pauli_frame([[None] * n])[0]) is state
 
 
 class TestTrajectories:

@@ -14,7 +14,6 @@ from qknn.sim import (
     _FIXED_MATRICES,
     _PERMUTATION_KINDS,
     _apply_matrix,
-    _apply_to_rows,
     _gather,
     _shared_op,
     Gate,
@@ -224,43 +223,6 @@ class TestKernel:
                     np.testing.assert_allclose(out[row], dense @ amps[row], rtol=0, atol=1e-12)
                 assert amps.tobytes() == before.tobytes()
 
-    @pytest.mark.parametrize("rows", [1, 7])
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_per_row_kernels_match_each_rows_single_state_kernel_bitwise(self, n, rows):
-        # One kernel per row, and one matrix broadcast over the rows, go
-        # through np.matmul; each row must be the single state's result bit
-        # for bit, which the shared-matrix dot route over a stack is not.
-        rng = np.random.default_rng(70 + 10 * n + rows)
-        amps = np.stack([random_state(n, rng) for _ in range(rows)])
-        before = amps.copy()
-        for k in range(1, min(n, 3) + 1):
-            shape = (rows, 2**k, 2**k)
-            kernels = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-            for targets in itertools.permutations(range(n), k):
-                for matrices in (kernels, kernels[:1]):
-                    out = _apply_matrix(amps, matrices, targets)
-                    assert out.shape == amps.shape and out.flags.c_contiguous
-                    for row in range(rows):
-                        single = _apply_matrix(amps[row], matrices[row % len(matrices)], targets)
-                        assert out[row].tobytes() == single.tobytes()
-                assert amps.tobytes() == before.tobytes()
-
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_a_gate_on_every_row_matches_apply_gate_bitwise(self, n):
-        rng = np.random.default_rng(80 + n)
-        amps = np.stack([random_state(n, rng) for _ in range(5)])
-        before = amps.copy()
-        for kind in ALL_GATES:
-            for targets in itertools.permutations(range(n), GATE_ARITY[kind]):
-                angle = float(rng.uniform(-2 * math.pi, 2 * math.pi))
-                op = GateOp(kind, targets, angle if kind in PARAMETRIC_GATES else None)
-                out = _apply_to_rows(amps, op)
-                assert out.shape == amps.shape and out.flags.c_contiguous
-                for row in range(len(amps)):
-                    single = apply_gate(StateVector(n, amps[row]), op).amplitudes
-                    assert out[row].tobytes() == single.tobytes()
-                assert amps.tobytes() == before.tobytes()
-
     @pytest.mark.parametrize("n", range(2, 7))
     def test_real_stack_stays_real_and_equals_the_complex_contraction(self, n):
         # The qnn contracts a float64 stack with the real parts of RY and
@@ -466,8 +428,7 @@ class TestImmutableOps:
         before = lookups()
         point = encoding.apply_feature_map(encoding.encode_point(x))
         classifier.swap_test_state(point.state, point.state)
-        frame = pauli_frame([["X", "Y", "Z"]])
-        noise._apply_paulis(point.state.amplitudes[None, :].copy(), frame)
+        noise._apply_paulis(point.state, pauli_frame([["X", "Y", "Z"]])[0])
         # Lookups: 3 H + 2 IsingXY + 2 CNOT; the swap test's H (applied
         # twice) and per qubit pair one CNOT (applied twice) and one Toffoli;
         # 3 Paulis.
