@@ -73,7 +73,7 @@ def _voted_accuracies(config: BenchConfig, trials: int) -> np.ndarray:
             # Training rows, then test rows, draw from one noise stream.
             rng = np.random.default_rng(seed)
             train_states = _encode_rows(train.features, cfg, rng)
-            hits = 0
+            estimates = np.empty((test.n_instances, train.n_instances))
             for row, state in enumerate(_encode_rows(test.features, cfg, rng)):
                 fids = np.abs(train_states @ state.conj()) ** 2
                 ones = np.clip((1.0 - fids) / 2.0, 0.0, 1.0)
@@ -83,11 +83,13 @@ def _voted_accuracies(config: BenchConfig, trials: int) -> np.ndarray:
                 )
                 stream = np.random.default_rng([seed, row + 1])
                 voted = 1.0 - 2.0 * stream.binomial(config.shots, q) / config.shots
-                fids = np.clip(voted, 0.0, 1.0)
-                chosen = _nearest(fids, config.k)
-                label, _ = _vote(train.labels[chosen], fids[chosen], train.n_classes)
-                hits += label == test.labels[row]
-            accuracies[i, t] = hits / test.n_instances
+                estimates[row] = np.clip(voted, 0.0, 1.0)
+            chosen = _nearest(estimates, config.k)
+            labels, _, _ = _vote(
+                train.labels[chosen], np.take_along_axis(estimates, chosen, axis=1),
+                train.n_classes,
+            )
+            accuracies[i, t] = np.count_nonzero(labels == test.labels) / test.n_instances
     return accuracies
 
 

@@ -1,19 +1,19 @@
 """The k-nearest-neighbour rule both classifiers use, and the Euclidean
 baseline.
 
-The rule ranks training rows by a closeness, higher meaning nearer:
+The rule takes a [queries, rows] closeness matrix, higher meaning nearer:
 swap-test fidelity for qknn (``classifier``), negated Euclidean distance
 here, so the two differ only in their similarity.  Negation is exact, so
-ranks, tie-breaks and sums are those of the distances.  Rank ties go to
-the lower training index; vote ties to the larger summed closeness, then
-the lower class index.  Search is brute force: at benchmark sizes (up to
-~1400 rows) that beats building any index.  Only NumPy and ``data`` are
-imported, so the classical baseline pulls in no quantum code.
+ranks, tie-breaks and sums are those of the distances.  ``_nearest``
+ranks every row with one stable argsort, rank ties to the lower training
+index; ``_vote`` takes every query's k neighbours at once, vote ties to
+the larger summed closeness, then the lower class index.  Search is brute
+force: at benchmark sizes (up to ~1400 rows) that beats building any
+index.  Only NumPy and ``data`` are imported, so the classical baseline
+pulls in no quantum code.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,82 +56,44 @@ def _check_schema(train: Dataset, test: Dataset) -> None:
 
 
 def _nearest(closeness: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k closest rows, by descending closeness, ties to
-    the lower index."""
-    return np.lexsort((np.arange(closeness.size), -closeness))[:k]
+    """Indices of the k closest rows along the last axis of a [..., rows]
+    closeness array, by descending closeness, ties to the lower index."""
+    return np.argsort(-closeness, axis=-1, kind="stable")[..., :k]
 
 
 def _vote(
     labels: np.ndarray, closeness: np.ndarray, n_classes: int
-) -> tuple[int, np.ndarray]:
-    """Majority label of the neighbours and the vote count per class.
-
-    Vote ties go to the larger summed closeness among the tied classes,
-    then to the lower class index.
-    """
-    votes = np.bincount(labels, minlength=n_classes).astype(float)
-    candidates = np.flatnonzero(votes == votes.max())
-    if candidates.size > 1:
-        sums = np.array([closeness[labels == c].sum() for c in candidates])
-        candidates = candidates[sums == sums.max()]
-    return int(candidates[0]), votes
-
-
-def _predict_rows(classify, model, rows, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
-    """``classify(model, row)`` for every row: (labels, score matrix)."""
-    predictions = np.empty(len(rows), dtype=int)
-    scores = np.empty((len(rows), n_classes))
-    for i, row in enumerate(rows):
-        predictions[i], scores[i] = classify(model, row)
-    return predictions, scores
-
-
-@dataclass
-class CknnModel:
-    train_features: np.ndarray
-    labels: np.ndarray
-    n_classes: int
-    k: int = DEFAULT_K
-
-    def __post_init__(self) -> None:
-        self.train_features = np.asarray(self.train_features, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=int)
-        if self.train_features.ndim != 2:
-            raise ValueError(
-                f"training features must be a matrix, got shape "
-                f"{self.train_features.shape}"
-            )
-        _check_training(self.labels, self.train_features.shape[0], self.n_classes, self.k)
-
-
-def find_neighbors(model: CknnModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices and distances of the k nearest rows (ascending distance)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.train_features.shape[1],):
-        raise ValueError(
-            f"expected {model.train_features.shape[1]} features, got shape {x.shape}"
-        )
-    distances = np.sqrt(np.sum((model.train_features - x) ** 2, axis=1))
-    chosen = _nearest(-distances, model.k)
-    return chosen, distances[chosen]
-
-
-def classify(model: CknnModel, x: np.ndarray) -> tuple[int, np.ndarray]:
-    """Majority vote among the k nearest; scores are plain vote shares."""
-    indices, distances = find_neighbors(model, x)
-    label, votes = _vote(model.labels[indices], -distances, model.n_classes)
-    return label, votes / model.k
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each query's majority label from its neighbours' [queries, k] labels
+    and closeness in rank order, with its votes and summed closeness per
+    class ([queries, n_classes]), both built up over the k in rank order,
+    as ``np.bincount`` counts.  Vote ties go to the larger summed
+    closeness among the tied classes, then to the lower class index."""
+    queries, k = labels.shape
+    rows = np.arange(queries)
+    votes = np.zeros((queries, n_classes))
+    sums = np.zeros((queries, n_classes))
+    for j in range(k):
+        votes[rows, labels[:, j]] += 1.0
+        sums[rows, labels[:, j]] += closeness[:, j]
+    tied = votes == votes.max(axis=1, keepdims=True)
+    return np.where(tied, sums, -np.inf).argmax(axis=1), votes, sums
 
 
 def fit_predict(
     train: Dataset, test: Dataset, k: int = DEFAULT_K
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Classify every test row against the training rows."""
+    """Classify every test row against the training rows by majority vote
+    among its k nearest; scores are plain vote shares."""
     _check_schema(train, test)
-    model = CknnModel(
-        train_features=train.features,
-        labels=train.labels,
-        n_classes=train.n_classes,
-        k=k,
+    _check_training(train.labels, train.n_instances, train.n_classes, k)
+    # Row by row: a [test, train, d] difference array would cost d-fold memory.
+    closeness = -np.reshape(
+        [np.sqrt(np.sum((train.features - x) ** 2, axis=1)) for x in test.features],
+        (test.n_instances, train.n_instances),
     )
-    return _predict_rows(classify, model, test.features, train.n_classes)
+    chosen = _nearest(closeness, k)
+    labels, votes, _ = _vote(
+        train.labels[chosen], np.take_along_axis(closeness, chosen, axis=1), train.n_classes
+    )
+    return labels, votes / k

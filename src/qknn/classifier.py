@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cknn import DEFAULT_K, _check_schema, _check_training, _nearest, _predict_rows, _vote
+from .cknn import DEFAULT_K, _check_schema, _check_training, _nearest, _vote
 from .data import Dataset
 from .encoding import (
     EncodedPoint,
@@ -248,17 +248,15 @@ def find_neighbors(model: QknnModel, test: EncodedPoint) -> tuple[np.ndarray, np
 
 def _fidelity_vote(
     neighbor_labels: np.ndarray, fidelities: np.ndarray, n_classes: int
-) -> tuple[int, np.ndarray]:
-    """``classify``'s rule on the neighbours' labels and fidelities: the
-    majority label and the fidelity-weighted vote share per class, or the
-    plain count share when every fidelity is ~0."""
-    label, votes = _vote(neighbor_labels, fidelities, n_classes)
-    total = fidelities.sum()
-    if total > 1e-12:
-        scores = np.bincount(neighbor_labels, weights=fidelities, minlength=n_classes) / total
-    else:
-        scores = votes / votes.sum()
-    return label, scores
+) -> tuple[np.ndarray, np.ndarray]:
+    """``classify``'s rule on [queries, k] neighbour labels and fidelities:
+    each query's majority label and fidelity-weighted vote share per
+    class, or its plain count share when every fidelity is ~0."""
+    labels, votes, sums = _vote(neighbor_labels, fidelities, n_classes)
+    # Row sums, not running ones: NumPy sums 8 or more values pairwise.
+    total = fidelities.sum(axis=1, keepdims=True)
+    weighted = total > 1e-12
+    return labels, np.where(weighted, sums, votes) / np.where(weighted, total, fidelities.shape[1])
 
 
 def classify(model: QknnModel, test: EncodedPoint) -> tuple[int, np.ndarray]:
@@ -269,8 +267,9 @@ def classify(model: QknnModel, test: EncodedPoint) -> tuple[int, np.ndarray]:
     the fidelity-weighted vote share per class (sums to 1); when every
     neighbour fidelity is ~0 the plain count share is used instead.
     """
-    indices, fidelities = find_neighbors(model, test)
-    return _fidelity_vote(model.labels[indices], fidelities, model.n_classes)
+    indices, fids = find_neighbors(model, test)
+    labels, scores = _fidelity_vote(*np.atleast_2d(model.labels[indices], fids), model.n_classes)
+    return int(labels[0]), scores[0]
 
 
 def _code_pauli(
@@ -426,13 +425,12 @@ def fit_predict(
     call is one trajectory; rerun with different seeds to average.
     Deterministic for a fixed config.
 
-    Each test row's fidelities to the training rows go through the k-NN
-    rule and ``classify``'s scores.  They come from ``_pair_fidelities`` on
-    the encoded states, except in a noisy run with exact distances whose
-    map is off or Clifford, which builds no states: each row's trajectory
-    is pulled back onto the product encoding (``_frame_angles``), and every
-    [test, train] fidelity is the product kernel of the pulled-back angles
-    (``_frame_fidelities``).
+    One [test, train] fidelity matrix goes through the k-NN rule and
+    ``classify``'s scores.  Its rows come from ``_pair_fidelities`` on the
+    encoded states, except in a noisy run with exact distances whose map
+    is off or Clifford, which builds no states: each row's trajectory is
+    pulled back onto the product encoding (``_frame_angles``), and the
+    matrix is the product kernel of the pulled-back angles.
     """
     _check_schema(train, test)
     # The training rows, then the test rows, draw from one noise stream.
@@ -451,11 +449,11 @@ def fit_predict(
     else:
         model = _fit(train, cfg, rng)
         states = _encode_rows(test.features, cfg, rng)
-        fidelities = [_pair_fidelities(model, state, row) for row, state in enumerate(states)]
-    k, n_classes = cfg.k, train.n_classes
-
-    def classify_row(labels: np.ndarray, fids: np.ndarray) -> tuple[int, np.ndarray]:
-        chosen = _nearest(fids, k)
-        return _fidelity_vote(labels[chosen], fids[chosen], n_classes)
-
-    return _predict_rows(classify_row, train.labels, fidelities, n_classes)
+        fidelities = np.reshape(
+            [_pair_fidelities(model, state, row) for row, state in enumerate(states)],
+            (len(states), len(train.labels)),
+        )
+    chosen = _nearest(fidelities, cfg.k)
+    return _fidelity_vote(
+        train.labels[chosen], np.take_along_axis(fidelities, chosen, axis=1), train.n_classes
+    )

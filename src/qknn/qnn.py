@@ -81,6 +81,13 @@ class QnnArchitecture:
         return QnnArchitecture(self.n_classes, params)
 
 
+def _check_type(name: str, value, real: bool = False) -> None:
+    """Raise TypeError unless ``value`` is an int, or with ``real`` a real."""
+    # bool subclasses int, but True is not a count or a rate.
+    if isinstance(value, bool) or not isinstance(value, (int, float) if real else int):
+        raise TypeError(f"{name} must be {'a real' if real else 'an int'}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Full-batch gradient descent settings."""
@@ -89,6 +96,8 @@ class TrainConfig:
     epochs: int = 100
 
     def __post_init__(self) -> None:
+        _check_type("learning_rate", self.learning_rate, real=True)
+        _check_type("epochs", self.epochs)
         if not 0.0 < self.learning_rate < math.inf:
             raise ValueError(
                 f"learning rate must be positive and finite, got {self.learning_rate}"
@@ -98,8 +107,10 @@ class TrainConfig:
 
 
 def _check_init(n_layers: int, init_scale: float) -> None:
-    """The rules for a fresh architecture's settings: at least one layer,
-    and a positive, finite init scale."""
+    """The rules for a fresh architecture's settings: an int of at least
+    one layer, and a positive, finite real init scale."""
+    _check_type("n_layers", n_layers)
+    _check_type("init_scale", init_scale, real=True)
     if n_layers < 1:
         raise ValueError(f"need at least one layer, got {n_layers}")
     if not 0.0 < init_scale < math.inf:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -22,6 +23,15 @@ BANKNOTE_REASON = (
 requires_banknote = pytest.mark.skipif(
     not BANKNOTE_PATH.exists(), reason=BANKNOTE_REASON
 )
+
+
+def load_script(name: str):
+    """Import ``scripts/<name>.py`` as a module, from its path."""
+    path = REPO_ROOT / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

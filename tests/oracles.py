@@ -32,7 +32,11 @@ the library once had and now only tests use:
 * ``cknn_find_neighbors``/``cknn_classify`` and ``qknn_classify``, the
   neighbour ranking, vote and scores each classifier carried as its own
   copy before both used the one k-NN rule of ``cknn``, which that rule
-  must match bit for bit;
+  must match bit for bit, one row at a time.  Their vote-tie sums are
+  ``np.bincount``'s running sums in rank order, the sums qknn's scores
+  divide; the copies summed each tied class with ``ndarray.sum``, which
+  NumPy sums pairwise from 8 values on, so on an exact tie of 8 or more
+  neighbours per class their label could disagree with their own scores;
 * ``bce_loss``, ``cce_loss``, ``onehot`` and ``qnn_loss_grad_wrt_z``, the
   qnn's two losses and its dLoss/dz before one readout map and one cross
   entropy replaced them, which ``qnn.batch_loss`` and ``qnn.gradient``
@@ -745,9 +749,9 @@ def cknn_classify(model, x: np.ndarray) -> tuple[int, np.ndarray]:
     votes = np.bincount(neighbor_labels, minlength=model.n_classes).astype(float)
     candidates = np.flatnonzero(votes == votes.max())
     if candidates.size > 1:
-        sums = np.array(
-            [distances[neighbor_labels == c].sum() for c in candidates]
-        )
+        sums = np.bincount(
+            neighbor_labels, weights=distances, minlength=model.n_classes
+        )[candidates]
         candidates = candidates[sums == sums.min()]
     return int(candidates[0]), votes / model.k
 
@@ -762,9 +766,9 @@ def qknn_classify(model, fids: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]
     votes = np.bincount(neighbor_labels, minlength=model.n_classes).astype(float)
     candidates = np.flatnonzero(votes == votes.max())
     if candidates.size > 1:
-        sums = np.array(
-            [kept[neighbor_labels == c].sum() for c in candidates]
-        )
+        sums = np.bincount(
+            neighbor_labels, weights=kept, minlength=model.n_classes
+        )[candidates]
         candidates = candidates[sums == sums.max()]
     label = int(candidates[0])
     total = kept.sum()

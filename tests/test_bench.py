@@ -68,7 +68,7 @@ class TestConfig:
         assert (cfg.k, cfg.shots, cfg.distance, cfg.use_feature_map) == (
             qknn.k, qknn.shots, qknn.distance_mode, qknn.use_feature_map
         )
-        assert cfg.k == cknn.CknnModel(np.zeros((3, 1)), np.zeros(3), 1).k
+        assert cfg.k == inspect.signature(cknn.fit_predict).parameters["k"].default
         assert (cfg.angle_scale, cfg.feature_map_angle) == (
             qknn.encoding.angle_scale, qknn.encoding.feature_map_angle
         )

@@ -5,6 +5,7 @@ import itertools
 import math
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -760,6 +761,33 @@ class TestPauliFrames:
         assert classifier._pullback(d, math.pi / 2) is not None
         np.testing.assert_array_equal(classifier._pullback(d, None), np.eye(2 * d))
 
+    def test_the_map_spreads_a_pauli_along_the_staircase(self):
+        # At d = 4 and pi/2, an X drawn on qubit 0 pulls back to a Pauli on
+        # 2 qubits, and a Z drawn on qubit 3 to one on all 4.
+        d = 4
+        pullback = classifier._pullback(d, math.pi / 2)
+        for drawn, weight in ((pauli_frame([["X", None, None, None]]), 2),
+                              (pauli_frame([[None, None, None, "Z"]]), 4)):
+            pulled = pullback @ drawn[0] % 2
+            assert np.count_nonzero(pulled[:d] | pulled[d:]) == weight
+
+    @pytest.mark.parametrize("use_feature_map", [True, False])
+    def test_small_differences_give_the_euclidean_limit(self, use_feature_map):
+        # For |delta_i| ~ 1e-3, -log F = (s**2 / 4) |delta|**2 to first
+        # order: the limit in which qknn ranks neighbours as cknn does.
+        rng = np.random.default_rng(5)
+        cfg = QknnConfig(use_feature_map=use_feature_map)
+        scale = cfg.encoding.angle_scale
+        a = rng.uniform(0.2, 0.8, (6, 4))
+        delta = rng.choice([-1.0, 1.0], a.shape) * rng.uniform(0.5e-3, 1.5e-3, a.shape)
+        fidelities = [
+            abs(np.vdot(*classifier._encode_rows(np.stack([x, x + dx]), cfg, None))) ** 2
+            for x, dx in zip(a, delta)
+        ]
+        np.testing.assert_allclose(
+            -np.log(fidelities), scale**2 / 4 * np.sum(delta**2, axis=1), rtol=1e-5
+        )
+
     @pytest.mark.parametrize("mitigation", ["none", "physical-code"])
     @pytest.mark.parametrize("kind", list(NoiseKind), ids=lambda k: k.value)
     def test_fit_predict_matches_the_state_path(
@@ -783,36 +811,30 @@ class TestPauliFrames:
 
 
 class TestCknn:
-    def test_neighbors_sorted_ascending_with_index_ties(self):
-        model = cknn.CknnModel(
-            train_features=np.array([[0.4], [0.1], [0.4]]),
-            labels=np.array([0, 1, 2]),
-            n_classes=3,
-            k=3,
+    def test_neighbors_sorted_ascending_with_index_ties(self, make_dataset):
+        # Training rows 0.4, 0.1 and 0.4 seen from 0.0: nearest first, the
+        # tied pair in index order, for one query or a stack of them.
+        distances = np.array([[0.4, 0.1, 0.4]])
+        chosen = cknn._nearest(-distances, 3)
+        np.testing.assert_array_equal(chosen, [[1, 0, 2]])
+        np.testing.assert_allclose(
+            np.take_along_axis(distances, chosen, axis=1), [[0.1, 0.4, 0.4]], atol=1e-12
         )
-        indices, distances = cknn.find_neighbors(model, np.array([0.0]))
-        np.testing.assert_array_equal(indices, [1, 0, 2])
-        np.testing.assert_allclose(distances, [0.1, 0.4, 0.4], atol=1e-12)
+        np.testing.assert_array_equal(cknn._nearest(-np.stack([distances] * 2), 2), [[[1, 0]]] * 2)
+        train = toy_dataset([[0.4], [0.1], [0.4]], [0, 1, 2], make_dataset)
+        labels, scores = cknn.fit_predict(train, toy_dataset([[0.0]], [0], make_dataset, 3), k=3)
+        assert labels.tolist() == [1]  # a three-way vote tie: the nearest row's class
+        np.testing.assert_allclose(scores, [[1 / 3] * 3], atol=1e-12)
 
-    def test_vote_and_tie_breaks(self):
-        model = cknn.CknnModel(
-            train_features=np.array([[0.0], [0.3], [0.35]]),
-            labels=np.array([0, 1, 1]),
-            n_classes=2,
-            k=3,
-        )
-        label, scores = cknn.classify(model, np.array([0.2]))
-        assert label == 1
-        np.testing.assert_allclose(scores, [1 / 3, 2 / 3], atol=1e-12)
+    def test_vote_and_tie_breaks(self, make_dataset):
+        train = toy_dataset([[0.0], [0.3], [0.35]], [0, 1, 1], make_dataset)
+        labels, scores = cknn.fit_predict(train, toy_dataset([[0.2]], [0], make_dataset, 2), k=3)
+        assert labels.tolist() == [1]
+        np.testing.assert_allclose(scores, [[1 / 3, 2 / 3]], atol=1e-12)
         # vote tie: class with smaller summed distance wins
-        tie_model = cknn.CknnModel(
-            train_features=np.array([[0.5], [0.1]]),
-            labels=np.array([0, 1]),
-            n_classes=2,
-            k=2,
-        )
-        label, _ = cknn.classify(tie_model, np.array([0.0]))
-        assert label == 1
+        tie_train = toy_dataset([[0.5], [0.1]], [0, 1], make_dataset)
+        labels, _ = cknn.fit_predict(tie_train, toy_dataset([[0.0]], [0], make_dataset, 2), k=2)
+        assert labels.tolist() == [1]
 
     def test_fit_predict_resubstitution(self, rng, make_dataset):
         features = rng.uniform(0, 1, size=(10, 2))
@@ -833,13 +855,24 @@ class TestCknn:
         with pytest.raises(ValueError, match="feature count"):
             cknn.fit_predict(train, narrow, k=1)
 
-    def test_validation(self):
+    def test_an_empty_test_set_gives_empty_outputs(self, make_dataset):
+        train = toy_dataset([[0.0], [1.0]], [0, 1], make_dataset)
+        empty = toy_dataset(np.zeros((0, 1)), np.zeros(0, int), make_dataset, 2)
+        for labels, scores in (cknn.fit_predict(train, empty, k=1),
+                               fit_predict(train, empty, QknnConfig(k=1))):
+            assert labels.shape == (0,) and scores.shape == (0, 2)
+
+    def test_validation(self, make_dataset):
+        empty = toy_dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), make_dataset, 2)
+        train = toy_dataset(np.zeros((3, 2)), np.zeros(3, dtype=int), make_dataset, 2)
         with pytest.raises(ValueError, match="non-empty"):
-            cknn.CknnModel(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
-        with pytest.raises(ValueError, match="labels"):
-            cknn.CknnModel(np.zeros((3, 2)), np.zeros(2, dtype=int), 2)
+            cknn.fit_predict(empty, train, k=3)
+        short = toy_dataset(np.zeros((3, 2)), np.zeros(3, dtype=int), make_dataset, 2)
+        short.labels = np.zeros(2, dtype=int)  # a Dataset itself rejects this
+        with pytest.raises(ValueError, match="2 labels for 3 rows"):
+            cknn.fit_predict(short, train, k=3)
         with pytest.raises(ValueError, match="k must"):
-            cknn.CknnModel(np.zeros((3, 2)), np.zeros(3, dtype=int), 2, k=4)
+            cknn.fit_predict(train, train, k=4)
 
     @pytest.mark.parametrize("k", [True, 2.5, "2"])
     def test_k_must_be_an_int(self, k, make_dataset):
@@ -850,72 +883,96 @@ class TestCknn:
 
 
 class TestSharedKnnRule:
-    """The one k-NN rule of ``cknn`` gives, bit for bit, what each
-    classifier's own copy of it gave (``oracles``), on tie-heavy cases."""
+    """The one k-NN rule of ``cknn``, run on a [queries, rows] closeness
+    matrix, gives, row by row and bit for bit, what each classifier's own
+    copy of it gave (``oracles``), on tie-heavy cases."""
 
     CASES = 600
     #: Repeated fidelities, so ranks and vote sums tie often.
     FIDELITIES = (0.0, 0.125, 0.25, 1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0)
+    #: An exact 8-8 vote tie at k = 16, in rank order: the classes' sums
+    #: are both 25/6, and NumPy's pairwise sum of each class rounds them
+    #: equal where the running sums do not.
+    TIE_LABELS = (0, 1, 1, 0, 0, 0, 0, 1, 1, 1, 1, 1, 0, 1, 0, 0)
+    TIE_FIDELITIES = (1.0, 1.0, 1.0, 1.0, 2.0 / 3.0, 0.5, 0.5, 0.5, 0.5,
+                      1.0 / 3.0, 1.0 / 3.0, 0.25, 0.25, 0.25, 0.125, 0.125)
 
     @staticmethod
     def draw_case(rng):
-        n_train = int(rng.integers(1, 13))
-        k = int(rng.integers(1, min(7, n_train) + 1))
+        # Up to k = 20, so that classes of 8 or more neighbours, which
+        # NumPy sums pairwise, are drawn.
+        n_train = int(rng.integers(1, 25))
+        k = int(rng.integers(1, min(20, n_train) + 1))
         n_classes = int(rng.integers(2, 5))
         labels = rng.integers(0, n_classes, size=n_train)
-        return n_train, k, n_classes, labels
+        return n_train, k, n_classes, labels, int(rng.integers(1, 6))
 
-    def test_euclidean_rule_matches_the_reference(self, rng):
+    def test_euclidean_rule_matches_the_reference(self, rng, make_dataset):
         for _ in range(self.CASES):
-            n_train, k, n_classes, labels = self.draw_case(rng)
+            n_train, k, n_classes, labels, n_test = self.draw_case(rng)
             # Integer-grid features: equal distances are common.
             d = int(rng.integers(1, 4))
-            model = cknn.CknnModel(
-                rng.integers(0, 4, size=(n_train, d)), labels, n_classes, k
+            train = toy_dataset(rng.integers(0, 4, size=(n_train, d)), labels, make_dataset,
+                                n_classes)
+            test = toy_dataset(rng.integers(0, 4, size=(n_test, d)), np.zeros(n_test, int),
+                               make_dataset, n_classes)
+            model = SimpleNamespace(train_features=train.features, labels=labels,
+                                    n_classes=n_classes, k=k)
+            distances = np.array(
+                [np.sqrt(np.sum((train.features - x) ** 2, axis=1)) for x in test.features]
             )
-            x = rng.integers(0, 4, size=d).astype(float)
-            ref_indices, ref_distances = cknn_find_neighbors(model, x)
-            ref_label, ref_scores = cknn_classify(model, x)
-
-            distances = np.sqrt(np.sum((model.train_features - x) ** 2, axis=1))
             chosen = cknn._nearest(-distances, k)
-            label, votes = cknn._vote(labels[chosen], -distances[chosen], n_classes)
-            assert chosen.tolist() == ref_indices.tolist()
-            assert label == ref_label
-            assert (votes / k).tobytes() == ref_scores.tobytes()
+            predicted, scores = cknn.fit_predict(train, test, k=k)
+            for row, x in enumerate(test.features):
+                ref_indices, ref_distances = cknn_find_neighbors(model, x)
+                ref_label, ref_scores = cknn_classify(model, x)
+                assert chosen[row].tolist() == ref_indices.tolist()
+                assert distances[row, chosen[row]].tobytes() == ref_distances.tobytes()
+                assert predicted[row] == ref_label
+                assert scores[row].tobytes() == ref_scores.tobytes()
 
-            indices, kept = cknn.find_neighbors(model, x)
-            assert indices.tolist() == ref_indices.tolist()
-            assert kept.tobytes() == ref_distances.tobytes()
-            label, scores = cknn.classify(model, x)
-            assert label == ref_label
-            assert scores.tobytes() == ref_scores.tobytes()
-
-    def test_fidelity_rule_matches_the_reference(self, rng, monkeypatch):
+    def test_fidelity_rule_matches_the_reference(self, rng, monkeypatch, make_dataset):
         current = {}
-        monkeypatch.setattr(classifier, "_pair_fidelities", lambda m, a, r: current["fids"])
-        test_point = point([0.0])
+        monkeypatch.setattr(classifier, "_pair_fidelities", lambda m, a, r: current["fids"][r])
         fallbacks = 0
         for case in range(self.CASES):
-            n_train, k, n_classes, labels = self.draw_case(rng)
-            fids = rng.choice(self.FIDELITIES, size=n_train)
+            n_train, k, n_classes, labels, n_test = self.draw_case(rng)
+            fids = rng.choice(self.FIDELITIES, size=(n_test, n_train))
             if case % 10 == 0:
-                fids[:] = 0.0  # every neighbour orthogonal: count shares
+                fids[0] = 0.0  # every neighbour orthogonal: count shares
             current["fids"] = fids
-            model = QknnModel(
-                np.tile(test_point.state.amplitudes, (n_train, 1)), labels, n_classes,
-                QknnConfig(k=k),
-            )
-            ref_indices, ref_label, ref_scores = qknn_classify(model, fids)
-            fallbacks += fids[ref_indices].sum() <= 1e-12
+            train = toy_dataset(np.zeros((n_train, 1)), labels, make_dataset, n_classes)
+            test = toy_dataset(np.zeros((n_test, 1)), np.zeros(n_test, int), make_dataset,
+                               n_classes)
+            cfg = QknnConfig(k=k)
+            model = fit(train, cfg)
+            predicted, scores = fit_predict(train, test, cfg)
+            for row in range(n_test):
+                ref_indices, ref_label, ref_scores = qknn_classify(model, fids[row])
+                fallbacks += fids[row, ref_indices].sum() <= 1e-12
+                assert predicted[row] == ref_label
+                assert scores[row].tobytes() == ref_scores.tobytes()
 
-            chosen = cknn._nearest(fids, k)
-            label, _ = cknn._vote(labels[chosen], fids[chosen], n_classes)
-            assert chosen.tolist() == ref_indices.tolist()
-            assert label == ref_label
-
-            assert find_neighbors(model, test_point)[0].tolist() == ref_indices.tolist()
-            label, scores = classify(model, test_point)
-            assert label == ref_label
-            assert scores.tobytes() == ref_scores.tobytes()
+                test_point = point([0.0], row=row)
+                assert find_neighbors(model, test_point)[0].tolist() == ref_indices.tolist()
+                label, one_scores = classify(model, test_point)
+                assert label == ref_label
+                assert one_scores.tobytes() == ref_scores.tobytes()
         assert fallbacks >= self.CASES // 10
+
+    def test_a_vote_tie_of_eight_per_class_goes_to_the_larger_score(
+        self, monkeypatch, make_dataset
+    ):
+        # The label is the tied class with the larger fidelity share, and
+        # the oracles agree; a per-class ndarray.sum gave class 0 here.
+        fids = np.array([self.TIE_FIDELITIES])
+        monkeypatch.setattr(classifier, "_pair_fidelities", lambda m, a, r: fids[r])
+        train = toy_dataset(np.zeros((16, 1)), self.TIE_LABELS, make_dataset)
+        test = toy_dataset(np.zeros((1, 1)), [0], make_dataset, 2)
+        cfg = QknnConfig(k=16)
+        predicted, scores = fit_predict(train, test, cfg)
+        assert predicted.tolist() == [1]
+        assert scores[0, 1] > scores[0, 0]
+        _, ref_label, ref_scores = qknn_classify(fit(train, cfg), fids[0])
+        assert ref_label == 1
+        assert scores[0].tobytes() == ref_scores.tobytes()

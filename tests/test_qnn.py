@@ -387,6 +387,30 @@ class TestTraining:
         with pytest.raises(ValueError, match="epochs"):
             TrainConfig(epochs=-1)
 
+    # True used to run as 1 epoch or layer and 2.0 to fail deep inside
+    # train or init_architecture; a bool rate or scale ran as 1.0.
+    @pytest.mark.parametrize("bad", [True, 2.0, "2"])
+    def test_epochs_must_be_an_int(self, bad):
+        with pytest.raises(TypeError, match=rf"epochs must be an int, got {bad!r}"):
+            TrainConfig(epochs=bad)
+
+    @pytest.mark.parametrize("bad", [True, 2.0, "2"])
+    def test_n_layers_must_be_an_int(self, bad):
+        with pytest.raises(TypeError, match=rf"n_layers must be an int, got {bad!r}"):
+            init_architecture(2, bad, 2)
+
+    @pytest.mark.parametrize("bad", [True, "0.3", None])
+    def test_learning_rate_must_be_a_real(self, bad):
+        with pytest.raises(TypeError, match=rf"learning_rate must be a real, got {bad!r}"):
+            TrainConfig(learning_rate=bad)
+        assert TrainConfig(learning_rate=1).learning_rate == 1
+
+    @pytest.mark.parametrize("bad", [True, "0.3", None])
+    def test_init_scale_must_be_a_real(self, bad):
+        with pytest.raises(TypeError, match=rf"init_scale must be a real, got {bad!r}"):
+            init_architecture(2, 1, 2, init_scale=bad)
+        assert init_architecture(2, 1, 2, init_scale=1).params.shape == (1, 2)
+
     def test_bench_config_and_init_share_the_layer_and_scale_rules(self, monkeypatch):
         from qknn.bench import BenchConfig
 

@@ -1,20 +1,9 @@
 """Smoke tests for the scripts under ``scripts/``, which import private
 library names and so break silently when those change."""
 
-import importlib.util
-
 from qknn.bench import BenchConfig
 
-from conftest import DATA_DIR, REPO_ROOT
-
-
-def load_script(name: str):
-    """Import ``scripts/<name>.py`` as a module, from its path."""
-    path = REPO_ROOT / "scripts" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import DATA_DIR, load_script
 
 
 def test_mitigation_budget_repeat_vote_accuracies_replay():
