@@ -29,10 +29,10 @@ state after the feature map; one loop, ``_draw_paulis``, draws each row's
 Paulis, in qubit order, into the one form a drawn trajectory takes, a
 [rows, 2d] Pauli frame (see ``noise``).  Noisy runs have one mitigation
 mode, the paper's repetition encoding, "physical-code": each data qubit's
-channel draw is passed through an n-qubit repetition code with syndrome
-correction before the surviving logical error touches the state
-(``_code_pauli`` draws one qubit's block and decodes its flips in closed
-form, and the code is built once per physical-code ``_draw_paulis`` call).
+channel draw is passed through the three-qubit repetition code
+(``qec.CODE_LENGTH``) with syndrome correction before the surviving
+logical error touches the state (``_code_pauli`` draws one qubit's block
+and decodes its flips in closed form).
 
 A noisy ``fit_predict`` with exact distances, with the map off or at a
 map angle where CNOT.IsingXY is Clifford (multiples of pi/2, the default
@@ -64,7 +64,7 @@ from .encoding import (
     encode_point,
 )
 from .noise import _PAULI_BITS, NoiseSpec, _apply_paulis, draw_pauli
-from .qec import RepetitionCode, code_corrected_flip
+from .qec import CODE_LENGTH, code_corrected_flip
 from .sim import (
     MAX_QUBITS,
     Gate,
@@ -96,9 +96,6 @@ class QknnConfig:
     seed: int = 0
     noise: NoiseSpec | None = None
     mitigation: str = "none"
-    #: Odd length n >= 3 of the repetition code that "physical-code" encodes
-    #: each data qubit in.
-    code_length: int = RepetitionCode.n
 
     def __post_init__(self) -> None:
         for name in ("k", "shots", "seed"):
@@ -126,8 +123,6 @@ class QknnConfig:
             raise ValueError(
                 f"mitigation must be one of {MITIGATION_MODES}, got {self.mitigation!r}"
             )
-        # RepetitionCode owns the odd, >= 3 rule.
-        RepetitionCode(self.code_length)
 
 
 def check_register(cfg: QknnConfig, n_features: int) -> None:
@@ -241,7 +236,14 @@ def find_neighbors(model: QknnModel, test: EncodedPoint) -> tuple[np.ndarray, np
             f"test point has {test.state.num_qubits} qubits, "
             f"training set has {model.num_qubits}"
         )
-    fids = _pair_fidelities(model, test.state.amplitudes, test.source_row)
+    # The row seeds the sampled swap tests' stream, so it is checked here,
+    # in both modes, rather than inside NumPy's seeding.
+    row = test.source_row
+    if isinstance(row, bool) or not isinstance(row, (int, np.integer)):
+        raise TypeError(f"source_row must be an int, got {row!r}")
+    if row < -1:
+        raise ValueError(f"source_row must be -1 (ad hoc) or a row index, got {row}")
+    fids = _pair_fidelities(model, test.state.amplitudes, row)
     chosen = _nearest(fids, model.config.k)
     return chosen, fids[chosen]
 
@@ -272,25 +274,23 @@ def classify(model: QknnModel, test: EncodedPoint) -> tuple[int, np.ndarray]:
     return int(labels[0]), scores[0]
 
 
-def _code_pauli(
-    spec: NoiseSpec, rng: np.random.Generator, code: RepetitionCode
-) -> tuple[int, int]:
-    """One data qubit's channel draw filtered through a repetition code:
+def _code_pauli(spec: NoiseSpec, rng: np.random.Generator) -> tuple[int, int]:
+    """One data qubit's channel draw filtered through the repetition code:
     the (x, z) bits of the surviving logical Pauli.
 
-    The qubit is treated as logically encoded across ``code.n`` physical
-    qubits, each of which suffers an independent channel draw, in order.
-    The X components of the draws are decoded by ``code_corrected_flip``
-    (called only when some draw flips); a surviving majority becomes a
-    logical X.  Z components combine by parity (the bit-flip code offers
+    The qubit is treated as logically encoded across ``CODE_LENGTH``
+    physical qubits, each of which suffers an independent channel draw,
+    in order.  The X components of the draws are decoded by
+    ``code_corrected_flip`` (called only when some draw flips); a
+    surviving majority becomes a logical X.  Z components combine by parity (the bit-flip code offers
     no phase protection).  Both surviving -> Y (= XZ up to global phase).
     """
     flips, z_parity = [], 0
-    for _ in range(code.n):
+    for _ in range(CODE_LENGTH):
         x, z = _PAULI_BITS[draw_pauli(spec, rng)]
         flips.append(x)
         z_parity ^= z
-    logical_x = code_corrected_flip(flips, code) if any(flips) else 0
+    logical_x = code_corrected_flip(flips) if any(flips) else 0
     return logical_x, z_parity
 
 
@@ -305,12 +305,12 @@ def _draw_paulis(
     """One noisy trajectory per row as a [rows, 2d] Pauli frame: row by
     row, per qubit in qubit order, one channel draw from ``rng``, or with
     "physical-code" the logical Pauli of the qubit's code block."""
-    code = RepetitionCode(cfg.code_length) if cfg.mitigation == "physical-code" else None
+    coded = cfg.mitigation == "physical-code"
     frame = np.empty((rows, 2 * d), dtype=np.int64)
     for bits in frame:
         drawn = [
-            _PAULI_BITS[draw_pauli(cfg.noise, rng)] if code is None
-            else _code_pauli(cfg.noise, rng, code)
+            _code_pauli(cfg.noise, rng) if coded
+            else _PAULI_BITS[draw_pauli(cfg.noise, rng)]
             for _ in range(d)
         ]
         bits[:d], bits[d:] = zip(*drawn)

@@ -157,8 +157,11 @@ def _build_bench_config(merged: dict) -> BenchConfig:
 
 def _require_out(merged: dict) -> str:
     out = merged.get("out")
-    if not out:
+    if out is None:
         raise _ArgumentProblem("--out is required (or give 'out' in the config file)")
+    # A config file can give any JSON value; only a path string names a file.
+    if not isinstance(out, str) or not out:
+        raise _ArgumentProblem(f"out must be a non-empty path string, got {out!r}")
     parent = Path(out).parent
     if not parent.is_dir():
         raise _ArgumentProblem(f"output directory {parent} does not exist")

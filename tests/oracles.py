@@ -44,10 +44,10 @@ the library once had and now only tests use:
 * ``apply_pauli_errors``, ``sample_errors``, ``physical_code_errors``,
   ``inject`` and ``encode_rows``, the noisy trajectory encoded row by row
   with two per-qubit draw loops (one per mitigation mode), joined by an
-  injector that built a repetition code per encoded point and applied
-  each drawn error as a gate, before one loop (``classifier._draw_paulis``)
-  drew both into a Pauli frame and ``noise._apply_paulis`` applied each
-  row of it; ``classifier._encode_rows`` must draw the same streams and
+  injector that applied each drawn error as a gate, before one loop
+  (``classifier._draw_paulis``) drew both into a Pauli frame and
+  ``noise._apply_paulis`` applied each row of it;
+  ``classifier._encode_rows`` must draw the same streams and
   give bitwise-equal states, and the Pauli frames of
   ``classifier._frame_angles`` the same streams and fidelities within
   1e-12; ``pauli_frame`` writes such drawn names as the [rows, 2d] Pauli
@@ -55,10 +55,11 @@ the library once had and now only tests use:
 * ``encode_logical``, ``measure_syndrome`` (with ``Syndrome`` and
   ``BasisStateError``), ``decode_flips``, ``correct``, ``readout_bits``
   and ``majority_decode``, the repetition code run as a circuit on basis
-  states, and ``circuit_corrected_flip``, the whole path for one X-flip
-  pattern, which decoded every code block before ``qec.code_corrected_flip``
-  returned the majority in closed form; the closed form must match it on
-  every pattern, and ``physical_code_errors`` decodes through it.
+  states of any odd length n >= 3, and ``circuit_corrected_flip``, the
+  whole path for one X-flip pattern, which decoded every code block
+  before ``qec.code_corrected_flip`` returned the majority in closed form;
+  the closed form must match it on every pattern, and
+  ``physical_code_errors`` decodes through it.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ from qknn.classifier import (
 )
 from qknn.encoding import EncodedPoint, apply_feature_map, encode_point
 from qknn.noise import NoiseKind, NoiseSpec, draw_pauli
-from qknn.qec import RepetitionCode
+from qknn.qec import CODE_LENGTH
 from qknn.qnn import EPS, QnnArchitecture, softmax
 from qknn.sim import (
     Gate,
@@ -383,12 +384,12 @@ class Syndrome:
             raise ValueError(f"syndrome entries must be +/-1, got {self.values}")
 
 
-def encode_logical(bit: int, code: RepetitionCode) -> StateVector:
+def encode_logical(bit: int, n: int) -> StateVector:
     """Encode a classical bit as |b>^n."""
     if bit not in (0, 1):
         raise ValueError(f"logical bit must be 0 or 1, got {bit}")
-    index = (2**code.n - 1) if bit else 0
-    return basis_state(code.n, index)
+    index = (2**n - 1) if bit else 0
+    return basis_state(n, index)
 
 
 def _basis_index(state: StateVector) -> int:
@@ -403,47 +404,49 @@ def _basis_index(state: StateVector) -> int:
     return top
 
 
-def measure_syndrome(state: StateVector, code: RepetitionCode) -> Syndrome:
-    """Read the Z_i Z_{i+1} parities of a basis state (non-destructive)."""
-    if state.num_qubits != code.n:
+def measure_syndrome(state: StateVector, n: int) -> Syndrome:
+    """Read the Z_i Z_{i+1} parities of an n-qubit basis state
+    (non-destructive)."""
+    if state.num_qubits != n:
         raise ValueError(
-            f"state has {state.num_qubits} qubits but the code needs {code.n}"
+            f"state has {state.num_qubits} qubits but the code needs {n}"
         )
     index = _basis_index(state)
-    z = [1 - 2 * bit_value(index, q, code.n) for q in range(code.n)]
-    return Syndrome(tuple(z[i] * z[i + 1] for i in range(code.n - 1)))
+    z = [1 - 2 * bit_value(index, q, n) for q in range(n)]
+    return Syndrome(tuple(z[i] * z[i + 1] for i in range(n - 1)))
 
 
-def decode_flips(syndrome: Syndrome, code: RepetitionCode) -> tuple[int, ...]:
-    """Minimum-weight X-flip set consistent with the syndrome.
+def decode_flips(syndrome: Syndrome, n: int) -> tuple[int, ...]:
+    """Minimum-weight X-flip set consistent with the syndrome of an n-qubit
+    code.
 
     The syndrome fixes the bit pattern up to global complement; of the two
     candidates the lighter one is returned (n odd, so no tie is possible).
     """
-    if len(syndrome.values) != code.n - 1:
+    if len(syndrome.values) != n - 1:
         raise ValueError(
-            f"syndrome has {len(syndrome.values)} entries but the code needs {code.n - 1}"
+            f"syndrome has {len(syndrome.values)} entries but the code needs {n - 1}"
         )
     bits = [0]
     for s in syndrome.values:
         bits.append(bits[-1] ^ (1 if s == -1 else 0))
     weight = sum(bits)
-    if weight > code.n - weight:
+    if weight > n - weight:
         bits = [1 - b for b in bits]
     return tuple(i for i, b in enumerate(bits) if b)
 
 
-def correct(state: StateVector, syndrome: Syndrome, code: RepetitionCode) -> StateVector:
-    """Apply the decoder's X flips to the state."""
-    for q in decode_flips(syndrome, code):
+def correct(state: StateVector, syndrome: Syndrome, n: int) -> StateVector:
+    """Apply the decoder's X flips to the n-qubit state."""
+    for q in decode_flips(syndrome, n):
         state = apply_gate(state, GateOp(Gate.X, (q,)))
     return state
 
 
-def readout_bits(state: StateVector, code: RepetitionCode) -> list[int]:
-    """The physical bit values of a (corrected) basis state."""
+def readout_bits(state: StateVector, n: int) -> list[int]:
+    """The physical bit values of a (corrected) n-qubit basis state."""
     index = _basis_index(state)
-    return [bit_value(index, q, code.n) for q in range(code.n)]
+    return [bit_value(index, q, n) for q in range(n)]
 
 
 def majority_decode(bits: Sequence[int]) -> int:
@@ -456,30 +459,30 @@ def majority_decode(bits: Sequence[int]) -> int:
     return int(sum(bits) * 2 > len(bits))
 
 
-def circuit_corrected_flip(flip_bits: Sequence[int], code: RepetitionCode) -> int:
-    """Whether a physical X-flip pattern survives the code as a logical flip,
-    by the circuit: encode logical |0>, apply X wherever ``flip_bits`` is
-    set, read the syndrome, correct, and majority-decode the readout."""
+def circuit_corrected_flip(flip_bits: Sequence[int], n: int) -> int:
+    """Whether a physical X-flip pattern survives the n-qubit code as a
+    logical flip, by the circuit: encode logical |0>, apply X wherever
+    ``flip_bits`` is set, read the syndrome, correct, and majority-decode
+    the readout."""
     flip_bits = list(flip_bits)
-    if len(flip_bits) != code.n:
-        raise ValueError(f"expected {code.n} flip bits, got {len(flip_bits)}")
-    state = encode_logical(0, code)
+    if len(flip_bits) != n:
+        raise ValueError(f"expected {n} flip bits, got {len(flip_bits)}")
+    state = encode_logical(0, n)
     for qubit, flip in enumerate(flip_bits):
         if flip:
             state = apply_gate(state, GateOp(Gate.X, (qubit,)))
-    state = correct(state, measure_syndrome(state, code), code)
-    return majority_decode(readout_bits(state, code))
+    state = correct(state, measure_syndrome(state, n), n)
+    return majority_decode(readout_bits(state, n))
 
 
 def physical_code_errors(
     spec: NoiseSpec,
     qubits: Sequence[int],
     rng: np.random.Generator,
-    code: RepetitionCode,
 ) -> list[tuple[int, str]]:
-    """Channel draw for each qubit filtered through a repetition code.
+    """Channel draw for each qubit filtered through the repetition code.
 
-    Each data qubit is treated as logically encoded across ``code.n``
+    Each data qubit is treated as logically encoded across ``CODE_LENGTH``
     physical qubits, each of which suffers an independent channel draw.
     The X component of the draws runs through the circuit-level
     encode/syndrome/correct/decode path of ``circuit_corrected_flip``; a
@@ -489,9 +492,9 @@ def physical_code_errors(
     """
     errors = []
     for q in qubits:
-        draws = [draw_pauli(spec, rng) for _ in range(code.n)]
+        draws = [draw_pauli(spec, rng) for _ in range(CODE_LENGTH)]
         flips = [1 if d in ("X", "Y") else 0 for d in draws]
-        logical_x = circuit_corrected_flip(flips, code) if any(flips) else 0
+        logical_x = circuit_corrected_flip(flips, CODE_LENGTH) if any(flips) else 0
         logical_z = sum(1 for d in draws if d in ("Z", "Y")) % 2
         if logical_x and logical_z:
             errors.append((int(q), "Y"))
@@ -507,9 +510,7 @@ def inject(
 ) -> StateVector:
     qubits = range(state.num_qubits)
     if cfg.mitigation == "physical-code":
-        errors = physical_code_errors(
-            cfg.noise, qubits, rng, RepetitionCode(cfg.code_length)
-        )
+        errors = physical_code_errors(cfg.noise, qubits, rng)
     else:
         errors = sample_errors(cfg.noise, qubits, rng)
     return apply_pauli_errors(state, errors)

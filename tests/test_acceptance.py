@@ -16,7 +16,7 @@ from qknn.bench import BenchConfig, report_to_json, run_benchmark, run_noise_swe
 from qknn.data import chi_square_select, chi_square_sf
 from qknn.encoding import EncodingConfig, encode_point
 from qknn.noise import NoiseKind, NoiseSpec
-from qknn.qec import RepetitionCode, code_corrected_flip
+from qknn.qec import code_corrected_flip
 from qknn.qnn import TrainConfig, batch_loss, gradient, init_architecture, predict_proba, train
 from qknn.sim import (
     Gate,
@@ -230,16 +230,16 @@ class TestAcceptance:
         )
 
     def test_c11_repetition_code_correction(self):
-        code = RepetitionCode(3)
+        n = 3
         singles_ok = 0
         for bit in (0, 1):
             for q in range(3):
-                state = apply_gate(encode_logical(bit, code), GateOp(Gate.X, (q,)))
-                state = correct(state, measure_syndrome(state, code), code)
-                if majority_decode(readout_bits(state, code)) == bit:
+                state = apply_gate(encode_logical(bit, n), GateOp(Gate.X, (q,)))
+                state = correct(state, measure_syndrome(state, n), n)
+                if majority_decode(readout_bits(state, n)) == bit:
                     singles_ok += 1
         doubles_flip = all(
-            code_corrected_flip([1 if q in pair else 0 for q in range(3)], code) == 1
+            code_corrected_flip([1 if q in pair else 0 for q in range(3)]) == 1
             for pair in itertools.combinations(range(3), 2)
         )
         _criterion(

@@ -8,7 +8,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -421,10 +420,6 @@ class TestNoiseSweep:
         qcfg = _qknn_config(cfg, NoiseSpec(NoiseKind.MIXED_PAULI, 0.3), "physical-code")
         labels, _ = fit_predict(prepared.train, prepared.test, qcfg)
         assert "".join(map(str, labels)) == "000001002011112111001222222211"
-        labels, _ = fit_predict(
-            prepared.train, prepared.test, replace(qcfg, code_length=5)
-        )
-        assert "".join(map(str, labels)) == "000110110001002021212210021221"
 
     def test_validation(self):
         cfg = iris_config(**SMALL_SWEEP)

@@ -25,7 +25,7 @@ from qknn.classifier import (
 )
 from qknn.encoding import EncodingConfig, apply_feature_map, encode_point
 from qknn.noise import NoiseKind, NoiseSpec
-from qknn.qec import RepetitionCode
+from qknn.qec import CODE_LENGTH
 from qknn.sim import Gate, GateOp, ResourceLimitError, StateVector, apply_gate, new_zero_state
 
 from oracles import (
@@ -172,6 +172,22 @@ class TestNeighbors:
         model = build_model([[0.1, 0.2]], [0])
         with pytest.raises(ValueError, match="qubits"):
             find_neighbors(model, point([0.1]))
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_source_row_must_be_an_int_of_at_least_minus_one(self, mode):
+        # The row seeds a sampled test's stream, so a bad one is refused by
+        # name in both modes, not inside NumPy's seeding.
+        model = build_model([[0.0], [0.5]], [0, 1])
+        model.config = replace(model.config, distance_mode=mode, shots=16)
+        bad = [(-2, ValueError), (1.5, TypeError), (True, TypeError), ("3", TypeError),
+               (None, TypeError)]
+        for row, error in bad:
+            with pytest.raises(error, match="source_row"):
+                find_neighbors(model, point([0.1], row=row))
+            with pytest.raises(error, match="source_row"):
+                classify(model, point([0.1], row=row))
+        for row in (-1, 0, np.int64(3)):
+            assert classify(model, point([0.1], row=row))[0] == 0
 
     @pytest.mark.parametrize("shape", [(4,), (2, 3), (2, 0), (2, 2, 4)])
     def test_training_states_must_form_a_state_matrix(self, shape):
@@ -428,8 +444,6 @@ class TestConfigValidation:
             QknnConfig(k=0)
         with pytest.raises(ValueError, match="mitigation"):
             QknnConfig(mitigation="zne")
-        with pytest.raises(ValueError, match="code length"):
-            QknnConfig(code_length=4)
         with pytest.raises(ValueError, match="distance mode"):
             QknnConfig(distance_mode="fuzzy")
 
@@ -548,17 +562,14 @@ class TestNoiseAndMitigation:
             np.testing.assert_allclose(got, after, atol=1e-12)
             assert abs(np.vdot(before, got)) ** 2 < 1e-12
 
-    @pytest.mark.parametrize(
-        "mitigation,n", [("none", 3), ("physical-code", 3), ("physical-code", 5)]
-    )
+    @pytest.mark.parametrize("mitigation", ["none", "physical-code"])
     @pytest.mark.parametrize("kind", list(NoiseKind), ids=lambda k: k.value)
     def test_one_draw_loop_matches_the_two_loop_oracle(
-        self, separated_problem, kind, mitigation, n
+        self, separated_problem, kind, mitigation
     ):
-        # The oracle draws each trajectory with a per-mode loop, builds a
-        # code per point and injects each drawn error as a gate; the states
-        # must be bitwise equal, and both must leave the stream at the same
-        # place.
+        # The oracle draws each trajectory with a per-mode loop and injects
+        # each drawn error as a gate; the states must be bitwise equal, and
+        # both must leave the stream at the same place.
         train, test = separated_problem
         rng = np.random.default_rng(3)
         narrow = rng.uniform(0, 1, (20, 1)), rng.uniform(0, 1, (10, 1))
@@ -576,7 +587,7 @@ class TestNoiseAndMitigation:
             for seed in (0, 5, 19):
                 cfg = QknnConfig(
                     **{**NOISE_CFG, "seed": seed}, noise=NoiseSpec(kind, p),
-                    mitigation=mitigation, code_length=n,
+                    mitigation=mitigation,
                 )
                 reference = encode_rows(train.features, cfg, np.random.default_rng(seed))
                 expected = np.stack([point.state.amplitudes for point in reference])
@@ -613,45 +624,27 @@ class TestNoiseAndMitigation:
             _encode_rows(np.zeros((3, 0)), cfg, rng)
         assert _encode_rows(np.zeros((0, 2)), cfg, rng).shape == (0, 4)
 
-    def test_the_code_is_built_once_per_encoding_call(self, separated_problem, monkeypatch):
-        train, _ = separated_problem
-        cfg = QknnConfig(
-            **NOISE_CFG, noise=NoiseSpec(NoiseKind.MIXED_PAULI, 0.3),
-            mitigation="physical-code", code_length=5,
-        )
-        built = []
-
-        def counting_code(n):
-            built.append(n)
-            return RepetitionCode(n)
-
-        monkeypatch.setattr(classifier, "RepetitionCode", counting_code)
-        _encode_rows(train.features, cfg, np.random.default_rng(0))
-        assert built == [5]
-
-    @pytest.mark.parametrize("n", [3, 5])
     @pytest.mark.parametrize("p", [0.1, 0.3])
     @pytest.mark.parametrize(
         "kind,z_share", [(NoiseKind.PHASE_FLIP, 1.0), (NoiseKind.MIXED_PAULI, 2.0 / 3.0)]
     )
-    def test_physical_code_amplifies_phase_errors(self, kind, z_share, p, n):
+    def test_physical_code_amplifies_phase_errors(self, kind, z_share, p):
         # The bit-flip code leaves a logical Z whenever an odd number of the
         # n physical draws carry a Z part (probability q_z each), so the
         # logical phase-error rate rises to (1 - (1 - 2 q_z)^n) / 2
         # (Nielsen & Chuang, section 10.1).
-        draws = 20_000
-        spec, rng, code = NoiseSpec(kind, p), np.random.default_rng(7), RepetitionCode(n)
-        paulis = [_code_pauli(spec, rng, code) for _ in range(draws)]
+        draws, n = 20_000, CODE_LENGTH
+        spec, rng = NoiseSpec(kind, p), np.random.default_rng(7)
+        paulis = [_code_pauli(spec, rng) for _ in range(draws)]
         rate = sum(z for _, z in paulis) / draws
         expected = (1.0 - (1.0 - 2.0 * z_share * p) ** n) / 2.0
         assert expected > z_share * p
         z = (rate - expected) / math.sqrt(expected * (1.0 - expected) / draws)
         assert abs(z) < 4.0
 
-    @pytest.mark.parametrize("n", [3, 5])
     @pytest.mark.parametrize("p", [0.1, 0.3])
     @pytest.mark.parametrize("kind", list(NoiseKind), ids=lambda k: k.value)
-    def test_physical_code_draws_match_the_enumerated_code_channel(self, kind, p, n):
+    def test_physical_code_draws_match_the_enumerated_code_channel(self, kind, p):
         # Every one of the 4^n physical Pauli patterns, with its probability:
         # the X parts decode through the circuit-level code path of
         # ``oracles``, the Z parts combine by parity, and the pair names
@@ -663,12 +656,12 @@ class TestNoiseAndMitigation:
             NoiseKind.MIXED_PAULI: {"X": p / 3, "Y": p / 3, "Z": p / 3},
         }[kind]
         single["I"] = 1.0 - p
-        code = RepetitionCode(n)
+        n = CODE_LENGTH
         logical = {"I": 0.0, "X": 0.0, "Y": 0.0, "Z": 0.0}
         names = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
         for pattern in itertools.product(single, repeat=n):
             weight = math.prod(single[pauli] for pauli in pattern)
-            flip = circuit_corrected_flip([int(pauli in "XY") for pauli in pattern], code)
+            flip = circuit_corrected_flip([int(pauli in "XY") for pauli in pattern], n)
             parity = sum(pauli in "ZY" for pauli in pattern) % 2
             logical[names[flip, parity]] += weight
         assert math.isclose(sum(logical.values()), 1.0, rel_tol=1e-12)
@@ -676,7 +669,7 @@ class TestNoiseAndMitigation:
         spec, rng = NoiseSpec(kind, p), np.random.default_rng(11)
         counts = {pauli: 0 for pauli in logical}
         for _ in range(draws):
-            counts[names[_code_pauli(spec, rng, code)]] += 1
+            counts[names[_code_pauli(spec, rng)]] += 1
         for pauli, prob in logical.items():
             if prob == 0.0:
                 assert counts[pauli] == 0, pauli
@@ -975,4 +968,21 @@ class TestSharedKnnRule:
         assert scores[0, 1] > scores[0, 0]
         _, ref_label, ref_scores = qknn_classify(fit(train, cfg), fids[0])
         assert ref_label == 1
+        assert scores[0].tobytes() == ref_scores.tobytes()
+
+    def test_positive_fidelities_summing_below_the_threshold_get_count_shares(
+        self, monkeypatch, make_dataset
+    ):
+        # Unequal, nonzero, but together below 1e-12: the fidelity weights
+        # would give [5/8, 3/8], the count share is [2/3, 1/3].
+        fids = np.array([[4e-13, 1e-13, 3e-13]])
+        monkeypatch.setattr(classifier, "_pair_fidelities", lambda m, a, r: fids[r])
+        train = toy_dataset(np.zeros((3, 1)), [0, 0, 1], make_dataset)
+        test = toy_dataset(np.zeros((1, 1)), [0], make_dataset, 2)
+        cfg = QknnConfig(k=3)
+        predicted, scores = fit_predict(train, test, cfg)
+        assert predicted.tolist() == [0]
+        assert scores[0].tolist() == [2 / 3, 1 / 3]
+        _, ref_label, ref_scores = qknn_classify(fit(train, cfg), fids[0])
+        assert ref_label == 0
         assert scores[0].tobytes() == ref_scores.tobytes()

@@ -378,6 +378,20 @@ def test_missing_out_directory_exits_two_before_any_work(tmp_path, capsys, comma
     assert "output directory" in err
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "compare"])
+@pytest.mark.parametrize("out", [5, True, ["r.json"], {"path": "r.json"}, ""])
+def test_out_that_is_not_a_path_string_exits_two_before_loading(
+    tmp_path, capsys, command, out
+):
+    # The data directory is empty, so a load would exit 1 instead.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dataset": "iris", "data_dir": str(tmp_path), "out": out}))
+    code = run_cli(command, "--config", str(cfg))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"argument error: out must be a non-empty path string, got {out!r}" in err
+
+
 class TestSweep:
     def test_tiny_sweep_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

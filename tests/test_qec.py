@@ -6,8 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qknn.classifier import QknnConfig
-from qknn.qec import RepetitionCode, code_corrected_flip
+from qknn.qec import code_corrected_flip
 from qknn.sim import Gate, GateOp, apply_gate
 
 from oracles import (
@@ -31,23 +30,6 @@ def flip(state, qubits):
 
 
 class TestCode:
-    def test_rejects_even_or_short_lengths(self):
-        for n in (0, 1, 2, 4):
-            with pytest.raises(ValueError, match="odd"):
-                RepetitionCode(n)
-
-    @pytest.mark.parametrize("n", [3.0, 5.0, "3", True, None])
-    def test_rejects_a_non_int_length(self, n):
-        with pytest.raises(TypeError, match="must be an int"):
-            RepetitionCode(n)
-        # The config's code length is checked by the code it builds, so a
-        # run fails at construction instead of mid-encoding.
-        with pytest.raises(TypeError, match="must be an int"):
-            QknnConfig(code_length=n)
-
-    def test_the_config_default_length_is_the_codes(self):
-        assert QknnConfig().code_length == RepetitionCode.n == RepetitionCode().n
-
     def test_syndrome_entries_validated(self):
         with pytest.raises(ValueError, match=r"\+/-1"):
             Syndrome((1, 0))
@@ -55,110 +37,110 @@ class TestCode:
 
 class TestEncoding:
     def test_logical_zero_and_one(self):
-        code = RepetitionCode(3)
+        n = 3
         np.testing.assert_array_equal(
-            encode_logical(0, code).amplitudes, basis_state(3, 0).amplitudes
+            encode_logical(0, n).amplitudes, basis_state(3, 0).amplitudes
         )
         np.testing.assert_array_equal(
-            encode_logical(1, code).amplitudes, basis_state(3, 7).amplitudes
+            encode_logical(1, n).amplitudes, basis_state(3, 7).amplitudes
         )
 
     def test_rejects_non_bits(self):
         with pytest.raises(ValueError, match="0 or 1"):
-            encode_logical(2, RepetitionCode(3))
+            encode_logical(2, 3)
 
 
 class TestSyndrome:
     def test_clean_codewords_have_trivial_syndrome(self):
-        code = RepetitionCode(3)
+        n = 3
         for bit in (0, 1):
-            syndrome = measure_syndrome(encode_logical(bit, code), code)
+            syndrome = measure_syndrome(encode_logical(bit, n), n)
             assert syndrome.values == (1, 1)
 
     def test_three_qubit_single_flip_table(self):
         # each single X gives a distinct syndrome
-        code = RepetitionCode(3)
+        n = 3
         table = {}
         for q in range(3):
-            state = flip(encode_logical(0, code), [q])
-            table[q] = measure_syndrome(state, code).values
+            state = flip(encode_logical(0, n), [q])
+            table[q] = measure_syndrome(state, n).values
         assert table == {0: (-1, 1), 1: (-1, -1), 2: (1, -1)}
 
     def test_syndrome_is_flip_invariant_under_logical_value(self):
-        code = RepetitionCode(5)
+        n = 5
         for pattern in ([1], [0, 3], [2, 4]):
-            s0 = measure_syndrome(flip(encode_logical(0, code), pattern), code)
-            s1 = measure_syndrome(flip(encode_logical(1, code), pattern), code)
+            s0 = measure_syndrome(flip(encode_logical(0, n), pattern), n)
+            s1 = measure_syndrome(flip(encode_logical(1, n), pattern), n)
             assert s0.values == s1.values
 
     def test_requires_matching_qubit_count(self):
         with pytest.raises(ValueError, match="needs 3"):
-            measure_syndrome(basis_state(2, 0), RepetitionCode(3))
+            measure_syndrome(basis_state(2, 0), 3)
 
     def test_rejects_superpositions(self):
-        code = RepetitionCode(3)
-        state = apply_gate(encode_logical(0, code), GateOp(Gate.H, (0,)))
+        n = 3
+        state = apply_gate(encode_logical(0, n), GateOp(Gate.H, (0,)))
         with pytest.raises(BasisStateError, match="basis state"):
-            measure_syndrome(state, code)
+            measure_syndrome(state, n)
 
 
 class TestDecoder:
     def test_three_qubit_decode_table(self):
-        code = RepetitionCode(3)
-        assert decode_flips(Syndrome((1, 1)), code) == ()
-        assert decode_flips(Syndrome((-1, 1)), code) == (0,)
-        assert decode_flips(Syndrome((-1, -1)), code) == (1,)
-        assert decode_flips(Syndrome((1, -1)), code) == (2,)
+        n = 3
+        assert decode_flips(Syndrome((1, 1)), n) == ()
+        assert decode_flips(Syndrome((-1, 1)), n) == (0,)
+        assert decode_flips(Syndrome((-1, -1)), n) == (1,)
+        assert decode_flips(Syndrome((1, -1)), n) == (2,)
 
     def test_five_qubit_weight_two_case(self):
         # flips on qubits 0 and 2 -> parities (-1,-1,-1,1) -> decode {0,2}
-        code = RepetitionCode(5)
-        state = flip(encode_logical(0, code), [0, 2])
-        syndrome = measure_syndrome(state, code)
+        n = 5
+        state = flip(encode_logical(0, n), [0, 2])
+        syndrome = measure_syndrome(state, n)
         assert syndrome.values == (-1, -1, -1, 1)
-        assert decode_flips(syndrome, code) == (0, 2)
+        assert decode_flips(syndrome, n) == (0, 2)
 
     def test_decoded_weight_never_exceeds_half(self):
-        code = RepetitionCode(5)
+        n = 5
         for values in itertools.product((1, -1), repeat=4):
-            flips = decode_flips(Syndrome(values), code)
+            flips = decode_flips(Syndrome(values), n)
             assert len(flips) <= 2
 
     def test_decode_matches_the_injected_error_exhaustively(self):
         # for every correctable pattern the decoder returns exactly that pattern
-        code = RepetitionCode(5)
+        n = 5
         for weight in (0, 1, 2):
             for pattern in itertools.combinations(range(5), weight):
-                state = flip(encode_logical(0, code), pattern)
-                syndrome = measure_syndrome(state, code)
-                assert decode_flips(syndrome, code) == pattern
+                state = flip(encode_logical(0, n), pattern)
+                syndrome = measure_syndrome(state, n)
+                assert decode_flips(syndrome, n) == pattern
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="entries"):
-            decode_flips(Syndrome((1, 1, 1)), RepetitionCode(3))
+            decode_flips(Syndrome((1, 1, 1)), 3)
 
 
 class TestCorrection:
     def test_single_errors_fully_corrected(self):
-        code = RepetitionCode(3)
+        n = 3
         for bit in (0, 1):
             for q in range(3):
-                state = flip(encode_logical(bit, code), [q])
-                fixed = correct(state, measure_syndrome(state, code), code)
-                assert readout_bits(fixed, code) == [bit] * 3
+                state = flip(encode_logical(bit, n), [q])
+                fixed = correct(state, measure_syndrome(state, n), n)
+                assert readout_bits(fixed, n) == [bit] * 3
 
     def test_two_errors_become_a_logical_flip(self):
-        code = RepetitionCode(3)
+        n = 3
         for pair in itertools.combinations(range(3), 2):
-            state = flip(encode_logical(0, code), pair)
-            fixed = correct(state, measure_syndrome(state, code), code)
-            assert readout_bits(fixed, code) == [1, 1, 1]
+            state = flip(encode_logical(0, n), pair)
+            fixed = correct(state, measure_syndrome(state, n), n)
+            assert readout_bits(fixed, n) == [1, 1, 1]
 
     def test_corrected_state_is_a_codeword(self):
-        code = RepetitionCode(5)
-        state = flip(encode_logical(1, code), [1, 4])
-        fixed = correct(state, measure_syndrome(state, code), code)
-        bits = readout_bits(fixed, code)
+        n = 5
+        state = flip(encode_logical(1, n), [1, 4])
+        fixed = correct(state, measure_syndrome(state, n), n)
+        bits = readout_bits(fixed, n)
         assert bits in ([0] * 5, [1] * 5)
 
 
@@ -179,24 +161,24 @@ class TestMajority:
 
 class TestEndToEnd:
     def test_correctable_patterns_return_zero(self):
-        code = RepetitionCode(3)
         for pattern in ([0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]):
-            assert code_corrected_flip(pattern, code) == 0
+            assert code_corrected_flip(pattern) == 0
 
     def test_heavy_patterns_return_one(self):
-        code = RepetitionCode(3)
         for pattern in ([1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 1, 1]):
-            assert code_corrected_flip(pattern, code) == 1
+            assert code_corrected_flip(pattern) == 1
 
     def test_five_qubit_threshold(self):
-        code = RepetitionCode(5)
         for pattern in itertools.product((0, 1), repeat=5):
             expected = int(sum(pattern) > 2)
-            assert code_corrected_flip(list(pattern), code) == expected
+            assert code_corrected_flip(list(pattern)) == expected
 
-    def test_length_check(self):
-        with pytest.raises(ValueError, match="3 flip bits"):
-            code_corrected_flip([0, 1], RepetitionCode(3))
+    @pytest.mark.parametrize("n", [0, 1, 2, 4])
+    def test_length_check(self, n):
+        # The code length is the pattern's: an even or short one is no
+        # repetition code block.
+        with pytest.raises(ValueError, match=f"odd number >= 3 of flip bits, got {n}"):
+            code_corrected_flip([0] * n)
 
     @pytest.mark.parametrize(
         "pattern", [[2, 0, 0], [-1, 0, -1], [0.5, 0, 1], [0, None, 1], ["1", 0, 0]]
@@ -204,13 +186,12 @@ class TestEndToEnd:
     def test_rejects_entries_other_than_zero_and_one(self, pattern):
         # The closed form counts flips, so a truthy non-bit must not count.
         with pytest.raises(ValueError, match="0 or 1"):
-            code_corrected_flip(pattern, RepetitionCode(3))
+            code_corrected_flip(pattern)
 
     def test_bools_and_numpy_bits_are_flips(self):
-        code = RepetitionCode(3)
-        assert code_corrected_flip([True, False, True], code) == 1
-        assert code_corrected_flip([False, True, False], code) == 0
-        assert code_corrected_flip(np.array([1, 1, 0]), code) == 1
+        assert code_corrected_flip([True, False, True]) == 1
+        assert code_corrected_flip([False, True, False]) == 0
+        assert code_corrected_flip(np.array([1, 1, 0])) == 1
 
 
 class TestClosedFormMatchesTheCircuit:
@@ -218,8 +199,7 @@ class TestClosedFormMatchesTheCircuit:
     def test_every_flip_pattern(self, n):
         # The circuit encodes |0>, flips, reads the syndrome, corrects and
         # majority-decodes; the closed form must agree on all 2^n patterns.
-        code = RepetitionCode(n)
         for pattern in itertools.product((0, 1), repeat=n):
-            assert code_corrected_flip(pattern, code) == circuit_corrected_flip(
-                pattern, code
+            assert code_corrected_flip(pattern) == circuit_corrected_flip(
+                pattern, n
             ), pattern

@@ -435,7 +435,7 @@ class TestImmutableOps:
         assert lookups() - before == 7 + 7 + 3
         # The repetition code decodes in closed form and builds no gate.
         before = lookups()
-        assert qec.code_corrected_flip([1, 0, 1], qec.RepetitionCode(3)) == 1
+        assert qec.code_corrected_flip([1, 0, 1]) == 1
         assert lookups() == before
         # The swap test builds its gates once per width.
         before = lookups()
