@@ -24,7 +24,7 @@ from qknn.classifier import (
     swap_test_state,
 )
 from qknn.encoding import EncodingConfig, apply_feature_map, encode_point
-from qknn.noise import NoiseKind, NoiseSpec
+from qknn.noise import NoiseKind, NoiseSpec, draw_pauli
 from qknn.qec import CODE_LENGTH
 from qknn.sim import Gate, GateOp, ResourceLimitError, StateVector, apply_gate, new_zero_state
 
@@ -623,6 +623,43 @@ class TestNoiseAndMitigation:
         with pytest.raises(ValueError, match=r"non-empty 1-D feature vector, got shape \(0,\)"):
             _encode_rows(np.zeros((3, 0)), cfg, rng)
         assert _encode_rows(np.zeros((0, 2)), cfg, rng).shape == (0, 4)
+
+    @pytest.mark.parametrize(
+        "mitigation,p,per_qubit",
+        [("none", 0.3, 1), ("physical-code", 0.3, CODE_LENGTH), ("physical-code", 0.0, 0)],
+    )
+    def test_draws_per_qubit_follow_the_mitigation(
+        self, monkeypatch, mitigation, p, per_qubit
+    ):
+        # One channel draw per qubit without mitigation, one per physical
+        # qubit of the three-qubit code with it, none at a noise level of 0.
+        calls = []
+
+        def counting_draw(spec, rng):
+            calls.append(spec)
+            return noise_draw(spec, rng)
+
+        noise_draw = classifier.draw_pauli
+        monkeypatch.setattr(classifier, "draw_pauli", counting_draw)
+        cfg = QknnConfig(
+            **NOISE_CFG, noise=NoiseSpec(NoiseKind.MIXED_PAULI, p), mitigation=mitigation
+        )
+        _encode_rows(np.full((5, 2), 0.5), cfg, np.random.default_rng(0))
+        assert len(calls) == 5 * 2 * per_qubit
+
+    @pytest.mark.parametrize("kind", list(NoiseKind), ids=lambda k: k.value)
+    def test_a_code_block_is_three_draws_in_order(self, kind):
+        # The paper's code: each block takes CODE_LENGTH = 3 draws from the
+        # stream, in order; X parts go to the majority, Z parts to parity.
+        assert CODE_LENGTH == 3
+        spec = NoiseSpec(kind, 0.4)
+        ours, theirs = np.random.default_rng(13), np.random.default_rng(13)
+        for _ in range(200):
+            draws = [draw_pauli(spec, theirs) for _ in range(3)]
+            x = int(sum(d in ("X", "Y") for d in draws) >= 2)
+            z = sum(d in ("Z", "Y") for d in draws) % 2
+            assert _code_pauli(spec, ours) == (x, z)
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
     @pytest.mark.parametrize("p", [0.1, 0.3])
     @pytest.mark.parametrize(
