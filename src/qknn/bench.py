@@ -53,6 +53,9 @@ MAX_NOISE_LEVELS = 1001
 #: Most (level, trial) runs one noise sweep may make.
 MAX_SWEEP_RUNS = 100_000
 
+#: Share of each class's rows that every run holds out for testing.
+TEST_FRACTION = 0.2
+
 
 class BenchStageError(RuntimeError):
     """A pipeline stage failed; the message names the stage."""
@@ -90,12 +93,8 @@ class BenchConfig:
     use_feature_map: bool = QknnConfig.use_feature_map
     distance: str = QknnConfig.distance_mode
     shots: int = DEFAULT_SHOTS
-    test_fraction: float = 0.2
     data_dir: str = "data"
-    qnn_layers: int = 4
     qnn_epochs: int = qnn.TrainConfig.epochs
-    qnn_learning_rate: float = qnn.TrainConfig.learning_rate
-    qnn_init_scale: float = qnn.DEFAULT_INIT_SCALE
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -110,21 +109,16 @@ class BenchConfig:
             raise ValueError(f"feature count must be positive, got {self.features}")
         if self.bins < 2:
             raise ValueError(f"bins must be at least 2, got {self.bins}")
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ValueError(
-                f"test fraction must lie in (0, 1), got {self.test_fraction}"
-            )
-        # qnn and the model configs own the rules for the other settings;
-        # checking them rejects a bad value before any data is loaded.
-        qnn._check_init(self.qnn_layers, self.qnn_init_scale)
+        # QknnConfig and qnn.TrainConfig own the other settings' rules;
+        # building them rejects a bad value before any data is loaded.
         _qknn_config(self)
-        qnn.TrainConfig(learning_rate=self.qnn_learning_rate, epochs=self.qnn_epochs)
+        qnn.TrainConfig(epochs=self.qnn_epochs)
         class_rows = _FORMATS[self.dataset].class_rows
-        n_train = sum(n - split_test_count(n, self.test_fraction) for n in class_rows)
+        n_train = sum(n - split_test_count(n, TEST_FRACTION) for n in class_rows)
         if self.k > n_train:
             raise ValueError(
                 f"k must lie in [1, {n_train}] (the {self.dataset} training rows at "
-                f"test fraction {self.test_fraction}), got {self.k}"
+                f"test fraction {TEST_FRACTION}), got {self.k}"
             )
 
     def to_dict(self) -> dict:
@@ -176,7 +170,7 @@ def prepare_experiment(config: BenchConfig) -> PreparedExperiment:
         "load", load_benchmark_dataset, config.dataset, config.data_dir
     )
     train_idx, test_idx = _stage(
-        "split", stratified_indices, dataset.labels, config.test_fraction, config.seed
+        "split", stratified_indices, dataset.labels, TEST_FRACTION, config.seed
     )
     normalized, normalization = _stage(
         "normalize", min_max_normalize, dataset, train_idx
@@ -256,10 +250,9 @@ def _run_model(
     if config.model == "cknn":
         return cknn.fit_predict(train, test, k=config.k)
     arch = qnn.init_architecture(
-        train.n_features, config.qnn_layers, train.n_classes,
-        seed=config.seed, init_scale=config.qnn_init_scale,
+        train.n_features, qnn.BENCH_LAYERS, train.n_classes, seed=config.seed
     )
-    train_cfg = qnn.TrainConfig(config.qnn_learning_rate, config.qnn_epochs)
+    train_cfg = qnn.TrainConfig(epochs=config.qnn_epochs)
     # The angle embedding wants features in [0, pi]: full RY range, no wrap.
     trained, _ = qnn.train(arch, train.features * math.pi, train.labels, train_cfg)
     proba = qnn.predict_proba(trained, test.features * math.pi)

@@ -219,7 +219,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_select(args: argparse.Namespace) -> int:
     merged = _merge(args, _SELECT_DEFAULTS)
     config = _build_bench_config(merged)
-    policy = str(merged["policy"])
+    policy = merged["policy"]
     _checked(parse_selection_policy, policy)
     dataset = load_benchmark_dataset(config.dataset, config.data_dir)
     result = chi_square_select(dataset, bins=config.bins, policy=policy)

@@ -305,24 +305,26 @@ class SelectionResult:
 
 def parse_selection_policy(policy: str) -> tuple[str, float]:
     """Parse 'topk=K' or 'alpha=F' into (kind, value)."""
+    if not isinstance(policy, str):
+        raise TypeError(f"policy must be a string, got {policy!r}")
+    kind, sep, raw = policy.partition("=")
+    kind = kind.strip().lower()
+    if sep and kind not in ("topk", "alpha"):
+        raise ValueError(f"unknown selection policy kind {kind!r}")
+    # Without an "=" the value is empty, so it fails to parse too.
     try:
-        kind, raw = policy.split("=", 1)
+        value = int(raw) if kind == "topk" else float(raw)
     except ValueError as exc:
         raise ValueError(
             f"policy must look like 'topk=4' or 'alpha=0.05', got {policy!r}"
         ) from exc
-    kind = kind.strip().lower()
     if kind == "topk":
-        k = int(raw)
-        if k < 1:
-            raise ValueError(f"topk must be at least 1, got {k}")
-        return "topk", float(k)
-    if kind == "alpha":
-        alpha = float(raw)
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-        return "alpha", alpha
-    raise ValueError(f"unknown selection policy kind {kind!r}")
+        if value < 1:
+            raise ValueError(f"topk must be at least 1, got {value}")
+        return "topk", float(value)
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {value}")
+    return "alpha", value
 
 
 def _feature_chi2(

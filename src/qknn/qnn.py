@@ -36,6 +36,9 @@ EPS = 1e-12
 #: Half-width of the uniform draw of fresh parameters.
 DEFAULT_INIT_SCALE = 0.01
 
+#: Layers of the benchmark's circuit.
+BENCH_LAYERS = 4
+
 
 @dataclass
 class QnnArchitecture:
@@ -106,17 +109,6 @@ class TrainConfig:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
 
 
-def _check_init(n_layers: int, init_scale: float) -> None:
-    """The rules for a fresh architecture's settings: an int of at least
-    one layer, and a positive, finite real init scale."""
-    _check_type("n_layers", n_layers)
-    _check_type("init_scale", init_scale, real=True)
-    if n_layers < 1:
-        raise ValueError(f"need at least one layer, got {n_layers}")
-    if not 0.0 < init_scale < math.inf:
-        raise ValueError(f"init scale must be positive and finite, got {init_scale}")
-
-
 def init_architecture(
     n_qubits: int,
     n_layers: int,
@@ -124,8 +116,14 @@ def init_architecture(
     seed: int = 0,
     init_scale: float = DEFAULT_INIT_SCALE,
 ) -> QnnArchitecture:
-    """Fresh architecture with parameters ~ uniform(-init_scale, init_scale)."""
-    _check_init(n_layers, init_scale)
+    """Fresh architecture with parameters ~ uniform(-init_scale, init_scale),
+    from an int of at least one layer and a positive, finite real scale."""
+    _check_type("n_layers", n_layers)
+    _check_type("init_scale", init_scale, real=True)
+    if n_layers < 1:
+        raise ValueError(f"need at least one layer, got {n_layers}")
+    if not 0.0 < init_scale < math.inf:
+        raise ValueError(f"init scale must be positive and finite, got {init_scale}")
     rng = np.random.default_rng(seed)
     params = rng.uniform(-init_scale, init_scale, size=(n_layers, n_qubits))
     return QnnArchitecture(n_classes, params)

@@ -16,6 +16,7 @@ from qknn import bench, cknn, qnn
 from qknn.bench import (
     MAX_NOISE_LEVELS,
     MAX_SWEEP_RUNS,
+    TEST_FRACTION,
     BenchConfig,
     BenchStageError,
     _qknn_config,
@@ -71,9 +72,7 @@ class TestConfig:
         assert (cfg.angle_scale, cfg.feature_map_angle) == (
             qknn.encoding.angle_scale, qknn.encoding.feature_map_angle
         )
-        assert (cfg.qnn_learning_rate, cfg.qnn_epochs) == (train.learning_rate, train.epochs)
-        defaults = inspect.signature(qnn.init_architecture).parameters
-        assert cfg.qnn_init_scale == defaults["init_scale"].default
+        assert cfg.qnn_epochs == train.epochs
         defaults = inspect.signature(chi_square_select).parameters
         assert cfg.bins == defaults["bins"].default
         assert f"topk={cfg.features}" == defaults["policy"].default
@@ -106,8 +105,6 @@ class TestConfig:
             BenchConfig(distance="guessed")
         with pytest.raises(ValueError, match="shots"):
             BenchConfig(shots=0)
-        with pytest.raises(ValueError, match="test fraction"):
-            BenchConfig(test_fraction=1.5)
 
     def test_field_types(self):
         with pytest.raises(TypeError, match="k must be int"):
@@ -164,16 +161,15 @@ class TestConfig:
         assert facts.class_rows == tuple(np.bincount(dataset.labels).tolist())
 
     @pytest.mark.parametrize("name", sorted(_FORMATS))
-    @pytest.mark.parametrize("fraction", [0.2, 0.35])
-    def test_k_is_bounded_by_the_training_set_before_loading(self, name, fraction):
+    def test_k_is_bounded_by_the_training_set_before_loading(self, name):
         # The bound equals the training rows the split really yields.
         class_rows = _FORMATS[name].class_rows
         labels = np.repeat(np.arange(len(class_rows)), class_rows)
-        n_train = stratified_indices(labels, fraction, seed=0)[0].size
-        cfg = BenchConfig(dataset=name, k=n_train, test_fraction=fraction)
+        n_train = stratified_indices(labels, TEST_FRACTION, seed=0)[0].size
+        cfg = BenchConfig(dataset=name, k=n_train)
         assert cfg.k == n_train
         with pytest.raises(ValueError, match=rf"k must lie in \[1, {n_train}\]"):
-            BenchConfig(dataset=name, k=n_train + 1, test_fraction=fraction)
+            BenchConfig(dataset=name, k=n_train + 1)
 
 
 class TestLoading:
@@ -284,7 +280,7 @@ class TestRunBenchmark:
 
     def test_qnn_leg_runs_end_to_end(self):
         # tiny settings keep this fast; accuracy itself is not the point here
-        cfg = iris_config(model="qnn", qnn_layers=1, qnn_epochs=2)
+        cfg = iris_config(model="qnn", qnn_epochs=2)
         report = run_benchmark(cfg)
         assert len(report["predictions"]) == 30
         np.testing.assert_allclose(np.sum(report["scores"], axis=1), 1.0, atol=1e-9)
@@ -300,7 +296,7 @@ class TestRunBenchmark:
             return forward(arch, X)
 
         monkeypatch.setattr(qnn, "_forward_batch", counting)
-        report = run_benchmark(iris_config(model="qnn", qnn_layers=1, qnn_epochs=0))
+        report = run_benchmark(iris_config(model="qnn", qnn_epochs=0))
         assert calls == [(30, 4)]
         assert report["predictions"] == np.argmax(report["scores"], axis=1).tolist()
 
@@ -365,7 +361,7 @@ class TestNoiseGrid:
             noise_grid(0.0, 1.5, 0.5)
 
 
-SMALL_SWEEP = dict(features=2, test_fraction=0.15)
+SMALL_SWEEP = dict(features=2)
 
 
 class TestNoiseSweep:
@@ -505,7 +501,7 @@ class TestNoiseSweep:
 class TestCompare:
     def test_all_three_models_reported(self, tmp_path):
         # three readout qubits are needed for the three iris classes
-        cfg = iris_config(features=3, qnn_layers=1, qnn_epochs=2)
+        cfg = iris_config(features=3, qnn_epochs=2)
         reports = run_compare(cfg)
         assert [r["config"]["model"] for r in reports] == ["qknn", "cknn", "qnn"]
         # identical split for a fair comparison

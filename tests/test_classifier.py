@@ -840,6 +840,30 @@ class TestPauliFrames:
             np.testing.assert_allclose(frames[1], states[1], rtol=0, atol=1e-12)
 
 
+class TestNoiselessProductKernel:
+    """Without noise the feature map is one unitary on every row, so it
+    keeps every overlap: at any map angle, Clifford or not, the state
+    fidelities are the product kernel of the scaled features."""
+
+    @pytest.mark.parametrize("scale", [2 * math.pi, math.pi, 0.7])
+    @pytest.mark.parametrize("angle", [0.0, math.pi / 4, 0.7, math.pi / 2, math.pi, None])
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_state_fidelities_are_the_kernel_of_the_scaled_features(self, d, angle, scale):
+        rng = np.random.default_rng(300 + d)
+        train_x, test_x = rng.uniform(0, 1, (12, d)), rng.uniform(0, 1, (6, d))
+        cfg = QknnConfig(
+            k=1, encoding=EncodingConfig(angle_scale=scale, feature_map_angle=angle or 0.0),
+            use_feature_map=angle is not None,
+        )
+        model = QknnModel(_encode_rows(train_x, cfg, None), np.zeros(len(train_x), int), 1, cfg)
+        states = np.array([
+            _pair_fidelities(model, t, row)
+            for row, t in enumerate(_encode_rows(test_x, cfg, None))
+        ])
+        kernel = classifier._frame_fidelities(scale * test_x, scale * train_x)
+        np.testing.assert_allclose(kernel, states, rtol=0, atol=1e-12)
+
+
 class TestCknn:
     def test_neighbors_sorted_ascending_with_index_ties(self, make_dataset):
         # Training rows 0.4, 0.1 and 0.4 seen from 0.0: nearest first, the

@@ -171,11 +171,12 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "doc,message",
         [
-            ({"qnn_learning_rate": -1}, "learning rate must be positive"),
-            # The qnn circuit is fixed; its old structure keys are unknown.
+            # The qnn circuit and its training are fixed; their old keys
+            # are unknown.
+            ({"qnn_learning_rate": -1}, "unknown keys: ['qnn_learning_rate']"),
             ({"qnn_rotation_axis": "Y"}, "unknown keys: ['qnn_rotation_axis']"),
-            ({"qnn_layers": 0}, "need at least one layer"),
-            ({"qnn_init_scale": 0}, "init scale must be positive"),
+            ({"qnn_layers": 0}, "unknown keys: ['qnn_layers']"),
+            ({"qnn_init_scale": 0}, "unknown keys: ['qnn_init_scale']"),
             ({"feature_map_angle": float("nan")}, "feature_map_angle must be finite"),
             ({"use_feature_map": "no"}, "use_feature_map must be bool"),
             ({"k": "3"}, "k must be int"),
@@ -228,7 +229,7 @@ class TestQnnRegister:
     ):
         out = tmp_path / "r.json"
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"qnn_layers": 1, "qnn_epochs": 1}))
+        cfg.write_text(json.dumps({"qnn_epochs": 1}))
         code = run_cli(
             "run", "--config", str(cfg), "--dataset", "iris", "--model", "qnn",
             "--features", "20", "--data-dir", str(DATA_DIR), "--out", str(out),
@@ -578,7 +579,6 @@ class TestCompare:
         cfg.write_text(json.dumps({
             "dataset": "iris",
             "features": 3,
-            "qnn_layers": 1,
             "qnn_epochs": 2,
             "data_dir": str(DATA_DIR),
         }))
@@ -623,6 +623,26 @@ class TestSelect:
         )
         assert code == 2
         assert "argument error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("policy", ["topk=abc", "topk=2.5", "topk=", "alpha=x"])
+    def test_unparsable_policy_value_exits_two_with_the_policy_form(self, capsys, policy):
+        code = run_cli(
+            "select", "--dataset", "iris", "--policy", policy,
+            "--data-dir", str(DATA_DIR),
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"policy must look like 'topk=4' or 'alpha=0.05', got {policy!r}" in err
+
+    def test_non_string_config_policy_exits_two(self, tmp_path, capsys):
+        # str() of the list used to read back as the kind "['topk".
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"policy": ["topk=2"]}))
+        code = run_cli("select", "--config", str(cfg), "--dataset", "iris",
+                       "--data-dir", str(DATA_DIR))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "policy must be a string, got ['topk=2']" in err
 
     def test_bad_bins_exits_two(self, capsys):
         code = run_cli(

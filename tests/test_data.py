@@ -396,6 +396,21 @@ class TestPolicyParsing:
             with pytest.raises(ValueError):
                 parse_selection_policy(bad)
 
+    @pytest.mark.parametrize("bad", ["topk=abc", "topk=2.5", "topk=", "alpha=x", "alpha="])
+    def test_unparsable_value_names_the_policy_form(self, bad):
+        # Not Python's own "invalid literal for int()" text.
+        with pytest.raises(ValueError) as exc:
+            parse_selection_policy(bad)
+        assert str(exc.value) == (
+            f"policy must look like 'topk=4' or 'alpha=0.05', got {bad!r}"
+        )
+
+    @pytest.mark.parametrize("bad", [["topk=2"], 4, None])
+    def test_policy_must_be_a_string(self, bad):
+        with pytest.raises(TypeError) as exc:
+            parse_selection_policy(bad)
+        assert str(exc.value) == f"policy must be a string, got {bad!r}"
+
 
 class TestChiSquareSelect:
     def test_matches_bruteforce_oracle(self, rng, make_dataset):

@@ -411,15 +411,6 @@ class TestTraining:
             init_architecture(2, 1, 2, init_scale=bad)
         assert init_architecture(2, 1, 2, init_scale=1).params.shape == (1, 2)
 
-    def test_bench_config_and_init_share_the_layer_and_scale_rules(self, monkeypatch):
-        from qknn.bench import BenchConfig
-
+    def test_init_needs_at_least_one_layer(self):
         with pytest.raises(ValueError, match="need at least one layer, got 0"):
             init_architecture(2, 0, 2)
-        with pytest.raises(ValueError, match="need at least one layer, got 0"):
-            BenchConfig(qnn_layers=0)
-        checked = []
-        monkeypatch.setattr(qnn, "_check_init", lambda *args: checked.append(args))
-        BenchConfig(qnn_layers=2, qnn_init_scale=0.5)
-        init_architecture(2, 3, 2, init_scale=0.25)
-        assert checked == [(2, 0.5), (3, 0.25)]
