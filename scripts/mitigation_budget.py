@@ -34,6 +34,7 @@ import math
 import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -65,11 +66,12 @@ def _voted_accuracies(config: BenchConfig, trials: int) -> np.ndarray:
     """[level, trial] accuracies of repeat-vote with n = ``REPEATS``."""
     prepared = prepare_experiment(config)
     train, test = prepared.train, prepared.test
+    base = _qknn_config(config)
     accuracies = np.zeros((len(LEVELS), trials))
     for i, p in enumerate(LEVELS):
         for t in range(trials):
             seed = _trial_seed(config.seed, i, t)
-            cfg = _qknn_config(config, NoiseSpec(KIND, p), seed=seed)
+            cfg = replace(base, noise=NoiseSpec(KIND, p), seed=seed)
             # Training rows, then test rows, draw from one noise stream.
             rng = np.random.default_rng(seed)
             train_states = _encode_rows(train.features, cfg, rng)

@@ -6,12 +6,12 @@ and selection artifacts alongside the metrics, and contains nothing
 non-deterministic (no timestamps, no machine info), so rerunning
 ``run_benchmark`` on a recorded config reproduces the report bitwise.
 
-Raise contract: ``BenchConfig`` checks what its own fields and the
-dataset's fixed shape determine.  ``run_benchmark``, ``run_noise_sweep``
-and ``run_compare`` check the registers their runs build and a sweep's
-settings, and raise TypeError or ValueError (ResourceLimitError for a
-register over the qubit limit) only then, before loading any data; any
-later failure is a BenchStageError naming its stage.
+Raise contract: ``BenchConfig`` checks what its fields and the dataset's
+fixed shape determine, the qubit register of its run included, and
+``run_noise_sweep`` a sweep's settings.  They raise TypeError or
+ValueError (ResourceLimitError for a register over the qubit limit) only
+then, before loading any data; any later failure is a BenchStageError
+naming its stage.
 """
 
 from __future__ import annotations
@@ -111,15 +111,21 @@ class BenchConfig:
             raise ValueError(f"bins must be at least 2, got {self.bins}")
         # QknnConfig and qnn.TrainConfig own the other settings' rules;
         # building them rejects a bad value before any data is loaded.
-        _qknn_config(self)
+        qknn_config = _qknn_config(self)
         qnn.TrainConfig(epochs=self.qnn_epochs)
-        class_rows = _FORMATS[self.dataset].class_rows
-        n_train = sum(n - split_test_count(n, TEST_FRACTION) for n in class_rows)
+        dataset = _FORMATS[self.dataset]
+        n_train = sum(n - split_test_count(n, TEST_FRACTION) for n in dataset.class_rows)
         if self.k > n_train:
             raise ValueError(
                 f"k must lie in [1, {n_train}] (the {self.dataset} training rows at "
                 f"test fraction {TEST_FRACTION}), got {self.k}"
             )
+        # The run's register: a qubit per selected feature, at most the columns.
+        width = min(self.features, len(dataset.feature_names))
+        if self.model == "qknn":
+            check_register(qknn_config, width)
+        elif self.model == "qnn":
+            qnn.QnnArchitecture(len(dataset.class_rows), np.zeros((1, width)))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -210,9 +216,7 @@ def prepare_experiment(config: BenchConfig) -> PreparedExperiment:
     return PreparedExperiment(train=train, test=test, artifacts=artifacts)
 
 
-def _qknn_config(config: BenchConfig, noise: NoiseSpec | None = None,
-                 mitigation: str = QknnConfig.mitigation,
-                 seed: int | None = None) -> QknnConfig:
+def _qknn_config(config: BenchConfig) -> QknnConfig:
     return QknnConfig(
         k=config.k,
         encoding=EncodingConfig(
@@ -222,31 +226,15 @@ def _qknn_config(config: BenchConfig, noise: NoiseSpec | None = None,
         use_feature_map=config.use_feature_map,
         distance_mode=config.distance,
         shots=config.shots,
-        seed=config.seed if seed is None else seed,
-        noise=noise,
-        mitigation=mitigation,
+        seed=config.seed,
     )
 
 
-def _check_run(config: BenchConfig, mitigation: str = QknnConfig.mitigation) -> None:
-    """Reject a register over the qubit limit, and for qknn an unknown
-    mitigation mode, before loading."""
-    dataset = _FORMATS[config.dataset]
-    width = min(config.features, len(dataset.feature_names))
-    if config.model == "qknn":
-        check_register(_qknn_config(config, mitigation=mitigation), width)
-    elif config.model == "qnn":
-        qnn.QnnArchitecture(len(dataset.class_rows), np.zeros((1, width)))
-
-
-def _run_model(
-    config: BenchConfig, prepared: PreparedExperiment,
-    noise: NoiseSpec | None = None, mitigation: str = QknnConfig.mitigation,
-    seed: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def _run_model(config: BenchConfig,
+               prepared: PreparedExperiment) -> tuple[np.ndarray, np.ndarray]:
     train, test = prepared.train, prepared.test
     if config.model == "qknn":
-        return fit_predict(train, test, _qknn_config(config, noise, mitigation, seed))
+        return fit_predict(train, test, _qknn_config(config))
     if config.model == "cknn":
         return cknn.fit_predict(train, test, k=config.k)
     arch = qnn.init_architecture(
@@ -265,7 +253,6 @@ def run_benchmark(config: BenchConfig) -> dict:
     The report carries config, split indices, normalization/selection
     artifacts, per-row predictions and scores, and the metric bundle.
     """
-    _check_run(config)
     prepared = prepare_experiment(config)
     predictions, scores = _stage("model", _run_model, config, prepared)
     metrics = _stage(
@@ -317,8 +304,8 @@ class SweepResult:
 
 
 def noise_grid(p_start: float, p_stop: float, p_step: float) -> list[float]:
-    """Inclusive arithmetic grid of noise levels, rounded to avoid drift,
-    of at most ``MAX_NOISE_LEVELS`` levels."""
+    """Inclusive arithmetic grid of noise levels in [p_start, p_stop],
+    rounded to 10 decimals to avoid drift, of at most ``MAX_NOISE_LEVELS``."""
     for name, value in (("p_start", p_start), ("p_stop", p_stop), ("p_step", p_step)):
         _check_type(name, "float", value)
     # Negated comparisons, so that NaN (which would never end the grid) fails.
@@ -329,14 +316,23 @@ def noise_grid(p_start: float, p_stop: float, p_step: float) -> list[float]:
             f"noise range must satisfy 0 <= start <= stop <= 1, "
             f"got [{p_start}, {p_stop}]"
         )
-    # Whole steps that fit in the range; inf when a tiny step overflows.
-    steps = (p_stop - p_start + 1e-9) / p_step
+    # Whole steps that fit in the range, with a slack of a billionth of a
+    # step for rounding; inf when a tiny step overflows.
+    steps = (p_stop - p_start) / p_step + 1e-9
     if steps >= MAX_NOISE_LEVELS:
         raise ValueError(
             f"step {p_step} over [{p_start}, {p_stop}] gives more than "
             f"{MAX_NOISE_LEVELS} noise levels"
         )
-    return [min(float(round(p_start + i * p_step, 10)), 1.0) for i in range(int(steps) + 1)]
+    # Rounding moves a level by up to 5e-11, so only levels at least 2e-10
+    # apart are sure to stay distinct.
+    if p_step < 2e-10:
+        raise ValueError(
+            f"step {p_step} is finer than noise levels rounded to 10 decimals allow: "
+            f"use a step of at least 2e-10"
+        )
+    return [min(max(float(round(p_start + i * p_step, 10)), p_start), p_stop)
+            for i in range(int(steps) + 1)]
 
 
 def _trial_seed(base_seed: int, level_index: int, trial: int) -> int:
@@ -371,20 +367,20 @@ def run_noise_sweep(
             f"{len(p_values)} noise levels x {trials} trials is more than "
             f"{MAX_SWEEP_RUNS} sweep runs"
         )
-    # Building each level's NoiseSpec, which owns the kind and [0, 1] rules,
-    # checks every level before loading.
+    # Building the levels' NoiseSpecs and the trials' QknnConfig, owners of
+    # the kind, [0, 1] and mitigation rules, checks them before loading.
     specs = [NoiseSpec(noise_kind, p) for p in p_values]
-    _check_run(config, mitigation)
+    base = replace(_qknn_config(config), mitigation=mitigation)
     prepared = prepare_experiment(config)
-    y_test = prepared.test.labels
+    train, test = prepared.train, prepared.test
     accuracies = np.zeros((len(specs), trials))
     for i, spec in enumerate(specs):
         for t in range(trials):
             predictions, _ = _stage(
-                "model", _run_model, config, prepared, noise=spec,
-                mitigation=mitigation, seed=_trial_seed(config.seed, i, t),
+                "model", fit_predict, train, test,
+                replace(base, noise=spec, seed=_trial_seed(config.seed, i, t)),
             )
-            accuracies[i, t] = float(np.mean(predictions == y_test))
+            accuracies[i, t] = float(np.mean(predictions == test.labels))
     return SweepResult(
         noise_levels=[float(p) for p in p_values],
         mean_accuracy=[float(v) for v in accuracies.mean(axis=1)],
@@ -407,10 +403,8 @@ def write_sweep_csv(result: SweepResult, path: str | Path) -> None:
 
 def run_compare(config: BenchConfig) -> list[dict]:
     """Run all three models on the identical split/seed; one report each."""
+    # Building every leg checks it before any runs, so a bad leg loads nothing.
     configs = [replace(config, model=model) for model in MODELS]
-    # Every leg is checked before any runs, so a bad leg loads nothing.
-    for leg in configs:
-        _check_run(leg)
     return [run_benchmark(c) for c in configs]
 
 

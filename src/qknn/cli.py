@@ -109,9 +109,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read_config_file(path: str, allowed: set[str]) -> dict:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise _ArgumentProblem(f"config file not found: {path}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _ArgumentProblem(f"config file {path} cannot be read: {exc}")
     except json.JSONDecodeError as exc:
         raise _ArgumentProblem(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
@@ -143,7 +145,7 @@ def _merge(args: argparse.Namespace, extra_defaults: dict) -> dict:
 
 def _checked(fn, *args):
     """Call ``fn``; a TypeError or ValueError it raises is an argument error.
-    The bench entry points raise those only before they load any data."""
+    The callables that come here raise those only before loading any data."""
     try:
         return fn(*args)
     except (TypeError, ValueError) as exc:
@@ -165,6 +167,8 @@ def _require_out(merged: dict) -> str:
     parent = Path(out).parent
     if not parent.is_dir():
         raise _ArgumentProblem(f"output directory {parent} does not exist")
+    if Path(out).is_dir():
+        raise _ArgumentProblem(f"out {out} is a directory; give a file path")
     return str(out)
 
 
@@ -172,7 +176,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     merged = _merge(args, {})
     out = _require_out(merged)
     config = _build_bench_config(merged)
-    report = _checked(run_benchmark, config)
+    report = run_benchmark(config)
     write_report(report, out)
     metrics = report["metrics"]
     print(

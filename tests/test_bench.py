@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -115,7 +116,7 @@ class TestConfig:
 
     def test_qnn_register_checked_against_the_dataset_shape(self, tmp_path):
         # One qubit per selected feature, at most the dataset's columns,
-        # checked by the entry point before loading.
+        # checked by the config before loading.
         with pytest.raises(ResourceLimitError, match="20 qubits"):
             run_without_data(tmp_path, dataset="wdbc", model="qnn", features=20)
         with pytest.raises(ValueError, match="3 classes need 3 readout qubits"):
@@ -128,7 +129,7 @@ class TestConfig:
 
     def test_swap_register_checked_against_the_dataset_shape(self, tmp_path):
         # A sampled swap test holds an ancilla and two d-qubit states, with
-        # d = min(features, columns), checked by the entry point before loading.
+        # d = min(features, columns), checked by the config before loading.
         with pytest.raises(ResourceLimitError, match="register of 15 qubits"):
             run_without_data(tmp_path, dataset="wdbc", distance="sampled", features=7)
         with pytest.raises(BenchStageError, match="stage 'load'"):
@@ -144,12 +145,31 @@ class TestConfig:
         with pytest.raises(BenchStageError, match="stage 'load'"):
             run_without_data(tmp_path, dataset="wdbc", model="cknn", distance="sampled", features=7)
 
-    def test_config_alone_checks_no_register(self):
-        # Which register a run builds depends on the entry point (a sweep's
-        # mitigation, compare's legs), so the config does not check one.
-        assert BenchConfig(dataset="wdbc", distance="sampled", features=7).features == 7
-        assert BenchConfig(dataset="wdbc", features=30).features == 30
-        assert BenchConfig(dataset="iris", model="qnn", features=2).features == 2
+    @pytest.mark.parametrize(
+        "settings, error, message",
+        [
+            (dict(dataset="wdbc", features=15), ResourceLimitError,
+             r"15 qubits exceeds the limit of 14 \(2\*\*15 amplitudes\)"),
+            (dict(dataset="wdbc", features=30), ResourceLimitError,
+             "30 qubits exceeds the limit of 14"),
+            (dict(dataset="wdbc", distance="sampled", features=7), ResourceLimitError,
+             "sampled distances on 7 features need a swap-test register of 15 qubits, "
+             "over the limit of 14; use at most 6 features or exact distances"),
+            (dict(dataset="wdbc", model="qnn", features=20), ResourceLimitError,
+             "20 qubits exceeds the limit of 14"),
+            (dict(dataset="iris", model="qnn", features=2), ValueError,
+             "3 classes need 3 readout qubits but only 2 are available"),
+        ],
+        ids=["qknn-15", "qknn-30", "sampled-7", "qnn-20", "qnn-readout"],
+    )
+    def test_config_checks_the_register_its_run_builds(self, settings, error, message):
+        # The register depends only on the config's fields and the dataset's
+        # fixed shape, so a config that constructs is a run that can start.
+        with pytest.raises(error, match=message):
+            BenchConfig(**settings)
+
+    def test_cknn_config_builds_no_register(self):
+        assert BenchConfig(dataset="wdbc", model="cknn", features=30).features == 30
 
     @pytest.mark.parametrize("name", sorted(_FORMATS))
     def test_dataset_shapes_match_the_files(self, name):
@@ -352,6 +372,29 @@ class TestNoiseGrid:
         assert noise_grid(0, 1, 1) == [0.0, 1.0]
         assert all(type(p) is float for p in noise_grid(0, 1, 1))
 
+    @pytest.mark.parametrize(
+        "args",
+        [(0.0, 0.59999999995, 0.1), (0.12345678901234, 0.5, 0.1),
+         (0.87500093305, 0.8750009641500001, 2e-10)],
+        ids=["stop-below-a-level", "start-off-the-rounding", "levels-on-rounding-ties"],
+    )
+    def test_every_level_lies_in_the_range_once(self, args):
+        # The end slack was 1e-9 in p, which took 0.6 into a grid that stops
+        # at 0.59999999995, and rounding took a level below an unrounded start.
+        grid = noise_grid(*args)
+        assert all(args[0] <= p <= args[1] for p in grid)
+        assert grid == sorted(set(grid))
+
+    @pytest.mark.parametrize(
+        "args", [(0.1, 0.1, 1e-12), (0.87500093305, 0.8750009641500001, 1e-10)],
+        ids=["1e-12", "1e-10-on-rounding-ties"],
+    )
+    def test_a_step_finer_than_the_rounding_is_refused(self, args):
+        # A 1e-12 step used to give 1001 levels, 11 of them distinct and the
+        # largest above p_stop; at 1e-10, levels on rounding ties merge.
+        with pytest.raises(ValueError, match="use a step of at least 2e-10"):
+            noise_grid(*args)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="step"):
             noise_grid(0.0, 0.5, 0.0)
@@ -413,7 +456,8 @@ class TestNoiseSweep:
             [0.36666666666666664, 0.4666666666666667],
         ]
         prepared = prepare_experiment(cfg)
-        qcfg = _qknn_config(cfg, NoiseSpec(NoiseKind.MIXED_PAULI, 0.3), "physical-code")
+        qcfg = replace(_qknn_config(cfg), noise=NoiseSpec(NoiseKind.MIXED_PAULI, 0.3),
+                       mitigation="physical-code")
         labels, _ = fit_predict(prepared.train, prepared.test, qcfg)
         assert "".join(map(str, labels)) == "000001002011112111001222222211"
 
@@ -468,14 +512,17 @@ class TestNoiseSweep:
 
     def test_sampled_sweeps_check_the_swap_test_register(self, tmp_path):
         # Sampled distances build a 2*d + 1 qubit swap-test register under
-        # every mitigation mode, so d = 7 is refused before loading.
-        cfg = BenchConfig(dataset="wdbc", distance="sampled", features=7,
+        # every mitigation mode, so the config refuses d = 7, and d = 6
+        # passes every check under either mode.  The data directory does
+        # not exist: a sweep that passes its checks fails to load.
+        with pytest.raises(ResourceLimitError, match="register of 15 qubits"):
+            BenchConfig(dataset="wdbc", distance="sampled", features=7,
+                        data_dir=str(tmp_path / "missing"))
+        cfg = BenchConfig(dataset="wdbc", distance="sampled", features=6,
                           data_dir=str(tmp_path / "missing"))
         for mitigation in ("none", "physical-code"):
-            with pytest.raises(ResourceLimitError, match="register of 15 qubits"):
+            with pytest.raises(BenchStageError, match="stage 'load'"):
                 run_noise_sweep(cfg, [0.1], 1, mitigation)
-        with pytest.raises(ResourceLimitError, match="register of 15 qubits"):
-            run_benchmark(cfg)
 
     def test_failing_trial_is_a_model_stage_error(self, monkeypatch):
         def broken(*args, **kwargs):

@@ -4,6 +4,7 @@ and output files."""
 import csv
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -149,6 +150,28 @@ class TestConfigFile:
         )
         assert code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("problem", ["directory", "not-utf-8", "unreadable"])
+    def test_config_file_that_cannot_be_read_exits_two(
+        self, tmp_path, capsys, monkeypatch, problem
+    ):
+        cfg = tmp_path / "cfg.json"
+        if problem == "directory":
+            cfg.mkdir()
+        elif problem == "not-utf-8":
+            cfg.write_bytes('{"data_dir": "d\xe9"}'.encode("latin-1"))
+        else:
+            cfg.write_text("{}")
+
+            # Permission bits do not stop a superuser, so the refusal is faked.
+            def refuse(self, *args, **kwargs):
+                raise PermissionError(13, "Permission denied", str(self))
+
+            monkeypatch.setattr(Path, "read_text", refuse)
+        code = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "r.json"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"argument error: config file {cfg} cannot be read" in err
 
     def test_bad_config_value_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -380,6 +403,16 @@ def test_missing_out_directory_exits_two_before_any_work(tmp_path, capsys, comma
 
 
 @pytest.mark.parametrize("command", ["run", "sweep", "compare"])
+def test_out_that_is_a_directory_exits_two_before_loading(tmp_path, capsys, command):
+    # The data directory is empty, so a load would exit 1 instead.
+    code = run_cli(command, "--dataset", "iris", "--data-dir", str(tmp_path),
+                   "--out", str(tmp_path))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"argument error: out {tmp_path} is a directory" in err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "compare"])
 @pytest.mark.parametrize("out", [5, True, ["r.json"], {"path": "r.json"}, ""])
 def test_out_that_is_not_a_path_string_exits_two_before_loading(
     tmp_path, capsys, command, out
@@ -514,6 +547,13 @@ class TestSweep:
         code = run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv"))
         assert code == 2
         assert message in capsys.readouterr().err
+
+    def test_step_finer_than_the_rounding_exits_two(self, tmp_path, capsys):
+        code = run_cli("sweep", "--dataset", "iris", "--p-start", "0.1", "--p-stop", "0.1",
+                       "--p-step", "1e-12", "--data-dir", str(tmp_path),
+                       "--out", str(tmp_path / "s.csv"))
+        assert code == 2
+        assert "use a step of at least 2e-10" in capsys.readouterr().err
 
     def test_nan_step_exits_two(self, tmp_path, capsys):
         code = run_cli("sweep", "--dataset", "iris", "--p-step", "nan",
@@ -653,14 +693,26 @@ class TestSelect:
         capsys.readouterr()
 
     @pytest.mark.parametrize(
-        "doc", [{"features": 15}, {"model": "qnn", "features": 20}],
+        "doc, message",
+        [({"features": 15}, "15 qubits exceeds the limit of 14"),
+         ({"model": "qnn", "features": 20}, "20 qubits exceeds the limit of 14")],
         ids=["qknn-15", "qnn-20"],
     )
-    def test_register_too_wide_to_run_still_ranks(self, tmp_path, capsys, doc):
-        # select builds no register, so a config that run would refuse for
-        # its qubit count still prints the ranking.
+    def test_register_too_wide_to_run_exits_two(self, tmp_path, capsys, doc, message):
+        # select builds the same BenchConfig as run, which refuses a register
+        # its run could not hold.  The data directory is empty, so a load
+        # would exit 1 instead.
         cfg = tmp_path / "f.json"
         cfg.write_text(json.dumps(doc))
+        code = run_cli("select", "--config", str(cfg), "--dataset", "wdbc",
+                       "--data-dir", str(tmp_path))
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_cknn_on_every_wdbc_feature_ranks(self, tmp_path, capsys):
+        # cknn builds no register, so its config ranks at any feature count.
+        cfg = tmp_path / "f.json"
+        cfg.write_text(json.dumps({"model": "cknn", "features": 30}))
         code = run_cli("select", "--config", str(cfg), "--dataset", "wdbc",
                        "--data-dir", str(DATA_DIR))
         assert code == 0
