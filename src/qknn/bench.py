@@ -8,10 +8,11 @@ non-deterministic (no timestamps, no machine info), so rerunning
 
 Raise contract: ``BenchConfig`` checks what its fields and the dataset's
 fixed shape determine, the qubit register of its run included, and
-``run_noise_sweep`` a sweep's settings.  They raise TypeError or
-ValueError (ResourceLimitError for a register over the qubit limit) only
-then, before loading any data; any later failure is a BenchStageError
-naming its stage.
+``noise_grid`` and ``run_noise_sweep`` a sweep's settings, each value's
+type by ``data._check_type``.  They raise TypeError or ValueError
+(ResourceLimitError for a register over the qubit limit) only then,
+before loading any data; any later failure is a BenchStageError naming
+its stage.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from . import cknn, qnn
 from .classifier import DEFAULT_SHOTS, QknnConfig, check_register, fit_predict
 from .data import (
     _FORMATS,
+    _check_type,
     DEFAULT_BINS,
     DEFAULT_TOP_K,
     Dataset,
@@ -61,19 +63,6 @@ class BenchStageError(RuntimeError):
     """A pipeline stage failed; the message names the stage."""
 
 
-#: Accepted value types per field annotation; an int is a valid float.
-_FIELD_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "bool": (bool,)}
-
-
-def _check_type(name: str, type_name: str, value) -> None:
-    """Raise TypeError unless ``value`` is a ``type_name`` ("int", "float", ...)."""
-    # bool subclasses int, but True is not a count or a seed.
-    if (isinstance(value, bool) and type_name != "bool") or not isinstance(
-        value, _FIELD_TYPES[type_name]
-    ):
-        raise TypeError(f"{name} must be {type_name}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class BenchConfig:
     """One benchmark run, fully specified (mirrors the CLI flags).
@@ -98,7 +87,7 @@ class BenchConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            _check_type(f.name, f.type, getattr(self, f.name))
+            _check_type(f.name, getattr(self, f.name), f.type)
         if self.dataset not in _FORMATS:
             raise ValueError(
                 f"dataset must be one of {sorted(_FORMATS)}, got {self.dataset!r}"
@@ -307,10 +296,9 @@ def noise_grid(p_start: float, p_stop: float, p_step: float) -> list[float]:
     """Inclusive arithmetic grid of noise levels in [p_start, p_stop],
     rounded to 10 decimals to avoid drift, of at most ``MAX_NOISE_LEVELS``."""
     for name, value in (("p_start", p_start), ("p_stop", p_stop), ("p_step", p_step)):
-        _check_type(name, "float", value)
-    # Negated comparisons, so that NaN (which would never end the grid) fails.
-    if not 0.0 < p_step < math.inf:
-        raise ValueError(f"step must be positive and finite, got {p_step}")
+        _check_type(name, value, "float")
+    if p_step <= 0.0:
+        raise ValueError(f"step must be positive, got {p_step}")
     if not 0.0 <= p_start <= p_stop <= 1.0:
         raise ValueError(
             f"noise range must satisfy 0 <= start <= stop <= 1, "
@@ -357,7 +345,7 @@ def run_noise_sweep(
         raise ValueError(
             f"noise sweeps are defined for the qknn model, got {config.model!r}"
         )
-    _check_type("trials", "int", trials)
+    _check_type("trials", trials, "int")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     if len(p_values) == 0:

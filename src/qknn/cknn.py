@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _check_type
 
 #: Neighbours voting per query, for both classifiers and the bench runs.
 DEFAULT_K = 3
@@ -26,9 +26,7 @@ DEFAULT_K = 3
 def _check_training(labels: np.ndarray, rows: int, n_classes: int, k: int) -> None:
     """Reject an empty training set, a label per row missing, a k that is
     not an int or lies outside [1, rows], and labels outside [0, n_classes)."""
-    # bool subclasses int, but True is not a neighbour count.
-    if isinstance(k, bool) or not isinstance(k, int):
-        raise TypeError(f"k must be an int, got {k!r}")
+    _check_type("k", k, "int")
     if rows == 0:
         raise ValueError("training set must be non-empty")
     if labels.shape != (rows,):

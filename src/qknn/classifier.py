@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cknn import DEFAULT_K, _check_schema, _check_training, _nearest, _vote
-from .data import Dataset
+from .data import Dataset, _check_type
 from .encoding import (
     EncodedPoint,
     EncodingConfig,
@@ -99,12 +99,8 @@ class QknnConfig:
 
     def __post_init__(self) -> None:
         for name in ("k", "shots", "seed"):
-            value = getattr(self, name)
-            # bool subclasses int, but True is not a count or a seed.
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise TypeError(f"{name} must be an int, got {value!r}")
-        if not isinstance(self.use_feature_map, bool):
-            raise TypeError(f"use_feature_map must be a bool, got {self.use_feature_map!r}")
+            _check_type(name, getattr(self, name), "int")
+        _check_type("use_feature_map", self.use_feature_map, "bool")
         if not isinstance(self.encoding, EncodingConfig):
             raise TypeError(f"encoding must be an EncodingConfig, got {self.encoding!r}")
         if self.noise is not None and not isinstance(self.noise, NoiseSpec):
@@ -239,8 +235,7 @@ def find_neighbors(model: QknnModel, test: EncodedPoint) -> tuple[np.ndarray, np
     # The row seeds the sampled swap tests' stream, so it is checked here,
     # in both modes, rather than inside NumPy's seeding.
     row = test.source_row
-    if isinstance(row, bool) or not isinstance(row, (int, np.integer)):
-        raise TypeError(f"source_row must be an int, got {row!r}")
+    _check_type("source_row", row, "int")
     if row < -1:
         raise ValueError(f"source_row must be -1 (ad hoc) or a row index, got {row}")
     fids = _pair_fidelities(model, test.state.amplitudes, row)

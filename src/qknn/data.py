@@ -10,12 +10,14 @@ Feature selection ranks features by the chi-square independence
 statistic of an equal-width discretization against the class label;
 p-values come from the closed-form chi-square tail for integer degrees
 of freedom, so the package needs no statistics dependency.
+``_check_type`` is the value-type rule every setting of the package follows.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,6 +27,25 @@ import numpy as np
 
 DEFAULT_BINS = 10
 DEFAULT_TOP_K = 4
+
+#: Setting kind -> accepted types and their name; an int is a valid float.  NumPy
+#: scalars but np.float64 (a float) fail: the JSON report cannot hold them.
+_KINDS = {"int": ((int,), "an int"), "float": ((int, float), "a real number"),
+          "bool": ((bool,), "a bool"), "str": ((str,), "a string")}
+
+
+def _check_type(name: str, value, kind: str) -> None:
+    """The one value-type rule of every setting: raise TypeError unless
+    ``value`` is a ``kind`` ("int", "float", "bool" or "str"), and
+    ValueError for a float that is not finite as a float."""
+    types, noun = _KINDS[kind]
+    # bool subclasses int, but True is not a count or a real.
+    if isinstance(value, bool) != (kind == "bool") or not isinstance(value, types):
+        raise TypeError(f"{name} must be {noun}, got {value!r}")
+    # Negated, so that NaN fails; an int too large for a float fails too.
+    if kind == "float" and not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be finite, got {value}")
+
 
 #: Feature names of the UCI distributions, in column order.
 _IRIS_FEATURES = ("sepal_length", "sepal_width", "petal_length", "petal_width")
@@ -305,8 +326,7 @@ class SelectionResult:
 
 def parse_selection_policy(policy: str) -> tuple[str, float]:
     """Parse 'topk=K' or 'alpha=F' into (kind, value)."""
-    if not isinstance(policy, str):
-        raise TypeError(f"policy must be a string, got {policy!r}")
+    _check_type("policy", policy, "str")
     kind, sep, raw = policy.partition("=")
     kind = kind.strip().lower()
     if sep and kind not in ("topk", "alpha"):

@@ -16,11 +16,11 @@ An optional entangling feature map walks a linear chain of qubit pairs
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import _check_type
 from .sim import Gate, GateOp, StateVector, _shared_op, apply_gate, new_zero_state
 
 DEFAULT_ANGLE_SCALE = 2.0 * math.pi
@@ -36,12 +36,7 @@ class EncodingConfig:
 
     def __post_init__(self) -> None:
         for name in ("angle_scale", "feature_map_angle"):
-            value = getattr(self, name)
-            # bool subclasses int, but True is not an angle.
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise TypeError(f"{name} must be a real number, got {value!r}")
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            _check_type(name, getattr(self, name), "float")
 
 
 @dataclass

@@ -19,12 +19,12 @@ errors from their names, live in ``tests/oracles.py``.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from .data import _check_type
 from .sim import Gate, StateVector, _shared_op, apply_gate
 
 
@@ -62,9 +62,7 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, NoiseKind):
             raise TypeError(f"noise kind must be a NoiseKind, got {self.kind!r}")
-        # bool subclasses int, but True is not a probability.
-        if isinstance(self.p, bool) or not isinstance(self.p, numbers.Real):
-            raise TypeError(f"noise probability p must be a real number, got {self.p!r}")
+        _check_type("noise probability p", self.p, "float")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"noise probability must lie in [0, 1], got {self.p}")
 

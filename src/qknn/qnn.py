@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _check_type
 from .sim import Gate, _apply_matrix, _check_size, gate_matrix
 
 #: Probability clamp for the cross entropy.
@@ -84,13 +85,6 @@ class QnnArchitecture:
         return QnnArchitecture(self.n_classes, params)
 
 
-def _check_type(name: str, value, real: bool = False) -> None:
-    """Raise TypeError unless ``value`` is an int, or with ``real`` a real."""
-    # bool subclasses int, but True is not a count or a rate.
-    if isinstance(value, bool) or not isinstance(value, (int, float) if real else int):
-        raise TypeError(f"{name} must be {'a real' if real else 'an int'}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Full-batch gradient descent settings."""
@@ -99,12 +93,10 @@ class TrainConfig:
     epochs: int = 100
 
     def __post_init__(self) -> None:
-        _check_type("learning_rate", self.learning_rate, real=True)
-        _check_type("epochs", self.epochs)
-        if not 0.0 < self.learning_rate < math.inf:
-            raise ValueError(
-                f"learning rate must be positive and finite, got {self.learning_rate}"
-            )
+        _check_type("learning_rate", self.learning_rate, "float")
+        _check_type("epochs", self.epochs, "int")
+        if self.learning_rate <= 0.0:
+            raise ValueError(f"learning rate must be positive, got {self.learning_rate}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
 
@@ -118,12 +110,12 @@ def init_architecture(
 ) -> QnnArchitecture:
     """Fresh architecture with parameters ~ uniform(-init_scale, init_scale),
     from an int of at least one layer and a positive, finite real scale."""
-    _check_type("n_layers", n_layers)
-    _check_type("init_scale", init_scale, real=True)
+    _check_type("n_layers", n_layers, "int")
+    _check_type("init_scale", init_scale, "float")
     if n_layers < 1:
         raise ValueError(f"need at least one layer, got {n_layers}")
-    if not 0.0 < init_scale < math.inf:
-        raise ValueError(f"init scale must be positive and finite, got {init_scale}")
+    if init_scale <= 0.0:
+        raise ValueError(f"init scale must be positive, got {init_scale}")
     rng = np.random.default_rng(seed)
     params = rng.uniform(-init_scale, init_scale, size=(n_layers, n_qubits))
     return QnnArchitecture(n_classes, params)

@@ -108,9 +108,9 @@ class TestConfig:
             BenchConfig(shots=0)
 
     def test_field_types(self):
-        with pytest.raises(TypeError, match="k must be int"):
+        with pytest.raises(TypeError, match="k must be an int"):
             BenchConfig(k=True)
-        with pytest.raises(TypeError, match="use_feature_map must be bool"):
+        with pytest.raises(TypeError, match="use_feature_map must be a bool"):
             BenchConfig(use_feature_map=1)
         assert BenchConfig(angle_scale=3).angle_scale == 3
 
@@ -365,9 +365,9 @@ class TestNoiseGrid:
             noise_grid(*args)
 
     def test_value_types(self):
-        with pytest.raises(TypeError, match="p_step must be float"):
+        with pytest.raises(TypeError, match="p_step must be a real number"):
             noise_grid(0.0, 0.5, "0.1")
-        with pytest.raises(TypeError, match="p_start must be float"):
+        with pytest.raises(TypeError, match="p_start must be a real number"):
             noise_grid(True, 0.5, 0.1)
         assert noise_grid(0, 1, 1) == [0.0, 1.0]
         assert all(type(p) is float for p in noise_grid(0, 1, 1))
@@ -486,8 +486,8 @@ class TestNoiseSweep:
             (dict(mitigation="bogus"), ValueError, "mitigation must be one of"),
             (dict(mitigation="repeat-vote"), ValueError,
              r"mitigation must be one of \('none', 'physical-code'\), got 'repeat-vote'"),
-            (dict(trials=1.5), TypeError, "trials must be int"),
-            (dict(p_values=[math.nan]), ValueError, "noise probability must lie in"),
+            (dict(trials=1.5), TypeError, "trials must be an int"),
+            (dict(p_values=[math.nan]), ValueError, "noise probability p must be finite"),
         ],
         ids=["string-kind", "mitigation", "repeat-vote", "trials-type", "nan-level"],
     )

@@ -180,13 +180,13 @@ class TestNeighbors:
         model = build_model([[0.0], [0.5]], [0, 1])
         model.config = replace(model.config, distance_mode=mode, shots=16)
         bad = [(-2, ValueError), (1.5, TypeError), (True, TypeError), ("3", TypeError),
-               (None, TypeError)]
+               (None, TypeError), (np.int64(3), TypeError)]
         for row, error in bad:
             with pytest.raises(error, match="source_row"):
                 find_neighbors(model, point([0.1], row=row))
             with pytest.raises(error, match="source_row"):
                 classify(model, point([0.1], row=row))
-        for row in (-1, 0, np.int64(3)):
+        for row in (-1, 0):
             assert classify(model, point([0.1], row=row))[0] == 0
 
     @pytest.mark.parametrize("shape", [(4,), (2, 3), (2, 0), (2, 2, 4)])
@@ -345,21 +345,26 @@ class TestFitPredict:
         with pytest.raises(ValueError, match="feature count"):
             fit_predict(train, narrow, QknnConfig(k=1))
 
+    # Noisy at the default map angle, pi/2, is the frame path: no row is
+    # encoded there, so every encoding, frame and kernel step must not run.
+    @pytest.mark.parametrize(
+        "noise", [None, NoiseSpec(NoiseKind.MIXED_PAULI, 0.1)], ids=["noiseless", "noisy"]
+    )
     def test_schema_is_checked_before_any_row_is_encoded(
-        self, rng, make_dataset, monkeypatch
+        self, rng, make_dataset, monkeypatch, noise
     ):
-        calls = []
+        def refuse(*args, **kwargs):
+            raise AssertionError("work ran before the schema check")
 
-        def counting_encode_point(*args, **kwargs):
-            calls.append(1)
-            return encode_point(*args, **kwargs)
-
-        monkeypatch.setattr(classifier, "encode_point", counting_encode_point)
+        for step in ("encode_point", "_encode_rows", "_draw_paulis", "_frame_angles",
+                     "_frame_fidelities"):
+            monkeypatch.setattr(classifier, step, refuse)
         train = toy_dataset(rng.uniform(0, 1, size=(50, 2)), [0, 1] * 25, make_dataset)
         wider = toy_dataset(rng.uniform(0, 1, size=(5, 3)), [0] * 5, make_dataset, n_classes=2)
+        cfg = QknnConfig(k=1, noise=noise)
+        assert cfg.encoding.feature_map_angle == math.pi / 2
         with pytest.raises(ValueError, match="feature count"):
-            fit_predict(train, wider, QknnConfig(k=1))
-        assert calls == []
+            fit_predict(train, wider, cfg)
 
     def test_empty_training_set_rejected(self, make_dataset):
         import qknn.data as data_mod

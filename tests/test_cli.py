@@ -201,12 +201,14 @@ class TestConfigFile:
             ({"qnn_layers": 0}, "unknown keys: ['qnn_layers']"),
             ({"qnn_init_scale": 0}, "unknown keys: ['qnn_init_scale']"),
             ({"feature_map_angle": float("nan")}, "feature_map_angle must be finite"),
-            ({"use_feature_map": "no"}, "use_feature_map must be bool"),
-            ({"k": "3"}, "k must be int"),
+            ({"use_feature_map": "no"}, "use_feature_map must be a bool"),
+            ({"k": "3"}, "k must be an int"),
+            ({"angle_scale": 10**399}, "angle_scale must be finite"),
+            ({"feature_map_angle": 10**399}, "feature_map_angle must be finite"),
         ],
         ids=[
             "learning-rate", "rotation-axis", "layers", "init-scale", "nan-angle",
-            "bool", "int",
+            "bool", "int", "huge-scale", "huge-map-angle",
         ],
     )
     def test_bad_value_rejected_before_data_loads(self, tmp_path, capsys, doc, message):
@@ -463,10 +465,11 @@ class TestSweep:
     @pytest.mark.parametrize(
         "option, message",
         [
-            ({"trials": 1.9}, "trials must be int"),
-            ({"trials": True}, "trials must be int"),
-            ({"p_step": "0.1"}, "p_step must be float"),
+            ({"trials": 1.9}, "trials must be an int"),
+            ({"trials": True}, "trials must be an int"),
+            ({"p_step": "0.1"}, "p_step must be a real number"),
         ],
+        ids=["float-trials", "bool-trials", "string-step"],
     )
     def test_mistyped_option_exits_two_before_loading(
         self, tmp_path, capsys, option, message
@@ -559,7 +562,7 @@ class TestSweep:
         code = run_cli("sweep", "--dataset", "iris", "--p-step", "nan",
                        "--data-dir", str(tmp_path), "--out", str(tmp_path / "s.csv"))
         assert code == 2
-        assert "step must be positive and finite" in capsys.readouterr().err
+        assert "p_step must be finite, got nan" in capsys.readouterr().err
 
     def test_integer_noise_levels_are_valid_floats(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -379,10 +379,14 @@ class TestTraining:
         assert float(np.mean(np.argmax(predict_proba(trained, X), axis=1) == y)) > 0.5
 
     def test_config_validation(self):
-        for bad in (0.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="learning rate"):
+        with pytest.raises(ValueError, match="learning rate must be positive"):
+            TrainConfig(learning_rate=0.0)
+        with pytest.raises(ValueError, match="init scale must be positive"):
+            init_architecture(2, 1, 2, init_scale=0.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="learning_rate must be finite"):
                 TrainConfig(learning_rate=bad)
-            with pytest.raises(ValueError, match="init scale"):
+            with pytest.raises(ValueError, match="init_scale must be finite"):
                 init_architecture(2, 1, 2, init_scale=bad)
         with pytest.raises(ValueError, match="epochs"):
             TrainConfig(epochs=-1)
@@ -401,13 +405,13 @@ class TestTraining:
 
     @pytest.mark.parametrize("bad", [True, "0.3", None])
     def test_learning_rate_must_be_a_real(self, bad):
-        with pytest.raises(TypeError, match=rf"learning_rate must be a real, got {bad!r}"):
+        with pytest.raises(TypeError, match=rf"learning_rate must be a real number, got {bad!r}"):
             TrainConfig(learning_rate=bad)
         assert TrainConfig(learning_rate=1).learning_rate == 1
 
     @pytest.mark.parametrize("bad", [True, "0.3", None])
     def test_init_scale_must_be_a_real(self, bad):
-        with pytest.raises(TypeError, match=rf"init_scale must be a real, got {bad!r}"):
+        with pytest.raises(TypeError, match=rf"init_scale must be a real number, got {bad!r}"):
             init_architecture(2, 1, 2, init_scale=bad)
         assert init_architecture(2, 1, 2, init_scale=1).params.shape == (1, 2)
 
