@@ -8,7 +8,8 @@ minimise, as "distance" suggests, would invert the ranking; the
 closeness semantics win here and the convention is pinned by tests.)
 Ranking and voting follow the k-NN rule of ``cknn``, with fidelity as
 the closeness, so qknn and the classical baseline differ only in their
-similarity.
+similarity; ``_fidelity_knn`` is that rule on a fidelity matrix, and
+``fit_predict`` and ``classify`` both end in it.
 
 Two evaluation modes are provided:
 
@@ -243,17 +244,21 @@ def find_neighbors(model: QknnModel, test: EncodedPoint) -> tuple[np.ndarray, np
     return chosen, fids[chosen]
 
 
-def _fidelity_vote(
-    neighbor_labels: np.ndarray, fidelities: np.ndarray, n_classes: int
+def _fidelity_knn(
+    fidelities: np.ndarray, labels: np.ndarray, k: int, n_classes: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``classify``'s rule on [queries, k] neighbour labels and fidelities:
-    each query's majority label and fidelity-weighted vote share per
-    class, or its plain count share when every fidelity is ~0."""
-    labels, votes, sums = _vote(neighbor_labels, fidelities, n_classes)
+    """``cknn``'s k-NN rule on a [queries, rows] fidelity matrix: each
+    query's majority label among its k highest-fidelity rows, and its
+    fidelity-weighted vote share per class, or its plain count share when
+    those k fidelities sum to ~0."""
+    chosen = _nearest(fidelities, k)
+    fidelities = np.take_along_axis(fidelities, chosen, axis=1)
+    predicted, votes, sums = _vote(labels[chosen], fidelities, n_classes)
     # Row sums, not running ones: NumPy sums 8 or more values pairwise.
     total = fidelities.sum(axis=1, keepdims=True)
     weighted = total > 1e-12
-    return labels, np.where(weighted, sums, votes) / np.where(weighted, total, fidelities.shape[1])
+    shares = np.where(weighted, sums, votes) / np.where(weighted, total, fidelities.shape[1])
+    return predicted, shares
 
 
 def classify(model: QknnModel, test: EncodedPoint) -> tuple[int, np.ndarray]:
@@ -265,7 +270,10 @@ def classify(model: QknnModel, test: EncodedPoint) -> tuple[int, np.ndarray]:
     neighbour fidelity is ~0 the plain count share is used instead.
     """
     indices, fids = find_neighbors(model, test)
-    labels, scores = _fidelity_vote(*np.atleast_2d(model.labels[indices], fids), model.n_classes)
+    # The neighbours come ranked, so the rule's ranking keeps their order.
+    labels, scores = _fidelity_knn(
+        fids[np.newaxis], model.labels[indices], model.config.k, model.n_classes
+    )
     return int(labels[0]), scores[0]
 
 
@@ -420,12 +428,12 @@ def fit_predict(
     call is one trajectory; rerun with different seeds to average.
     Deterministic for a fixed config.
 
-    One [test, train] fidelity matrix goes through the k-NN rule and
-    ``classify``'s scores.  Its rows come from ``_pair_fidelities`` on the
-    encoded states, except in a noisy run with exact distances whose map
-    is off or Clifford, which builds no states: each row's trajectory is
-    pulled back onto the product encoding (``_frame_angles``), and the
-    matrix is the product kernel of the pulled-back angles.
+    One [test, train] fidelity matrix goes through ``_fidelity_knn``.  Its
+    rows come from ``_pair_fidelities`` on the encoded states, except in a
+    noisy run with exact distances whose map is off or Clifford, which
+    builds no states: each row's trajectory is pulled back onto the
+    product encoding (``_frame_angles``), and the matrix is the product
+    kernel of the pulled-back angles.
     """
     _check_schema(train, test)
     # The training rows, then the test rows, draw from one noise stream.
@@ -448,7 +456,4 @@ def fit_predict(
             [_pair_fidelities(model, state, row) for row, state in enumerate(states)],
             (len(states), len(train.labels)),
         )
-    chosen = _nearest(fidelities, cfg.k)
-    return _fidelity_vote(
-        train.labels[chosen], np.take_along_axis(fidelities, chosen, axis=1), train.n_classes
-    )
+    return _fidelity_knn(fidelities, train.labels, cfg.k, train.n_classes)

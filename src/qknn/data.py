@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+import reprlib
 import sys
 import warnings
 from dataclasses import dataclass
@@ -42,9 +43,9 @@ def _check_type(name: str, value, kind: str) -> None:
     # bool subclasses int, but True is not a count or a real.
     if isinstance(value, bool) != (kind == "bool") or not isinstance(value, types):
         raise TypeError(f"{name} must be {noun}, got {value!r}")
-    # Negated, so that NaN fails; an int too large for a float fails too.
+    # Negated, so that NaN fails; an int too large for a float fails too (repr cut short).
     if kind == "float" and not abs(value) <= sys.float_info.max:
-        raise ValueError(f"{name} must be finite, got {value}")
+        raise ValueError(f"{name} must be finite, got {reprlib.repr(value)}")
 
 
 #: Feature names of the UCI distributions, in column order.

@@ -49,6 +49,7 @@ class QnnArchitecture:
     params: np.ndarray
 
     def __post_init__(self) -> None:
+        _check_type("n_classes", self.n_classes, "int")
         self.params = np.asarray(self.params, dtype=float)
         if self.params.ndim != 2 or self.params.shape[0] < 1:
             raise ValueError(
@@ -109,11 +110,15 @@ def init_architecture(
     init_scale: float = DEFAULT_INIT_SCALE,
 ) -> QnnArchitecture:
     """Fresh architecture with parameters ~ uniform(-init_scale, init_scale),
-    from an int of at least one layer and a positive, finite real scale."""
-    _check_type("n_layers", n_layers, "int")
+    from int counts of at least one layer, a non-negative int seed and a
+    positive, finite real scale; ``QnnArchitecture`` checks ``n_classes``."""
+    for name, value in (("n_qubits", n_qubits), ("n_layers", n_layers), ("seed", seed)):
+        _check_type(name, value, "int")
     _check_type("init_scale", init_scale, "float")
     if n_layers < 1:
         raise ValueError(f"need at least one layer, got {n_layers}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if init_scale <= 0.0:
         raise ValueError(f"init scale must be positive, got {init_scale}")
     rng = np.random.default_rng(seed)

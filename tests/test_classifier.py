@@ -16,6 +16,7 @@ from qknn.classifier import (
     QknnModel,
     _code_pauli,
     _encode_rows,
+    _fidelity_knn,
     _pair_fidelities,
     classify,
     find_neighbors,
@@ -638,19 +639,27 @@ class TestNoiseAndMitigation:
     ):
         # One channel draw per qubit without mitigation, one per physical
         # qubit of the three-qubit code with it, none at a noise level of 0.
-        calls = []
+        # The draws make one trajectory per encoded row: one frame row of
+        # (x, z) bits per row, or no frame at all at a noise level of 0.
+        calls, frames = [], []
 
         def counting_draw(spec, rng):
             calls.append(spec)
             return noise_draw(spec, rng)
 
-        noise_draw = classifier.draw_pauli
+        def recording_frames(*args):
+            frames.append(draw_paulis(*args))
+            return frames[-1]
+
+        noise_draw, draw_paulis = classifier.draw_pauli, classifier._draw_paulis
         monkeypatch.setattr(classifier, "draw_pauli", counting_draw)
+        monkeypatch.setattr(classifier, "_draw_paulis", recording_frames)
         cfg = QknnConfig(
             **NOISE_CFG, noise=NoiseSpec(NoiseKind.MIXED_PAULI, p), mitigation=mitigation
         )
         _encode_rows(np.full((5, 2), 0.5), cfg, np.random.default_rng(0))
         assert len(calls) == 5 * 2 * per_qubit
+        assert [frame.shape for frame in frames] == ([(5, 2 * 2)] if p else [])
 
     @pytest.mark.parametrize("kind", list(NoiseKind), ids=lambda k: k.value)
     def test_a_code_block_is_three_draws_in_order(self, kind):
@@ -944,7 +953,9 @@ class TestCknn:
 class TestSharedKnnRule:
     """The one k-NN rule of ``cknn``, run on a [queries, rows] closeness
     matrix, gives, row by row and bit for bit, what each classifier's own
-    copy of it gave (``oracles``), on tie-heavy cases."""
+    copy of it gave (``oracles``), on tie-heavy cases.  The qknn cases
+    feed fidelities to ``_fidelity_knn``, the tail that ``fit_predict``
+    and ``classify`` both end in, whatever computes their fidelities."""
 
     CASES = 600
     #: Repeated fidelities, so ranks and vote sums tie often.
@@ -990,65 +1001,99 @@ class TestSharedKnnRule:
                 assert predicted[row] == ref_label
                 assert scores[row].tobytes() == ref_scores.tobytes()
 
-    def test_fidelity_rule_matches_the_reference(self, rng, monkeypatch, make_dataset):
-        current = {}
-        monkeypatch.setattr(classifier, "_pair_fidelities", lambda m, a, r: current["fids"][r])
+    @staticmethod
+    def reference_model(labels, n_classes, k):
+        return SimpleNamespace(labels=np.asarray(labels), n_classes=n_classes,
+                               config=SimpleNamespace(k=k))
+
+    def test_fidelity_rule_matches_the_reference(self, rng):
         fallbacks = 0
         for case in range(self.CASES):
             n_train, k, n_classes, labels, n_test = self.draw_case(rng)
             fids = rng.choice(self.FIDELITIES, size=(n_test, n_train))
             if case % 10 == 0:
                 fids[0] = 0.0  # every neighbour orthogonal: count shares
-            current["fids"] = fids
-            train = toy_dataset(np.zeros((n_train, 1)), labels, make_dataset, n_classes)
-            test = toy_dataset(np.zeros((n_test, 1)), np.zeros(n_test, int), make_dataset,
-                               n_classes)
-            cfg = QknnConfig(k=k)
-            model = fit(train, cfg)
-            predicted, scores = fit_predict(train, test, cfg)
+            model = self.reference_model(labels, n_classes, k)
+            predicted, scores = _fidelity_knn(fids, labels, k, n_classes)
+            # find_neighbors' ranking.
+            chosen = cknn._nearest(fids, k)
             for row in range(n_test):
                 ref_indices, ref_label, ref_scores = qknn_classify(model, fids[row])
                 fallbacks += fids[row, ref_indices].sum() <= 1e-12
+                assert chosen[row].tolist() == ref_indices.tolist()
                 assert predicted[row] == ref_label
                 assert scores[row].tobytes() == ref_scores.tobytes()
 
-                test_point = point([0.0], row=row)
-                assert find_neighbors(model, test_point)[0].tolist() == ref_indices.tolist()
-                label, one_scores = classify(model, test_point)
-                assert label == ref_label
-                assert one_scores.tobytes() == ref_scores.tobytes()
+                # What classify passes on: one row's k neighbours, ranked.
+                label, one_scores = _fidelity_knn(
+                    fids[row, chosen[row]][np.newaxis], labels[chosen[row]], k, n_classes
+                )
+                assert label.tolist() == [ref_label]
+                assert one_scores[0].tobytes() == ref_scores.tobytes()
         assert fallbacks >= self.CASES // 10
 
-    def test_a_vote_tie_of_eight_per_class_goes_to_the_larger_score(
-        self, monkeypatch, make_dataset
-    ):
+    def test_a_vote_tie_of_eight_per_class_goes_to_the_larger_score(self):
         # The label is the tied class with the larger fidelity share, and
         # the oracles agree; a per-class ndarray.sum gave class 0 here.
         fids = np.array([self.TIE_FIDELITIES])
-        monkeypatch.setattr(classifier, "_pair_fidelities", lambda m, a, r: fids[r])
-        train = toy_dataset(np.zeros((16, 1)), self.TIE_LABELS, make_dataset)
-        test = toy_dataset(np.zeros((1, 1)), [0], make_dataset, 2)
-        cfg = QknnConfig(k=16)
-        predicted, scores = fit_predict(train, test, cfg)
+        predicted, scores = _fidelity_knn(fids, np.array(self.TIE_LABELS), 16, 2)
         assert predicted.tolist() == [1]
         assert scores[0, 1] > scores[0, 0]
-        _, ref_label, ref_scores = qknn_classify(fit(train, cfg), fids[0])
+        _, ref_label, ref_scores = qknn_classify(
+            self.reference_model(self.TIE_LABELS, 2, 16), fids[0]
+        )
         assert ref_label == 1
         assert scores[0].tobytes() == ref_scores.tobytes()
 
-    def test_positive_fidelities_summing_below_the_threshold_get_count_shares(
-        self, monkeypatch, make_dataset
-    ):
+    def test_positive_fidelities_summing_below_the_threshold_get_count_shares(self):
         # Unequal, nonzero, but together below 1e-12: the fidelity weights
         # would give [5/8, 3/8], the count share is [2/3, 1/3].
         fids = np.array([[4e-13, 1e-13, 3e-13]])
-        monkeypatch.setattr(classifier, "_pair_fidelities", lambda m, a, r: fids[r])
-        train = toy_dataset(np.zeros((3, 1)), [0, 0, 1], make_dataset)
-        test = toy_dataset(np.zeros((1, 1)), [0], make_dataset, 2)
-        cfg = QknnConfig(k=3)
-        predicted, scores = fit_predict(train, test, cfg)
+        predicted, scores = _fidelity_knn(fids, np.array([0, 0, 1]), 3, 2)
         assert predicted.tolist() == [0]
         assert scores[0].tolist() == [2 / 3, 1 / 3]
-        _, ref_label, ref_scores = qknn_classify(fit(train, cfg), fids[0])
+        _, ref_label, ref_scores = qknn_classify(self.reference_model([0, 0, 1], 2, 3), fids[0])
         assert ref_label == 0
         assert scores[0].tobytes() == ref_scores.tobytes()
+
+    @pytest.mark.parametrize("mode", ["exact", "noisy", "sampled"])
+    def test_fit_predict_and_classify_are_the_rule_on_their_own_fidelities(
+        self, make_dataset, mode
+    ):
+        # Each run's fidelities, computed here: the product kernel of the
+        # scaled features (noiseless exact), the noisy rows' states (exact
+        # with noise, where fit_predict pulls the frames back instead), or
+        # each test row's swap-test estimates from its own stream (sampled).
+        # Labels must match exactly, scores within 1e-12.
+        rng = np.random.default_rng(17)
+        train_x, test_x = rng.uniform(0, 1, (24, 3)), rng.uniform(0, 1, (8, 3))
+        train = toy_dataset(train_x, rng.integers(0, 3, 24), make_dataset, n_classes=3)
+        test = toy_dataset(test_x, [0] * 8, make_dataset, n_classes=3)
+        cfg = QknnConfig(
+            k=5, encoding=PI_SCALE, seed=4, shots=64,
+            distance_mode="sampled" if mode == "sampled" else "exact",
+            noise=NoiseSpec(NoiseKind.MIXED_PAULI, 0.2) if mode == "noisy" else None,
+        )
+        model = fit(train, cfg)
+        if mode == "exact":
+            fids = np.prod(np.cos(math.pi * (test_x[:, None] - train_x[None]) / 2) ** 2, axis=2)
+        elif mode == "noisy":
+            # The training rows' trajectories, then the test rows', from one stream.
+            stream = np.random.default_rng(cfg.seed)
+            train_states = _encode_rows(train_x, cfg, stream)
+            fids = np.abs(_encode_rows(test_x, cfg, stream).conj() @ train_states.T) ** 2
+        else:
+            fids = np.array([
+                _pair_fidelities(model, apply_feature_map(point(x, row=row)).state.amplitudes, row)
+                for row, x in enumerate(test_x)
+            ])
+        expected_labels, expected_scores = _fidelity_knn(fids, train.labels, cfg.k, 3)
+        labels, scores = fit_predict(train, test, cfg)
+        assert labels.tolist() == expected_labels.tolist()
+        np.testing.assert_allclose(scores, expected_scores, rtol=0, atol=1e-12)
+        if mode == "noisy":
+            return  # classify takes noiseless test points
+        for row, x in enumerate(test_x):
+            label, row_scores = classify(model, apply_feature_map(point(x, row=row)))
+            assert label == expected_labels[row]
+            np.testing.assert_allclose(row_scores, expected_scores[row], rtol=0, atol=1e-12)

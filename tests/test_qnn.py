@@ -167,9 +167,16 @@ class TestRealStack:
         assert _forward_batch(arch, X).dtype == np.float64
         gradient(arch, X, y)
         batch_loss(arch, X, y)
-        # 2 layers x (3 RY + 3 CNOT) per forward; the gradient runs
-        # 1 + 2 * 2 * 3 forwards and the loss one more.
-        assert len(dtypes) == 3 * 12 * (1 + 13 + 1)
+        # Three dtypes per matrix application; 12 applications per forward,
+        # one RY per qubit and one ring CNOT per qubit in each of 2 layers;
+        # and 15 forwards: the one above, the gradient's unshifted one and
+        # two shifted ones per parameter (1 + 2 * L * n = 13), and the loss's.
+        layers, qubits = arch.params.shape
+        ops_per_forward = layers * (qubits + qubits)
+        gradient_forwards = 1 + 2 * layers * qubits
+        assert (ops_per_forward, gradient_forwards) == (12, 13)
+        forwards = 1 + gradient_forwards + 1
+        assert len(dtypes) == 3 * ops_per_forward * forwards
         assert all(dtype == np.float64 for dtype in dtypes)
 
     @pytest.mark.parametrize("n_classes", [2, 3])
@@ -418,3 +425,8 @@ class TestTraining:
     def test_init_needs_at_least_one_layer(self):
         with pytest.raises(ValueError, match="need at least one layer, got 0"):
             init_architecture(2, 0, 2)
+
+    def test_init_seed_must_be_non_negative(self):
+        # The rule QknnConfig's seed follows, checked before NumPy seeds.
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            init_architecture(2, 1, 2, seed=-1)

@@ -21,7 +21,7 @@ from qknn.classifier import QknnConfig, find_neighbors, fit
 from qknn.data import parse_selection_policy
 from qknn.encoding import EncodingConfig, encode_point
 from qknn.noise import NoiseKind, NoiseSpec
-from qknn.qnn import TrainConfig, init_architecture
+from qknn.qnn import QnnArchitecture, TrainConfig, init_architecture
 
 from conftest import _make_dataset
 
@@ -59,7 +59,12 @@ SETTINGS = {
     "TrainConfig.learning_rate": ("learning_rate", "float",
                                   lambda v: TrainConfig(learning_rate=v)),
     "TrainConfig.epochs": ("epochs", "int", lambda v: TrainConfig(epochs=v)),
+    "init_architecture.n_qubits": ("n_qubits", "int", lambda v: init_architecture(v, 1, 2)),
     "init_architecture.n_layers": ("n_layers", "int", lambda v: init_architecture(2, v, 2)),
+    "init_architecture.n_classes": ("n_classes", "int", lambda v: init_architecture(2, 1, v)),
+    "init_architecture.seed": ("seed", "int", lambda v: init_architecture(2, 1, 2, seed=v)),
+    "QnnArchitecture.n_classes": ("n_classes", "int",
+                                  lambda v: QnnArchitecture(v, np.zeros((1, 2)))),
     "init_architecture.init_scale": ("init_scale", "float",
                                      lambda v: init_architecture(2, 1, 2, init_scale=v)),
     "cknn.fit_predict.k": ("k", "int", lambda v: cknn.fit_predict(TOY, TOY, v)),
@@ -79,8 +84,10 @@ BAD_TYPES = {
     "str": [1, None, b"iris", ["iris"]],
 }
 
-#: Reals that are not finite as a float, an int past the float range included.
-NON_FINITE = [math.nan, math.inf, -math.inf, 10**400]
+#: Reals that are not finite as a float, an int past the float range included,
+#: each with how its message shows it: a 401-digit int is cut to 40 characters.
+NON_FINITE = {math.nan: "nan", math.inf: "inf", -math.inf: "-inf",
+              10**400: "1" + "0" * 17 + "..." + "0" * 19}
 
 #: Good reals, each valid wherever a real setting is.
 GOOD_REALS = [1, 0.5, np.float64(0.5)]
@@ -107,7 +114,8 @@ def test_a_value_of_the_wrong_type_is_a_type_error(entry, value):
 @pytest.mark.parametrize("entry, value", _cases({"float"}, lambda kind: NON_FINITE))
 def test_a_real_that_is_not_finite_is_a_value_error(entry, value):
     name, _, call = SETTINGS[entry]
-    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be finite, got {value}')}$"):
+    message = f"{name} must be finite, got {NON_FINITE[value]}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(value)
 
 
