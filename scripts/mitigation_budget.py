@@ -49,8 +49,7 @@ from qknn.bench import (  # noqa: E402
     prepare_experiment,
     run_noise_sweep,
 )
-from qknn.classifier import _encode_rows  # noqa: E402
-from qknn.cknn import _nearest, _vote  # noqa: E402
+from qknn.classifier import _encode_rows, _fidelity_knn  # noqa: E402
 from qknn.noise import NoiseKind, NoiseSpec  # noqa: E402
 
 LEVELS = (0.0, 0.1, 0.2)
@@ -86,11 +85,7 @@ def _voted_accuracies(config: BenchConfig, trials: int) -> np.ndarray:
                 stream = np.random.default_rng([seed, row + 1])
                 voted = 1.0 - 2.0 * stream.binomial(config.shots, q) / config.shots
                 estimates[row] = np.clip(voted, 0.0, 1.0)
-            chosen = _nearest(estimates, config.k)
-            labels, _, _ = _vote(
-                train.labels[chosen], np.take_along_axis(estimates, chosen, axis=1),
-                train.n_classes,
-            )
+            labels, _ = _fidelity_knn(estimates, train.labels, config.k, train.n_classes)
             accuracies[i, t] = np.count_nonzero(labels == test.labels) / test.n_instances
     return accuracies
 

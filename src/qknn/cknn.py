@@ -17,27 +17,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import Dataset, _check_type
+from .data import Dataset, _check_labels, _check_type
 
 #: Neighbours voting per query, for both classifiers and the bench runs.
 DEFAULT_K = 3
 
 
-def _check_training(labels: np.ndarray, rows: int, n_classes: int, k: int) -> None:
-    """Reject an empty training set, a label per row missing, a k that is
-    not an int or lies outside [1, rows], and labels outside [0, n_classes)."""
+def _check_training(labels, rows: int, n_classes: int, k: int) -> np.ndarray:
+    """Reject an empty training set, labels that break ``_check_labels``, and
+    a k that is not an int or lies outside [1, rows]; return the labels."""
     _check_type("k", k, "int")
     if rows == 0:
         raise ValueError("training set must be non-empty")
-    if labels.shape != (rows,):
-        raise ValueError(f"{labels.shape[0]} labels for {rows} rows")
+    labels = _check_labels(labels, rows, n_classes)
     if not 1 <= k <= rows:
         raise ValueError(f"k must lie in [1, {rows}], got {k}")
-    if labels.min() < 0 or labels.max() >= n_classes:
-        raise ValueError(
-            f"labels must lie in [0, {n_classes}), got range "
-            f"[{labels.min()}, {labels.max()}]"
-        )
+    return labels
 
 
 def _check_schema(train: Dataset, test: Dataset) -> None:

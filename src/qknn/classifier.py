@@ -154,8 +154,9 @@ class QknnModel:
         shape = np.shape(self.train_states)
         if len(shape) != 2 or shape[1] != 2**self.num_qubits:
             raise ValueError(f"training states must form a [rows, 2**d] matrix, got {shape}")
-        self.labels = np.asarray(self.labels, dtype=int)
-        _check_training(self.labels, len(self.train_states), self.n_classes, self.config.k)
+        self.labels = _check_training(
+            self.labels, len(self.train_states), self.n_classes, self.config.k
+        )
         check_register(self.config, self.num_qubits)
 
     @property

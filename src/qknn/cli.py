@@ -116,6 +116,8 @@ def _read_config_file(path: str, allowed: set[str]) -> dict:
         raise _ArgumentProblem(f"config file {path} cannot be read: {exc}")
     except json.JSONDecodeError as exc:
         raise _ArgumentProblem(f"config file {path} is not valid JSON: {exc}")
+    except ValueError as exc:  # an int past the interpreter's digit limit
+        raise _ArgumentProblem(f"config file {path} holds a number too long: {exc}")
     if not isinstance(doc, dict):
         raise _ArgumentProblem(f"config file {path} must hold a JSON object")
     unknown = set(doc) - allowed

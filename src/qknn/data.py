@@ -10,7 +10,8 @@ Feature selection ranks features by the chi-square independence
 statistic of an equal-width discretization against the class label;
 p-values come from the closed-form chi-square tail for integer degrees
 of freedom, so the package needs no statistics dependency.
-``_check_type`` is the value-type rule every setting of the package follows.
+``_check_type`` is the value-type rule every setting of the package follows,
+and ``_check_labels`` the rule every array of class labels follows.
 """
 
 from __future__ import annotations
@@ -45,7 +46,31 @@ def _check_type(name: str, value, kind: str) -> None:
         raise TypeError(f"{name} must be {noun}, got {value!r}")
     # Negated, so that NaN fails; an int too large for a float fails too (repr cut short).
     if kind == "float" and not abs(value) <= sys.float_info.max:
-        raise ValueError(f"{name} must be finite, got {reprlib.repr(value)}")
+        try:
+            shown = reprlib.repr(value)
+        except ValueError:  # an int past the interpreter's digit limit
+            shown = f"an int of over {sys.get_int_max_str_digits()} digits"
+        raise ValueError(f"{name} must be finite, got {shown}")
+
+
+def _check_labels(labels, rows: int, n_classes: int, name="labels") -> np.ndarray:
+    """The one label rule: ``labels`` as a 1-D int array of one class index
+    per row, each in [0, n_classes).  TypeError for a dtype that is not an
+    integer one (bool included) unless empty; ValueError for a shape other
+    than (rows,) or a class out of range.  Nothing is cast before the check."""
+    labels = np.asarray(labels)
+    if labels.size and labels.dtype.kind not in "iu":
+        raise TypeError(f"{name} must be ints, got dtype {labels.dtype}")
+    if labels.ndim != 1:
+        raise ValueError(f"{name} must be 1-D, got shape {labels.shape}")
+    if labels.size != rows:
+        raise ValueError(f"{labels.size} {name} for {rows} rows")
+    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
+        raise ValueError(
+            f"{name} must lie in [0, {n_classes}), got range "
+            f"[{labels.min()}, {labels.max()}]"
+        )
+    return labels.astype(int, copy=False)
 
 
 #: Feature names of the UCI distributions, in column order.
@@ -70,7 +95,6 @@ class _Format:
     label: int  # label column
     feature_names: tuple[str, ...]
     classes: tuple[str, ...]  # label tokens, in class order
-    bad_label: str  # message for a token not in ``classes``, formatted with it
     field_hint: str  # appended to the field count in the field-count error
     #: Rows per class in the file.  With ``feature_names`` these fix the qnn
     #: register and the training-set size that bounds k before any loading.
@@ -81,18 +105,15 @@ class _Format:
 _FORMATS = {
     "iris": _Format(
         "iris.data", 5, slice(0, 4), 4, _IRIS_FEATURES,
-        ("Iris-setosa", "Iris-versicolor", "Iris-virginica"),
-        "unknown class {!r} (expected 'Iris-setosa', 'Iris-versicolor' or "
-        "'Iris-virginica')", "", (50, 50, 50),
+        ("Iris-setosa", "Iris-versicolor", "Iris-virginica"), "", (50, 50, 50),
     ),
     "wdbc": _Format(
         "wdbc.data", 32, slice(2, 32), 1, _WDBC_FEATURES, ("B", "M"),
-        "unknown diagnosis {!r} (expected 'B' or 'M')", " (id, diagnosis, 30 features)",
-        (357, 212),
+        " (id, diagnosis, 30 features)", (357, 212),
     ),
     "banknote": _Format(
         "data_banknote_authentication.txt", 5, slice(0, 4), 4, _BANKNOTE_FEATURES,
-        ("0", "1"), "class must be 0 or 1, got {!r}", "", (762, 610),
+        ("0", "1"), "", (762, 610),
     ),
 }
 
@@ -113,15 +134,13 @@ class Dataset:
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=int)
         self.feature_names = tuple(self.feature_names)
         self.class_names = tuple(self.class_names)
         if self.features.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {self.features.shape}")
-        if self.labels.shape != (self.features.shape[0],):
-            raise ValueError(
-                f"{self.labels.shape[0]} labels for {self.features.shape[0]} rows"
-            )
+        self.labels = _check_labels(
+            self.labels, self.features.shape[0], len(self.class_names)
+        )
         if len(self.feature_names) != self.features.shape[1]:
             raise ValueError(
                 f"{len(self.feature_names)} feature names for "
@@ -129,12 +148,6 @@ class Dataset:
             )
         if not np.all(np.isfinite(self.features)):
             raise ValueError("features contain non-finite values")
-        n_classes = len(self.class_names)
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= n_classes):
-            raise ValueError(
-                f"labels must lie in [0, {n_classes}), got range "
-                f"[{self.labels.min()}, {self.labels.max()}]"
-            )
 
     @property
     def n_instances(self) -> int:
@@ -210,8 +223,10 @@ def load_dataset(path: str | Path, fmt: str) -> Dataset:
             )
         token = row[spec.label]
         if token not in spec.classes:
+            *others, last = map(repr, spec.classes)
             raise DataFormatError(
-                f"{path}: line {line_no}: " + spec.bad_label.format(token)
+                f"{path}: line {line_no}: unknown class {token!r} "
+                f"(expected {', '.join(others)} or {last})"
             )
         labels.append(spec.classes.index(token))
         features.append([_parse_float(t, line_no, name) for t in row[spec.columns]])

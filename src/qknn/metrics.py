@@ -13,6 +13,8 @@ import warnings
 
 import numpy as np
 
+from .data import _check_labels
+
 
 def confusion_matrix(
     y_true: np.ndarray, y_pred: np.ndarray, n_classes: int
@@ -67,30 +69,18 @@ def compute_metrics(
     A class absent from ``y_true`` contributes precision/recall 0 with a
     warning, and its one-vs-rest AUC is recorded as chance (0.5).
     """
-    y_true = np.asarray(y_true, dtype=int)
-    y_pred = np.asarray(y_pred, dtype=int)
     scores = np.asarray(scores, dtype=float)
-    if y_true.shape != y_pred.shape:
-        raise ValueError(f"shape mismatch: {y_true.shape} vs {y_pred.shape}")
-    if y_true.size == 0:
-        raise ValueError("cannot score an empty prediction set")
-    if scores.ndim != 2 or scores.shape[0] != y_true.size:
+    if scores.ndim != 2:
         raise ValueError(
             f"scores must be [n, n_classes] aligned with labels, got {scores.shape}"
         )
+    n, n_classes = scores.shape
+    y_true = _check_labels(y_true, n, n_classes, "true labels")
+    y_pred = _check_labels(y_pred, n, n_classes, "predicted labels")
+    if n == 0:
+        raise ValueError("cannot score an empty prediction set")
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores contain non-finite values")
-    n_classes = scores.shape[1]
-    if y_true.min() < 0 or y_pred.min() < 0:
-        raise ValueError(
-            f"labels must be non-negative: true min {y_true.min()}, "
-            f"pred min {y_pred.min()}"
-        )
-    if y_true.max() >= n_classes or y_pred.max() >= n_classes:
-        raise ValueError(
-            f"labels exceed the {n_classes} score columns: "
-            f"true max {y_true.max()}, pred max {y_pred.max()}"
-        )
     confusion = confusion_matrix(y_true, y_pred, n_classes)
     accuracy = float(np.trace(confusion) / confusion.sum())
     precisions, recalls, f1s = [], [], []

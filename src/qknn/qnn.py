@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _check_type
+from .data import _check_labels, _check_type
 from .sim import Gate, _apply_matrix, _check_size, gate_matrix
 
 #: Probability clamp for the cross entropy.
@@ -199,20 +199,8 @@ def predict_proba(arch: QnnArchitecture, X: np.ndarray) -> np.ndarray:
 
 def batch_loss(arch: QnnArchitecture, X: np.ndarray, y: np.ndarray) -> float:
     """Cross-entropy loss of the batch."""
-    y = np.asarray(y, dtype=int)
-    _check_labels(arch, X, y)
+    y = _check_labels(y, np.shape(X)[0], arch.n_classes)
     return _cross_entropy(_probabilities(arch, _forward_batch(arch, X)), y)
-
-
-def _check_labels(arch: QnnArchitecture, X: np.ndarray, y: np.ndarray) -> None:
-    X = np.asarray(X)
-    if X.shape[0] != y.shape[0]:
-        raise ValueError(f"{y.shape[0]} labels for {X.shape[0]} rows")
-    if y.size and (y.min() < 0 or y.max() >= arch.n_classes):
-        raise ValueError(
-            f"labels must lie in [0, {arch.n_classes}), got range "
-            f"[{y.min()}, {y.max()}]"
-        )
 
 
 def _loss_grad_wrt_z(arch: QnnArchitecture, z: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -239,8 +227,7 @@ def gradient(arch: QnnArchitecture, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     respect to the readout expectations.
     """
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
-    _check_labels(arch, X, y)
+    y = _check_labels(y, X.shape[0], arch.n_classes)
     dldz = _loss_grad_wrt_z(arch, _forward_batch(arch, X), y)
     grad = np.zeros_like(arch.params)
     for layer in range(arch.n_layers):
@@ -268,8 +255,7 @@ def train(
     only on the inputs.
     """
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
-    _check_labels(arch, X, y)
+    y = _check_labels(y, X.shape[0], arch.n_classes)
     params = arch.params.copy()
     history: list[float] = []
     current = arch.with_params(params)

@@ -14,6 +14,10 @@ from qknn.noise import NoiseKind
 
 from conftest import DATA_DIR
 
+#: A 5001-digit JSON number, past Python's 4300-digit int limit, so json.dumps
+#: cannot write it: the config text takes it in place of its quoted form.
+GIANT = "1" + "0" * 5000
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -205,17 +209,19 @@ class TestConfigFile:
             ({"k": "3"}, "k must be an int"),
             ({"angle_scale": 10**399}, "angle_scale must be finite"),
             ({"feature_map_angle": 10**399}, "feature_map_angle must be finite"),
+            ({"angle_scale": GIANT}, "holds a number too long: Exceeds the limit (4300 digits)"),
         ],
         ids=[
             "learning-rate", "rotation-axis", "layers", "init-scale", "nan-angle",
-            "bool", "int", "huge-scale", "huge-map-angle",
+            "bool", "int", "huge-scale", "huge-map-angle", "giant",
         ],
     )
     def test_bad_value_rejected_before_data_loads(self, tmp_path, capsys, doc, message):
         # The data directory is empty, so any work past the config
         # boundary would fail at the load stage with exit code 1.
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"dataset": "iris", "data_dir": str(tmp_path), **doc}))
+        text = json.dumps({"dataset": "iris", "data_dir": str(tmp_path), **doc})
+        cfg.write_text(text.replace(f'"{GIANT}"', GIANT))
         code = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "r.json"))
         err = capsys.readouterr().err
         assert code == 2

@@ -116,13 +116,13 @@ class TestLoaders:
     def test_wdbc_bad_diagnosis(self, tmp_path):
         path = tmp_path / "wdbc.data"
         path.write_text("1,X," + ",".join(["1"] * 30) + "\n")
-        with pytest.raises(DataFormatError, match="diagnosis 'X'"):
+        with pytest.raises(DataFormatError, match="unknown class 'X'"):
             load_dataset(path, "wdbc")
 
     def test_banknote_bad_class(self, tmp_path):
         path = tmp_path / "bank.txt"
         path.write_text("1,2,3,4,2\n")
-        with pytest.raises(DataFormatError, match="class must be 0 or 1"):
+        with pytest.raises(DataFormatError, match=r"unknown class '2' \(expected '0' or '1'\)"):
             load_dataset(path, "banknote")
 
     def test_empty_file_rejected(self, tmp_path):
@@ -146,11 +146,11 @@ class TestLoaders:
             ("iris", "1,2,3,4,\n", f"line 1: unknown class '' ({IRIS_EXPECTED})"),
             ("banknote", "1,2,3,4,0\n1,two,3,4,1\n", "line 2: 'two' is not a number"),
             ("banknote", "1,nan,3,4,0\n", "line 1: non-finite value 'nan'"),
-            ("banknote", "1,2,3,4,0\n1,2,3,4,2\n", "line 2: class must be 0 or 1, got '2'"),
+            ("banknote", "1,2,3,4,0\n1,2,3,4,2\n", "line 2: unknown class '2' (expected '0' or '1')"),
             ("wdbc", "1,B,2\n",
              "line 1: expected 32 fields (id, diagnosis, 30 features), got 3"),
             ("wdbc", "1,X," + ",".join(["1"] * 30) + "\n",
-             "line 1: unknown diagnosis 'X' (expected 'B' or 'M')"),
+             "line 1: unknown class 'X' (expected 'B' or 'M')"),
         ],
     )
     def test_error_messages_are_unchanged(self, tmp_path, fmt, text, message):
@@ -164,9 +164,9 @@ class TestLoaders:
         "fmt,text,message",
         [
             ("iris", "1,two,3,4,\n", f"line 1: unknown class '' ({IRIS_EXPECTED})"),
-            ("banknote", "1,two,3,4,2\n", "line 1: class must be 0 or 1, got '2'"),
+            ("banknote", "1,two,3,4,2\n", "line 1: unknown class '2' (expected '0' or '1')"),
             ("wdbc", "1,X,two," + ",".join(["1"] * 29) + "\n",
-             "line 1: unknown diagnosis 'X' (expected 'B' or 'M')"),
+             "line 1: unknown class 'X' (expected 'B' or 'M')"),
         ],
         ids=["iris", "banknote", "wdbc"],
     )

@@ -84,10 +84,12 @@ BAD_TYPES = {
     "str": [1, None, b"iris", ["iris"]],
 }
 
-#: Reals that are not finite as a float, an int past the float range included,
-#: each with how its message shows it: a 401-digit int is cut to 40 characters.
+#: Reals that are not finite as a float, ints past the float range included,
+#: each with how its message shows it: a 401-digit int is cut to 40 characters,
+#: and one past the interpreter's 4300-digit limit is not written out at all.
 NON_FINITE = {math.nan: "nan", math.inf: "inf", -math.inf: "-inf",
-              10**400: "1" + "0" * 17 + "..." + "0" * 19}
+              10**400: "1" + "0" * 17 + "..." + "0" * 19,
+              10**5000: "an int of over 4300 digits"}
 
 #: Good reals, each valid wherever a real setting is.
 GOOD_REALS = [1, 0.5, np.float64(0.5)]
@@ -95,9 +97,16 @@ GOOD_REALS = [1, 0.5, np.float64(0.5)]
 NOUNS = {"int": "an int", "float": "a real number", "bool": "a bool", "str": "a string"}
 
 
+def _show(value):
+    try:
+        return repr(value)
+    except ValueError:  # an int past the digit limit has no repr
+        return NON_FINITE[value]
+
+
 def _cases(kinds, values_of):
     return [
-        pytest.param(entry, value, id=f"{entry}-{value!r}"[:60])
+        pytest.param(entry, value, id=f"{entry}-{_show(value)}"[:60])
         for entry, (_, kind, _) in SETTINGS.items() if kind in kinds
         for value in values_of(kind)
     ]
